@@ -7,7 +7,7 @@ match the reference tables; the boundary searches rescale impedance anyway,
 so results are insensitive to the authored scale.  Source emfs are tuned so
 every case solves its rated point at exactly U = 1.
 
-Writes each case to cases/ and to the packaged src/gridstrength/cases/.
+Writes each case to the packaged src/gridstrength/cases/.
 """
 
 import argparse
@@ -70,18 +70,15 @@ def main():
     ap.add_argument("--root", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     args = ap.parse_args()
 
-    out_dirs = [os.path.join(args.root, "cases"),
-                os.path.join(args.root, "src", "gridstrength", "cases")]
-    for d in out_dirs:
-        os.makedirs(d, exist_ok=True)
+    out_dir = os.path.join(args.root, "src", "gridstrength", "cases")
+    os.makedirs(out_dir, exist_ok=True)
 
     for doc in build_docs():
         case = tune_sources(case_from_dict(doc, name=doc["name"]))
         _, g = case_gscr(case)
         emfs = ", ".join(f"{ln.bus}={ln.emf_pu:.6f}" for ln in case.thevenin_links)
         print(f"{doc['name']}: gSCR={g:.4f}  {emfs}")
-        for d in out_dirs:
-            save_case(case, os.path.join(d, doc["name"] + ".json"))
+        save_case(case, os.path.join(out_dir, doc["name"] + ".json"))
 
 
 if __name__ == "__main__":

@@ -23,10 +23,10 @@ import numpy as np
 
 from .casefile import CaseFile, with_rating
 from .converter import LccParams, k_of_c, rated_state
-from .errors import BracketError, GridStrengthError
+from .errors import BracketError, ConverterInfeasible, GridStrengthError
 from .gscr import EigenResult, characteristic_delta, compute_gscr, extended_jacobian
 from .netmodel import reduce_case, scale_impedance
-from .powerflow import ContinuationResult, mismatch, prepare, trace_map
+from .powerflow import ContinuationResult, assemble_jacobian, mismatch, prepare, trace_map
 
 SCALE_LO = 0.05
 SCALE_HI = 20.0
@@ -150,52 +150,52 @@ def case_gscr(case: CaseFile) -> tuple[EigenResult, float]:
 def tune_sources(case: CaseFile) -> CaseFile:
     """Set link emfs so the rated point solves at exactly U = 1 on every bus.
 
-    One emf unknown per Thevenin link plus one angle per converter bus
-    against the 2n balance equations; Newton with finite differences.  The
-    single-infeed closed form E = hypot(1 - Z Q_N, Z P_N) is the n = 1
-    special case and is used as its starting guess.
+    Unknowns are one angle per converter bus and one emf per Thevenin link,
+    against the 2n balance equations at U = 1.  Every link sits on its own
+    converter bus, so Kron reduction leaves the reduced source term at
+    f_i = E_i / x_i and the Newton Jacobian is the power-flow angle block
+    plus the diagonal emf columns d(gP, gQ)/dE = (sin d / x, -cos d / x).
+    The single-infeed closed form E = hypot(1 - Z Q_N, Z P_N) is the n = 1
+    special case and is used, link by link, as the starting guess.
     """
-    n = len(case.converter_buses())
+    prep = prepare(case)
+    n = prep.n
     links = case.thevenin_links
-    if len(links) != n:
+    link_at = {ln.bus: ln for ln in links}
+    if len(links) != n or set(link_at) != set(prep.net.bus_order):
         raise GridStrengthError("tune_sources: needs exactly one source link per converter bus")
+    x_link = np.array([link_at[b].reactance_pu for b in prep.net.bus_order])
+    U = np.ones(n)
+    orders = prep.rated_orders
 
-    def with_emfs(emfs):
-        new_links = tuple(replace(ln, emf_pu=float(e)) for ln, e in zip(links, emfs))
-        return replace(case, thevenin_links=new_links)
-
-    def resid(emfs, delta):
-        prep = prepare(with_emfs(emfs))
-        gP, gQ, _ = mismatch(prep, delta, np.ones(n), prep.rated_orders)
-        return np.concatenate([gP, gQ]), prep
-
-    emfs = np.array([ln.emf_pu for ln in links])
-    delta = np.zeros(n)
     # seed from the single-infeed closed form applied link by link
-    prep0 = prepare(case)
-    for k, ln in enumerate(links):
-        i = prep0.net.B.index_of(ln.bus)
-        st = rated_state(prep0.converters[i])
-        Z = ln.reactance_pu
-        p_sys = st.P * prep0.converters[i].p_dn
-        q_sys = st.Q * prep0.converters[i].p_dn
-        emfs[k] = math.hypot(1.0 - Z * q_sys, Z * p_sys)
+    emfs = np.zeros(n)
+    delta = np.zeros(n)
+    for i, par in enumerate(prep.converters):
+        st = rated_state(par)
+        Z = x_link[i]
+        p_sys = st.P * par.p_dn
+        q_sys = st.Q * par.p_dn
+        emfs[i] = math.hypot(1.0 - Z * q_sys, Z * p_sys)
         delta[i] = math.atan2(Z * p_sys, 1.0 - Z * q_sys)
 
-    x = np.concatenate([emfs, delta])
-    r, _ = resid(x[:n], x[n:])
+    def with_emfs(e):
+        return replace(prep, net=replace(prep.net, f=e / x_link))
+
+    def resid(x, states=None):
+        gP, gQ, states = mismatch(with_emfs(x[n:]), x[:n], U, orders, states)
+        return np.concatenate([gP, gQ]), states
+
+    x = np.concatenate([delta, emfs])
+    # at U = 1 and rated orders the converter states do not move with (d, E)
+    r, states = resid(x)
     for _ in range(40):
         if np.max(np.abs(r)) <= 1e-12:
-            return with_emfs(x[:n])
-        J = np.zeros((2 * n, 2 * n))
-        h = 1e-7
-        for k in range(2 * n):
-            xp, xm = x.copy(), x.copy()
-            xp[k] += h
-            xm[k] -= h
-            rp, _ = resid(xp[:n], xp[n:])
-            rm, _ = resid(xm[:n], xm[n:])
-            J[:, k] = (rp - rm) / (2.0 * h)
+            break
+        d = x[:n]
+        blocks = assemble_jacobian(with_emfs(x[n:]), d, U, orders, states)
+        J = np.block([[blocks.J_pd, np.diag(np.sin(d) / x_link)],
+                      [blocks.J_qd, -np.diag(np.cos(d) / x_link)]])
         try:
             dx = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError:
@@ -203,19 +203,18 @@ def tune_sources(case: CaseFile) -> CaseFile:
         alpha, nrm = 1.0, np.max(np.abs(r))
         for _ in range(8):
             x_try = x + alpha * dx
-            try:
-                r_try, _ = resid(x_try[:n], x_try[n:])
-            except GridStrengthError:
-                r_try = None
-            if r_try is not None and np.max(np.abs(r_try)) < nrm:
+            r_try, _ = resid(x_try, states)
+            if np.max(np.abs(r_try)) < nrm:
                 x, r = x_try, r_try
                 break
             alpha *= 0.5
         else:
             raise GridStrengthError("tune_sources: no descent step")
-    if np.max(np.abs(r)) <= 1e-10:
-        return with_emfs(x[:n])
-    raise GridStrengthError("tune_sources: did not converge")
+    if np.max(np.abs(r)) > 1e-10:
+        raise GridStrengthError("tune_sources: did not converge")
+    new_links = tuple(replace(ln, emf_pu=float(x[n + prep.net.B.index_of(ln.bus)]))
+                      for ln in links)
+    return replace(case, thevenin_links=new_links)
 
 
 def scale_to_gscr(case: CaseFile, target: float, retune: bool = True) -> CaseFile:
@@ -251,11 +250,9 @@ def _bisect_scale(case: CaseFile, gap_of, cond_tol: float, kind: str) -> _Probe:
         scaled = scale_impedance(case, s)
         try:
             tr = trace_map(scaled)
-        except GridStrengthError as e:
-            if "infeasible" in str(e):
-                # grid too weak to even carry the light start: far side of the root
-                return _Probe(s=s, g=-math.inf, trace=None)
-            raise
+        except ConverterInfeasible:
+            # grid too weak to even carry the light start: far side of the root
+            return _Probe(s=s, g=-math.inf, trace=None)
         return _Probe(s=s, g=gap_of(tr), trace=tr)
 
     grow = 1.5
@@ -355,8 +352,7 @@ def sweep_dual_infeed(case: CaseFile, rating_ratios, aggregation: str = "mean",
     for r in rating_ratios:
         if not r > 0:
             raise GridStrengthError(f"sweep_dual_infeed: ratio must be positive, got {r}")
-        varied = tune_sources(with_rating(case, buses[1], r * base))
-        tasks.append((varied, float(r), aggregation))
+        tasks.append((with_rating(case, buses[1], r * base), float(r), aggregation))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             return list(ex.map(_sweep_point, tasks))

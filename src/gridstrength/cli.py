@@ -45,14 +45,13 @@ class RunConfig:
     out_path: str = ""
     tol_newton: float = NEWTON_TOL
     tol_bisect: float = 1e-6
-    tol_angle_deg: float = 0.05
     aggregation: str = "mean"
     cg: float = 2.0
     bg: float = 3.0
     jobs: int = 1
 
     def __post_init__(self):
-        for name in ("tol_newton", "tol_bisect", "tol_angle_deg"):
+        for name in ("tol_newton", "tol_bisect"):
             if not getattr(self, name) > 0:
                 raise CaseFormatError(f"{name} must be positive")
         if self.jobs < 1:

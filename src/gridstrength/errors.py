@@ -19,7 +19,9 @@ class ConverterInfeasible(GridStrengthError):
     Raised when the current quadratic has no real root (voltage too low to
     deliver the ordered power) or when the overlap angle leaves its domain.
     Power-flow callers treat this as a failed trial step, the same way they
-    treat a non-converging Newton iteration.
+    treat a non-converging Newton iteration.  The continuation raises it
+    when not even its light start has an in-band solution, which the
+    threshold searches read as a grid too weak for the converters.
     """
 
     def __init__(self, reason: str, bus: str | None = None):

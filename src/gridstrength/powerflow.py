@@ -10,8 +10,9 @@ small-signal model, are
 
 with converter injections P_ci, Q_ci resolved through the CP-CEA model at
 every iteration (full coupling).  The Newton Jacobian is the exact
-derivative of (gP, gQ); the theory diagonal diag(P_Ni rho_i T_i) is
-carried separately for diagnostics.
+derivative of (gP, gQ); the theory sensitivity factor T of the
+small-signal model is a diagnostic, computed on demand by
+converter.sensitivity_T and never inside Newton.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .converter import (
     ConverterState,
     LccParams,
     rated_order,
-    sensitivity_T,
     solve_state,
     state_derivatives,
 )
@@ -51,7 +51,6 @@ class JacobianBlocks:
     J_pv: np.ndarray
     J_qd: np.ndarray
     J_qv: np.ndarray
-    dc_diag: np.ndarray     # theory diagonal P_Ni rho_i T_i, system pu
 
     def full(self) -> np.ndarray:
         top = np.hstack([self.J_pd, self.J_pv])
@@ -153,7 +152,6 @@ def assemble_jacobian(prep: PreparedCase, delta: np.ndarray, U: np.ndarray,
     J_pv = np.zeros((n, n))
     J_qd = np.zeros((n, n))
     J_qv = np.zeros((n, n))
-    dc = np.zeros(n)
     for i in range(n):
         par = prep.converters[i]
         st = states[i]
@@ -179,9 +177,7 @@ def assemble_jacobian(prep: PreparedCase, delta: np.ndarray, U: np.ndarray,
         J_qd[i, i] = acc_qd
         J_pv[i, i] = (p_sys - U[i] * dp_sys) / U[i] ** 2
         J_qv[i, i] = -B[i, i] + (q_sys - U[i] * dq_sys) / U[i] ** 2
-        if st.P > 0:
-            dc[i] = par.p_dn * st.rho * sensitivity_T(st, par).T
-    return JacobianBlocks(J_pd=J_pd, J_pv=J_pv, J_qd=J_qd, J_qv=J_qv, dc_diag=dc)
+    return JacobianBlocks(J_pd=J_pd, J_pv=J_pv, J_qd=J_qd, J_qv=J_qv)
 
 
 def _try_point(prep, delta, U, p_orders):
@@ -253,19 +249,16 @@ def _sigma_min(prep, delta, U, p_orders, states) -> float:
     return float(np.linalg.svd(blocks.full(), compute_uv=False)[-1])
 
 
-def trace_map(case: CaseFile | PreparedCase, direction: str = "proportional-to-rating",
-              step: float = 0.02, lam0: float = 0.1, bisect_tol: float = 1e-6,
-              lam_limit: float = 1000.0) -> ContinuationResult:
+def trace_map(case: CaseFile | PreparedCase, step: float = 0.02, lam0: float = 0.1,
+              bisect_tol: float = 1e-6, lam_limit: float = 1000.0) -> ContinuationResult:
     """Raise the loading factor until the power flow diverges; bisect the nose.
 
     Orders are lambda times the rated-order vector (loading proportional to
     ratings); each solve warm-starts from the previous accepted state.  When
     the light start itself has no in-band solution (weak grids: the filter
     shunts overvolt an unloaded bus) the start doubles, up to three times,
-    before the case is declared infeasible.
+    before the case is declared infeasible (ConverterInfeasible).
     """
-    if direction != "proportional-to-rating":
-        raise GridStrengthError(f"trace_map: unsupported loading direction {direction!r}")
     prep = case if isinstance(case, PreparedCase) else prepare(case)
 
     def solve_at(lam, warm):
@@ -276,7 +269,7 @@ def trace_map(case: CaseFile | PreparedCase, direction: str = "proportional-to-r
         lam0 *= 2.0
         state = solve_at(lam0, None)
     if isinstance(state, Diverged):
-        raise GridStrengthError(
+        raise ConverterInfeasible(
             f"trace_map: base case infeasible at lambda = {lam0} ({state.reason})"
         )
     history: list[MapPoint] = []

@@ -96,6 +96,23 @@ def random_case(rng, n):
     return case_from_dict(random_network_doc(rng, n))
 
 
+def hub_network_doc(link_buses):
+    """Two converters tied through an internal hub bus that Kron reduction
+    removes; Thevenin links of 0.5, 0.4, ... pu on the buses named in link_buses."""
+    return {
+        "name": "hub",
+        "system_base_mva": 990.0,
+        "frequency_hz": 60,
+        "buses": [{"id": "a", "kind": "converter"}, {"id": "b", "kind": "converter"},
+                  {"id": "h", "kind": "internal"}],
+        "branches": [{"from": "a", "to": "h", "reactance_pu": 0.3},
+                     {"from": "b", "to": "h", "reactance_pu": 0.4}],
+        "thevenin_links": [{"bus": b, "reactance_pu": 0.5 - 0.1 * k, "emf_pu": 1.0}
+                           for k, b in enumerate(link_buses)],
+        "converters": [{**CONVERTER_BLOCK, "bus": "a"}, {**CONVERTER_BLOCK, "bus": "b"}],
+    }
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260822)

@@ -24,7 +24,7 @@ from gridstrength.errors import GridStrengthError
 from gridstrength.netmodel import scale_impedance
 from gridstrength.powerflow import GridState, newton_solve, prepare
 
-from conftest import CONVERTER_BLOCK
+from conftest import CONVERTER_BLOCK, hub_network_doc
 from test_converter import cigre_params
 
 
@@ -191,10 +191,11 @@ def test_tuned_sidc_emf_golden(sidc):
     assert tuned.thevenin_links[0].emf_pu == pytest.approx(1.1361269119, abs=1e-6)
 
 
-def test_tuning_solves_rated_at_unit_voltage(dual):
+def rated_from_link_seed(case):
+    """Rated Newton from U = 1 and the per-link closed-form angles."""
     # flat-start Newton walks to the system's upper voltage root, so seed the
     # angles from the per-link closed form to land on the tuned root
-    prep = prepare(tune_sources(dual))
+    prep = prepare(case)
     delta = np.zeros(prep.n)
     for ln in prep.case.thevenin_links:
         i = prep.net.B.index_of(ln.bus)
@@ -203,9 +204,32 @@ def test_tuning_solves_rated_at_unit_voltage(dual):
         q_sys = st.Q * prep.converters[i].p_dn
         delta[i] = math.atan2(ln.reactance_pu * p_sys, 1.0 - ln.reactance_pu * q_sys)
     warm = GridState(delta=delta, U=np.ones(prep.n), converter_states=())
-    state = newton_solve(prep, prep.rated_orders, warm=warm)
+    return newton_solve(prep, prep.rated_orders, warm=warm)
+
+
+def test_tuning_solves_rated_at_unit_voltage(dual):
+    state = rated_from_link_seed(tune_sources(dual))
     assert isinstance(state, GridState)
-    assert state.U == pytest.approx(np.ones(prep.n), abs=1e-6)
+    assert state.U == pytest.approx(np.ones(2), abs=1e-6)
+
+
+def test_tuning_through_kron_reduced_network():
+    # the internal hub is eliminated, so the reduced B is dense while each
+    # reduced source term stays E_i / x_i
+    case = case_from_dict(hub_network_doc(["a", "b"]))
+    tuned = tune_sources(case)
+    emfs = [ln.emf_pu for ln in tuned.thevenin_links]
+    assert emfs[0] != pytest.approx(emfs[1], abs=1e-3)
+    state = rated_from_link_seed(tuned)
+    assert isinstance(state, GridState)
+    assert state.U == pytest.approx(np.ones(2), abs=1e-6)
+
+
+@pytest.mark.parametrize("link_buses", [["a", "h"], ["a"], ["a", "a"]])
+def test_tuning_needs_one_link_per_converter_bus(link_buses):
+    case = case_from_dict(hub_network_doc(link_buses))
+    with pytest.raises(GridStrengthError, match="one source link per converter bus"):
+        tune_sources(case)
 
 
 def test_scale_to_target_index(sidc):

@@ -11,9 +11,11 @@ import pytest
 
 import gridstrength.cli as cli
 from gridstrength.boundary import SweepRow
-from gridstrength.casefile import load_bundled_case, save_case
+from gridstrength.casefile import case_from_dict, load_bundled_case, save_case
 from gridstrength.netmodel import scale_impedance
 from gridstrength.validate import ValidationReport, ValidationRow
+
+from conftest import hub_network_doc
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +72,15 @@ def test_version(capsys):
     code, out, _ = run(capsys, ["--version"])
     assert code == 0
     assert "gridstrength" in out
+
+
+def test_link_off_converter_bus_exits_one(capsys, tmp_path):
+    path = tmp_path / "hub.json"
+    save_case(case_from_dict(hub_network_doc(["a", "h"])), path)
+    code, out, err = run(capsys, ["sweep", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err == "error: tune_sources: needs exactly one source link per converter bus\n"
 
 
 def test_diverged_powerflow_exits_one(capsys, paths):
@@ -188,7 +199,7 @@ def fake_row(passed, expected=1.0):
                          tolerance=1.0, passed=passed, source="benchmark: fake")
 
 
-@pytest.mark.parametrize("script", ["run_validation.py", "sweep_dual.py", "make_cases.py"])
+@pytest.mark.parametrize("script", ["sweep_dual.py", "make_cases.py"])
 def test_scripts_parse_and_show_help(script):
     path = Path(__file__).resolve().parent.parent / "scripts" / script
     done = subprocess.run([sys.executable, str(path), "--help"],
