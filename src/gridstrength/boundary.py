@@ -5,12 +5,18 @@ rho*T + rho^2/SCR - SCR = 0: at the rated point (rho = 1) the positive
 root is (T_N + sqrt(T_N^2 + 4))/2, and at the 30-degree-overlap point the
 converter equations are closed jointly with the network relation.
 
-Multi-infeed thresholds are found numerically: scale every reactance by s,
-trace the continuation to its nose, and bisect s on the defining condition
-(lambda_max = 1 for the critical ratio, aggregated overlap angle at the
-nose = 30 degrees for the boundary ratio).  The grid-strength index of the
-scaled case is then reported.  Sources keep their authored emfs during a
-search; scaling touches reactances only.
+Multi-infeed thresholds are found numerically by scaling every reactance
+by s; the grid-strength index of the scaled case is then reported.  Sources
+keep their authored emfs during a search; scaling touches reactances only.
+
+The critical ratio is the scale at which the saddle-node (fold) of the
+power flow sits at rated load, lambda = 1.  The fold is solved for directly
+as a point of collapse (Canizares & Alvarado, IEEE TPWRS 8(1), 1993): a
+Newton on g(x; lambda) = 0, J v = 0, c.v = 1 in (x, v, lambda), started
+from the last converged point of the continuation's stepping phase.  The
+scale is bracketed from s = 1 and then found by regula falsi on
+lambda_fold(s) - 1.  The boundary ratio bisects s on the aggregated
+overlap angle at the continuation's last convergent point = 30 degrees.
 """
 
 from __future__ import annotations
@@ -22,11 +28,20 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .casefile import CaseFile, with_rating
-from .converter import LccParams, k_of_c, rated_state
+from .converter import ConverterState, LccParams, k_of_c, rated_state
 from .errors import BracketError, ConverterInfeasible, GridStrengthError
 from .gscr import EigenResult, characteristic_delta, compute_gscr, extended_jacobian
 from .netmodel import reduce_case, scale_impedance
-from .powerflow import ContinuationResult, assemble_jacobian, mismatch, prepare, trace_map
+from .powerflow import (
+    U_BAND,
+    ContinuationResult,
+    PreparedCase,
+    assemble_jacobian,
+    continuation_steps,
+    mismatch,
+    prepare,
+    trace_map,
+)
 
 SCALE_LO = 0.05
 SCALE_HI = 20.0
@@ -34,6 +49,9 @@ SCALE_REL_TOL = 1e-4
 CRITICAL_TOL = 1e-3      # on |lambda_max - 1|
 BOUNDARY_TOL_DEG = 0.05  # on |mu_agg - 30 deg|
 MU_TARGET_DEG = 30.0
+FOLD_TOL = 1e-10         # on the fold residual and on |lambda - 1| at CgSCR
+FOLD_MAX_ITER = 30
+FOLD_FD_STEP = 1e-6
 AGG_RULES = ("mean", "max", "first")
 
 
@@ -240,21 +258,15 @@ def _mu_aggregate(mu_deg: np.ndarray, weights: np.ndarray, rule: str) -> float:
 class _Probe:
     s: float
     g: float
-    trace: ContinuationResult | None
+    result: ContinuationResult | _Fold | None
 
 
-def _bisect_scale(case: CaseFile, gap_of, cond_tol: float, kind: str) -> _Probe:
-    """Find s with gap(s) = 0, gap decreasing in s; geometric probe then bisect."""
+def _bracket(probe, kind: str) -> tuple[_Probe, _Probe]:
+    """Probe s = 1, then multiply or divide s by 1.5 until the gap changes sign.
 
-    def probe(s):
-        scaled = scale_impedance(case, s)
-        try:
-            tr = trace_map(scaled)
-        except ConverterInfeasible:
-            # grid too weak to even carry the light start: far side of the root
-            return _Probe(s=s, g=-math.inf, trace=None)
-        return _Probe(s=s, g=gap_of(tr), trace=tr)
-
+    Returns (lo, hi) with lo.g > 0 >= hi.g and lo.s < hi.s, or (p, p) when
+    the gap at s = 1 is exactly 0.  The gap is assumed to fall with s.
+    """
     grow = 1.5
     p = probe(1.0)
     lo = hi = p
@@ -278,34 +290,210 @@ def _bisect_scale(case: CaseFile, gap_of, cond_tol: float, kind: str) -> _Probe:
                 hi = lo
             else:
                 break
-    else:
-        return p
+    return lo, hi
 
-    # lo.g > 0 >= hi.g with lo.s < hi.s
+
+def _bisect_scale(case: CaseFile, gap_of, cond_tol: float, kind: str) -> _Probe:
+    """Find s with gap(s) = 0, gap decreasing in s; geometric probe then bisect."""
+
+    def probe(s):
+        scaled = scale_impedance(case, s)
+        try:
+            tr = trace_map(scaled)
+        except ConverterInfeasible:
+            # grid too weak to even carry the light start: far side of the root
+            return _Probe(s=s, g=-math.inf, result=None)
+        return _Probe(s=s, g=gap_of(tr), result=tr)
+
+    lo, hi = _bracket(probe, kind)
+    if lo is hi:
+        return lo
     best = lo if abs(lo.g) <= abs(hi.g) else hi
     while hi.s - lo.s > SCALE_REL_TOL * lo.s:
         mid = probe(0.5 * (lo.s + hi.s))
-        if mid.trace is not None and abs(mid.g) < abs(best.g):
+        if mid.result is not None and abs(mid.g) < abs(best.g):
             best = mid
         if mid.g > 0:
             lo = mid
         else:
             hi = mid
-    if best.trace is None or abs(best.g) > cond_tol:
+    if best.result is None or abs(best.g) > cond_tol:
         raise GridStrengthError(f"{kind}: bisection stalled with residual {best.g:.3g}")
     return best
 
 
+@dataclass(frozen=True)
+class _Fold:
+    """Saddle-node of the power flow at impedance scale s and loading lam."""
+
+    s: float
+    lam: float
+    x: np.ndarray       # (delta, U) at the reduced converter buses
+    v: np.ndarray       # right null vector of the power-flow Jacobian, c.v = 1
+    residual: float     # max-norm of the fold system's residual
+    states: tuple[ConverterState, ...]
+
+
+def _at_scale(prep: PreparedCase, s: float) -> PreparedCase:
+    """The prepared case with every reactance times s.
+
+    Kron reduction is homogeneous in the reactances, so the reduced B and
+    f both divide by s; converter constants and emfs do not move.
+    """
+    net = prep.net
+    return replace(prep, net=replace(net, B=replace(net.B, matrix=net.B.matrix / s),
+                                     f=net.f / s))
+
+
+def _fold_residual(prep: PreparedCase, z: np.ndarray, c: np.ndarray):
+    """(g, J v, c.v - 1) at z = (x, v, lam), with J and the converter states.
+
+    None where a bus voltage is not positive or a converter has no steady state.
+    """
+    n, m = prep.n, 2 * prep.n
+    delta, U, v, lam = z[:n], z[n:m], z[m:2 * m], z[-1]
+    if np.any(U <= 0.0):
+        return None
+    orders = lam * prep.rated_orders
+    try:
+        gP, gQ, states = mismatch(prep, delta, U, orders)
+    except ConverterInfeasible:
+        return None
+    J = assemble_jacobian(prep, delta, U, orders, states).full()
+    return np.concatenate([gP, gQ, J @ v, [c @ v - 1.0]]), J, states
+
+
+def _fold_jacobian(prep: PreparedCase, z: np.ndarray, c: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """Jacobian of the fold system in z = (x, v, lam), by central differences.
+
+    d(J v)/dx equals the derivative of J along v, because the second
+    derivatives of g are symmetric, so one difference pair gives that block.
+    """
+    n, m = prep.n, 2 * prep.n
+    x, v, lam = z[:m], z[m:2 * m], z[-1]
+    h = FOLD_FD_STEP
+
+    def jac(xx, ll):
+        return assemble_jacobian(prep, xx[:n], xx[n:], ll * prep.rated_orders).full()
+
+    def g(ll):
+        gP, gQ, _ = mismatch(prep, x[:n], x[n:], ll * prep.rated_orders)
+        return np.concatenate([gP, gQ])
+
+    A = np.zeros((2 * m + 1, 2 * m + 1))
+    A[:m, :m] = J
+    A[m:2 * m, :m] = (jac(x + h * v, lam) - jac(x - h * v, lam)) / (2.0 * h)
+    A[m:2 * m, m:2 * m] = J
+    A[2 * m, m:2 * m] = c
+    A[:m, 2 * m] = (g(lam + h) - g(lam - h)) / (2.0 * h)
+    A[m:2 * m, 2 * m] = (jac(x, lam + h) - jac(x, lam - h)) @ v / (2.0 * h)
+    return A
+
+
+def _solve_fold(prep: PreparedCase, s: float, x, v, lam: float) -> _Fold | None:
+    """Newton on g(x; lam) = 0, J v = 0, c.v = 1 in (x, v, lam), with c = v / |v|^2.
+
+    prep is already at scale s.  Each step is halved until the residual's
+    max-norm falls.  Returns None when Newton fails or the fold lies
+    outside U_BAND.
+    """
+    n, m = prep.n, 2 * prep.n
+    c = v / (v @ v)
+    z = np.concatenate([x, v, [lam]])
+    point = _fold_residual(prep, z, c)
+    for _ in range(FOLD_MAX_ITER):
+        if point is None or np.max(np.abs(point[0])) <= FOLD_TOL:
+            break
+        F, J, _ = point
+        try:
+            A = _fold_jacobian(prep, z, c, J)
+        except ConverterInfeasible:
+            return None
+        try:
+            dz = np.linalg.solve(A, -F)
+        except np.linalg.LinAlgError:
+            raise GridStrengthError("find_critical_numeric: singular fold system") from None
+        point = None
+        for alpha in 0.5 ** np.arange(7):
+            trial = _fold_residual(prep, z + alpha * dz, c)
+            if trial is not None and np.max(np.abs(trial[0])) < np.max(np.abs(F)):
+                z, point = z + alpha * dz, trial
+                break
+    if point is None:
+        return None
+    F, _, states = point
+    U = z[n:m]
+    if np.max(np.abs(F)) > FOLD_TOL or np.any(U <= U_BAND[0]) or np.any(U >= U_BAND[1]):
+        return None
+    return _Fold(s=s, lam=float(z[-1]), x=z[:m], v=z[m:2 * m],
+                 residual=float(np.max(np.abs(F))), states=states)
+
+
+def _critical_fold(case: CaseFile) -> _Fold:
+    """Fold at rated load: bracket the scale, then regula falsi on lam_fold(s) - 1.
+
+    A bracket probe starts the fold solve from the last converged point of
+    the continuation's stepping phase, with the null vector of J there; a
+    probe inside the bracket warm-starts from the nearer solved fold.  A
+    failed fold, or one outside U_BAND, is the far side of the root, as is
+    a grid too weak to carry the light start.
+    """
+    kind = "find_critical_numeric"
+    prep = prepare(case)
+
+    def probe(s, warm: _Fold | None = None) -> _Probe:
+        scaled = _at_scale(prep, s)
+        if warm is None:
+            try:
+                points, _ = continuation_steps(scaled)
+            except ConverterInfeasible:
+                return _Probe(s=s, g=-math.inf, result=None)
+            lam, st = points[-1]
+            J = assemble_jacobian(scaled, st.delta, st.U, lam * scaled.rated_orders,
+                                  st.converter_states).full()
+            v = np.linalg.svd(J)[2][-1]
+            fold = _solve_fold(scaled, s, np.concatenate([st.delta, st.U]), v, lam)
+        else:
+            fold = _solve_fold(scaled, s, warm.x, warm.v, warm.lam)
+        return _Probe(s=s, g=-math.inf if fold is None else fold.lam - 1.0, result=fold)
+
+    lo, hi = _bracket(probe, kind)
+    p = lo
+    # Illinois: halve the kept end's gap when the same end moves twice running
+    g_lo, g_hi, moved = lo.g, hi.g, 0
+    while abs(p.g) > FOLD_TOL:
+        if hi.s - lo.s <= FOLD_TOL * lo.s:
+            raise GridStrengthError(f"{kind}: no fold at rated load between scales "
+                                    f"{lo.s:.6g} and {hi.s:.6g}")
+        if hi.result is None:
+            s = 0.5 * (lo.s + hi.s)
+        else:
+            s = (lo.s * g_hi - hi.s * g_lo) / (g_hi - g_lo)
+        near = lo if hi.result is None or s - lo.s <= hi.s - s else hi
+        p = probe(s, near.result)
+        if p.g > 0:
+            lo, g_lo = p, p.g
+            if moved > 0:
+                g_hi *= 0.5
+            moved = 1
+        else:
+            hi, g_hi = p, p.g
+            if moved < 0:
+                g_lo *= 0.5
+            moved = -1
+    return p.result
+
+
 def find_critical_numeric(case: CaseFile) -> BoundaryResult:
-    """Scale reactances until the nose of the continuation sits at rated load."""
-    best = _bisect_scale(case, lambda tr: tr.lambda_max - 1.0, CRITICAL_TOL, "find_critical_numeric")
-    _, g = case_gscr(scale_impedance(case, best.s))
+    """Scale reactances until the fold of the power flow sits at rated load."""
+    fold = _critical_fold(case)
+    _, g = case_gscr(scale_impedance(case, fold.s))
     return BoundaryResult(
         kind="CgSCR",
         value=g,
-        scale_star=best.s,
-        condition_residual=abs(best.g),
-        per_converter_mu=tuple(math.degrees(m) for m in best.trace.mu_at_map),
+        scale_star=fold.s,
+        condition_residual=max(fold.residual, abs(fold.lam - 1.0)),
+        per_converter_mu=tuple(math.degrees(st.mu) for st in fold.states),
     )
 
 
@@ -327,7 +515,7 @@ def find_boundary_numeric(case: CaseFile, aggregation: str = "mean") -> Boundary
         value=g,
         scale_star=best.s,
         condition_residual=abs(best.g),
-        per_converter_mu=tuple(math.degrees(m) for m in best.trace.mu_at_map),
+        per_converter_mu=tuple(math.degrees(m) for m in best.result.mu_at_map),
     )
 
 

@@ -249,17 +249,18 @@ def _sigma_min(prep, delta, U, p_orders, states) -> float:
     return float(np.linalg.svd(blocks.full(), compute_uv=False)[-1])
 
 
-def trace_map(case: CaseFile | PreparedCase, step: float = 0.02, lam0: float = 0.1,
-              bisect_tol: float = 1e-6, lam_limit: float = 1000.0) -> ContinuationResult:
-    """Raise the loading factor until the power flow diverges; bisect the nose.
+def continuation_steps(prep: PreparedCase, step: float = 0.02, lam0: float = 0.1,
+                       lam_limit: float = 1000.0) -> tuple[list[tuple[float, GridState]], float]:
+    """Stepping phase of the continuation: fixed steps in lambda until Newton diverges.
 
     Orders are lambda times the rated-order vector (loading proportional to
     ratings); each solve warm-starts from the previous accepted state.  When
     the light start itself has no in-band solution (weak grids: the filter
     shunts overvolt an unloaded bus) the start doubles, up to three times,
-    before the case is declared infeasible (ConverterInfeasible).
+    before the case is declared infeasible (ConverterInfeasible).  Returns
+    the converged (lambda, state) points in order and the first lambda at
+    which Newton diverged.
     """
-    prep = case if isinstance(case, PreparedCase) else prepare(case)
 
     def solve_at(lam, warm):
         return newton_solve(prep, lam * prep.rated_orders, warm=warm)
@@ -272,6 +273,26 @@ def trace_map(case: CaseFile | PreparedCase, step: float = 0.02, lam0: float = 0
         raise ConverterInfeasible(
             f"trace_map: base case infeasible at lambda = {lam0} ({state.reason})"
         )
+    points = [(lam0, state)]
+    while True:
+        good_lam, good_state = points[-1]
+        lam_try = good_lam + step
+        if lam_try > lam_limit:
+            raise GridStrengthError(f"trace_map: no divergence below lambda = {lam_limit}")
+        nxt = solve_at(lam_try, good_state)
+        if isinstance(nxt, Diverged):
+            return points, lam_try
+        points.append((lam_try, nxt))
+
+
+def trace_map(case: CaseFile | PreparedCase, step: float = 0.02, lam0: float = 0.1,
+              bisect_tol: float = 1e-6, lam_limit: float = 1000.0) -> ContinuationResult:
+    """Raise the loading factor until the power flow diverges; bisect the nose.
+
+    The stepping phase is continuation_steps; the nose is then bisected
+    between the last converged and the first divergent lambda.
+    """
+    prep = case if isinstance(case, PreparedCase) else prepare(case)
     history: list[MapPoint] = []
 
     def record(lam, st):
@@ -287,23 +308,14 @@ def trace_map(case: CaseFile | PreparedCase, step: float = 0.02, lam0: float = 0
             )
         )
 
-    record(lam0, state)
-    good_lam, good_state = lam0, state
-    bad_lam = None
-    while bad_lam is None:
-        lam_try = good_lam + step
-        if lam_try > lam_limit:
-            raise GridStrengthError(f"trace_map: no divergence below lambda = {lam_limit}")
-        nxt = solve_at(lam_try, good_state)
-        if isinstance(nxt, Diverged):
-            bad_lam = lam_try
-        else:
-            good_lam, good_state = lam_try, nxt
-            record(good_lam, good_state)
+    points, bad_lam = continuation_steps(prep, step, lam0, lam_limit)
+    for lam, st in points:
+        record(lam, st)
+    good_lam, good_state = points[-1]
 
     while bad_lam - good_lam > bisect_tol:
         mid = 0.5 * (good_lam + bad_lam)
-        nxt = solve_at(mid, good_state)
+        nxt = newton_solve(prep, mid * prep.rated_orders, warm=good_state)
         if isinstance(nxt, Diverged):
             bad_lam = mid
         else:

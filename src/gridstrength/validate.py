@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 from .boundary import scale_to_gscr, sweep_dual_infeed
 from .casefile import CaseFile, load_bundled_case
+from .errors import GridStrengthError
 from .powerflow import trace_map
 
 CRITICAL_TOL_PCT = 1.0      # relative MW deviation per converter
@@ -162,8 +163,8 @@ def run_scenario(scenario: str, aggregation: str = "mean") -> list[ValidationRow
             return _boundary_rows(scenario)
         if scenario == SWEEP_SCENARIO:
             return _sweep_rows(aggregation)
-        raise ValueError(f"unknown scenario {scenario!r}")
-    except Exception as exc:  # a failed scenario is a failed row, not a crash
+        raise GridStrengthError(f"unknown scenario {scenario!r}")
+    except GridStrengthError as exc:  # a failed scenario is a failed row, not a crash
         return [ValidationRow(
             scenario=scenario,
             quantity=f"error: {exc}",

@@ -1,11 +1,14 @@
 """Shared fixtures, random case builders and the acceptance summary hook."""
 
+import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import gridstrength
 from gridstrength.casefile import case_from_dict, load_bundled_case
 
 settings.register_profile(
@@ -27,6 +30,13 @@ CONVERTER_BLOCK = {
     "b_c_pu": 0.5093,
     "u_ac_kv": 230.0,
 }
+
+
+def script_env() -> dict:
+    """Environment for a script run as a child process: the package under test first on its path."""
+    src = str(Path(gridstrength.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
 
 
 @pytest.fixture(scope="session")

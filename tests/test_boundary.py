@@ -6,8 +6,12 @@ import math
 import numpy as np
 import pytest
 
+import gridstrength.boundary as boundary
 from gridstrength.boundary import (
+    CRITICAL_TOL,
     BoundaryResult,
+    _bisect_scale,
+    _critical_fold,
     boundary_overlap_c,
     bscr_solve,
     case_gscr,
@@ -22,7 +26,14 @@ from gridstrength.casefile import case_from_dict
 from gridstrength.converter import rated_state, sensitivity_T
 from gridstrength.errors import GridStrengthError
 from gridstrength.netmodel import scale_impedance
-from gridstrength.powerflow import GridState, newton_solve, prepare
+from gridstrength.powerflow import (
+    U_BAND,
+    GridState,
+    assemble_jacobian,
+    mismatch,
+    newton_solve,
+    prepare,
+)
 
 from conftest import CONVERTER_BLOCK, hub_network_doc
 from test_converter import cigre_params
@@ -107,9 +118,45 @@ def test_find_critical_single_infeed(crit_sidc, measured):
 
 
 def test_find_critical_scale_invariance(sidc, crit_sidc):
-    for s in (0.5, 2.0):
+    # at 5x and 15x the continuation first stops on the U = 2 band edge, which
+    # is no fold; only an in-band fold counts as the near side of the root
+    for s in (0.5, 2.0, 5.0, 15.0):
         r = find_critical_numeric(scale_impedance(sidc, s))
         assert r.value == pytest.approx(crit_sidc.value, rel=1e-3)
+
+
+@pytest.mark.parametrize("name", ["sidc", "dual", "triple", "quad"])
+def test_critical_fold_certificate(name, request):
+    case = request.getfixturevalue(name)
+    fold = _critical_fold(case)
+    # re-prepared from the scaled case file, not from the fold's own scaling
+    prep = prepare(scale_impedance(case, fold.s))
+    n = prep.n
+    delta, U = fold.x[:n], fold.x[n:]
+    orders = fold.lam * prep.rated_orders
+    sv = np.linalg.svd(assemble_jacobian(prep, delta, U, orders).full(), compute_uv=False)
+    assert sv[-1] <= 1e-8 * sv[0]
+    assert abs(fold.lam - 1.0) <= 1e-10
+    assert fold.residual <= 1e-10
+    gP, gQ, _ = mismatch(prep, delta, U, orders)
+    assert np.max(np.abs(np.concatenate([gP, gQ]))) <= 1e-10
+    assert np.all((U > U_BAND[0]) & (U < U_BAND[1]))
+    assert find_critical_numeric(case).condition_residual <= 1e-10
+
+
+def test_critical_fold_matches_divergence_bisection(sidc, dual, triple, quad):
+    # slow reference: bisect the scale on the continuation's last convergent lambda
+    for case in (sidc, dual, triple, quad):
+        best = _bisect_scale(case, lambda tr: tr.lambda_max - 1.0, CRITICAL_TOL, "reference")
+        _, want = case_gscr(scale_impedance(case, best.s))
+        assert find_critical_numeric(case).value == pytest.approx(want, rel=1e-4)
+
+
+def test_singular_fold_system_is_a_package_error(sidc, monkeypatch):
+    monkeypatch.setattr(boundary, "_fold_jacobian",
+                        lambda prep, *args: np.zeros((4 * prep.n + 1, 4 * prep.n + 1)))
+    with pytest.raises(GridStrengthError, match="singular fold system"):
+        find_critical_numeric(sidc)
 
 
 def test_find_boundary_single_infeed(bnd_sidc, measured):

@@ -19,7 +19,7 @@ from gridstrength.casefile import (
 )
 from gridstrength.errors import CaseFormatError
 
-from conftest import CONVERTER_BLOCK
+from conftest import CONVERTER_BLOCK, script_env
 
 BUNDLED = ("cigre_sidc", "dual", "triple", "quad")
 
@@ -175,7 +175,7 @@ def test_make_cases_regenerates_bundled(tmp_path):
     # tuned emfs may move in the last bit with the solver; all else is exact
     script = Path(__file__).resolve().parent.parent / "scripts" / "make_cases.py"
     done = subprocess.run([sys.executable, str(script), "--root", str(tmp_path)],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120, env=script_env())
     assert done.returncode == 0, done.stderr
     for name in BUNDLED:
         fresh = case_to_dict(load_case(tmp_path / "src" / "gridstrength" / "cases" / f"{name}.json"))

@@ -15,7 +15,7 @@ from gridstrength.casefile import case_from_dict, load_bundled_case, save_case
 from gridstrength.netmodel import scale_impedance
 from gridstrength.validate import ValidationReport, ValidationRow
 
-from conftest import hub_network_doc
+from conftest import hub_network_doc, script_env
 
 
 @pytest.fixture(scope="module")
@@ -203,7 +203,7 @@ def fake_row(passed, expected=1.0):
 def test_scripts_parse_and_show_help(script):
     path = Path(__file__).resolve().parent.parent / "scripts" / script
     done = subprocess.run([sys.executable, str(path), "--help"],
-                         capture_output=True, text=True, timeout=60)
+                         capture_output=True, text=True, timeout=60, env=script_env())
     assert done.returncode == 0
     assert "usage" in done.stdout.lower()
 

@@ -5,6 +5,7 @@ import math
 import pytest
 
 import gridstrength.validate as validate
+from gridstrength.errors import GridStrengthError
 from gridstrength.validate import (
     BOUNDARY_EXPECTED,
     CRITICAL_EXPECTED,
@@ -52,7 +53,7 @@ def test_sources_are_tagged(report):
 
 def test_scenario_error_becomes_failed_row(monkeypatch):
     def boom(scenario):
-        raise RuntimeError("boom")
+        raise GridStrengthError("boom")
 
     monkeypatch.setattr(validate, "_critical_rows", boom)
     rows = run_scenario("case1-single-critical")
@@ -62,6 +63,15 @@ def test_scenario_error_becomes_failed_row(monkeypatch):
     assert row.quantity.startswith("error:")
     assert "boom" in row.quantity
     assert row.deviation == math.inf
+
+
+def test_scenario_programming_error_propagates(monkeypatch):
+    def broken(scenario):
+        raise TypeError("broken")
+
+    monkeypatch.setattr(validate, "_critical_rows", broken)
+    with pytest.raises(TypeError, match="broken"):
+        run_scenario("case1-single-critical")
 
 
 def test_unknown_scenario_is_a_failed_row():
