@@ -38,6 +38,7 @@ from .powerflow import (
     PreparedCase,
     assemble_jacobian,
     continuation_steps,
+    damped_newton,
     mismatch,
     prepare,
     trace_map,
@@ -89,7 +90,7 @@ def boundary_overlap_c(gamma: float) -> float:
     return 0.5 * (math.cos(gamma) - math.cos(gamma + math.pi / 6.0))
 
 
-def bscr_solve(params: LccParams, tol: float = 1e-9, max_iter: int = 60) -> float:
+def bscr_solve(params: LccParams) -> float:
     """SCR at which the 30-degree-overlap point sits on the characteristic.
 
     Unknowns are (U_B, SCR).  At fixed c = c_B the converter equations give
@@ -106,7 +107,8 @@ def bscr_solve(params: LccParams, tol: float = 1e-9, max_iter: int = 60) -> floa
     rs = rated_state(params)
     P_N, Q_N = rs.P, rs.Q
 
-    def residuals(U, scr):
+    def resid(x):
+        U, scr = x
         if U <= 0 or scr <= 0:
             return None
         Z = 1.0 / scr
@@ -119,43 +121,24 @@ def bscr_solve(params: LccParams, tol: float = 1e-9, max_iter: int = 60) -> floa
         r1 = (P * Z) ** 2 + (U * U - Q * Z) ** 2 - (E * U) ** 2
         rho = P / (U * U)
         T = 2.0 * c_B * K_B + 2.0 * params.omega * params.b_c * U * U / P
-        r2 = characteristic_delta(rho, T, scr)
-        return np.array([r1, r2])
+        return np.array([r1, characteristic_delta(rho, T, scr)]), None
 
-    x = np.array([0.9, 3.0])
-    r = residuals(*x)
-    if r is None:
-        raise GridStrengthError("bscr_solve: infeasible initial point")
-    for _ in range(max_iter):
-        if np.max(np.abs(r)) <= tol:
-            return float(x[1])
+    def jac(x, _):
         J = np.zeros((2, 2))
         h = 1e-7
         for k in range(2):
-            xp, xm = x.copy(), x.copy()
-            xp[k] += h
-            xm[k] -= h
-            rp, rm = residuals(*xp), residuals(*xm)
+            step = np.zeros(2)
+            step[k] = h
+            rp, rm = resid(x + step), resid(x - step)
             if rp is None or rm is None:
                 raise GridStrengthError("bscr_solve: residual left its domain")
-            J[:, k] = (rp - rm) / (2.0 * h)
-        try:
-            dx = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError:
-            raise GridStrengthError("bscr_solve: singular jacobian")
-        alpha, nrm = 1.0, np.max(np.abs(r))
-        for _ in range(9):
-            r_try = residuals(*(x + alpha * dx))
-            if r_try is not None and np.max(np.abs(r_try)) < nrm:
-                x = x + alpha * dx
-                r = r_try
-                break
-            alpha *= 0.5
-        else:
-            raise GridStrengthError("bscr_solve: no descent step")
-    if np.max(np.abs(r)) <= tol:
-        return float(x[1])
-    raise GridStrengthError("bscr_solve: did not converge")
+            J[:, k] = (rp[0] - rm[0]) / (2.0 * h)
+        return J
+
+    res = damped_newton(resid, jac, np.array([0.9, 3.0]), 1e-9, 60)
+    if res.reason:
+        raise GridStrengthError(f"bscr_solve: {res.reason}")
+    return float(res.x[1])
 
 
 def case_gscr(case: CaseFile) -> tuple[EigenResult, float]:
@@ -200,37 +183,26 @@ def tune_sources(case: CaseFile) -> CaseFile:
     def with_emfs(e):
         return replace(prep, net=replace(prep.net, f=e / x_link))
 
-    def resid(x, states=None):
+    # at U = 1 and rated orders the converter states do not move with (d, E):
+    # the first residual solves them and every later one reuses them
+    states = None
+
+    def resid(x):
+        nonlocal states
         gP, gQ, states = mismatch(with_emfs(x[n:]), x[:n], U, orders, states)
         return np.concatenate([gP, gQ]), states
 
-    x = np.concatenate([delta, emfs])
-    # at U = 1 and rated orders the converter states do not move with (d, E)
-    r, states = resid(x)
-    for _ in range(40):
-        if np.max(np.abs(r)) <= 1e-12:
-            break
+    def jac(x, st):
         d = x[:n]
-        blocks = assemble_jacobian(with_emfs(x[n:]), d, U, orders, states)
-        J = np.block([[blocks.J_pd, np.diag(np.sin(d) / x_link)],
-                      [blocks.J_qd, -np.diag(np.cos(d) / x_link)]])
-        try:
-            dx = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError:
-            raise GridStrengthError("tune_sources: singular jacobian")
-        alpha, nrm = 1.0, np.max(np.abs(r))
-        for _ in range(8):
-            x_try = x + alpha * dx
-            r_try, _ = resid(x_try, states)
-            if np.max(np.abs(r_try)) < nrm:
-                x, r = x_try, r_try
-                break
-            alpha *= 0.5
-        else:
-            raise GridStrengthError("tune_sources: no descent step")
-    if np.max(np.abs(r)) > 1e-10:
-        raise GridStrengthError("tune_sources: did not converge")
-    new_links = tuple(replace(ln, emf_pu=float(x[n + prep.net.B.index_of(ln.bus)]))
+        blocks = assemble_jacobian(with_emfs(x[n:]), d, U, orders, st)
+        return np.block([[blocks.J_pd, np.diag(np.sin(d) / x_link)],
+                         [blocks.J_qd, -np.diag(np.cos(d) / x_link)]])
+
+    res = damped_newton(resid, jac, np.concatenate([delta, emfs]), 1e-12, 40)
+    # 40 iterations that end within 1e-10 are accepted
+    if res.reason and not (res.reason == "iteration limit" and res.norm <= 1e-10):
+        raise GridStrengthError(f"tune_sources: {res.reason}")
+    new_links = tuple(replace(ln, emf_pu=float(res.x[n + prep.net.B.index_of(ln.bus)]))
                       for ln in links)
     return replace(case, thevenin_links=new_links)
 
@@ -346,7 +318,7 @@ def _at_scale(prep: PreparedCase, s: float) -> PreparedCase:
 
 
 def _fold_residual(prep: PreparedCase, z: np.ndarray, c: np.ndarray):
-    """(g, J v, c.v - 1) at z = (x, v, lam), with J and the converter states.
+    """(g, J v, c.v - 1) at z = (x, v, lam), paired with (J, converter states).
 
     None where a bus voltage is not positive or a converter has no steady state.
     """
@@ -360,7 +332,7 @@ def _fold_residual(prep: PreparedCase, z: np.ndarray, c: np.ndarray):
     except ConverterInfeasible:
         return None
     J = assemble_jacobian(prep, delta, U, orders, states).full()
-    return np.concatenate([gP, gQ, J @ v, [c @ v - 1.0]]), J, states
+    return np.concatenate([gP, gQ, J @ v, [c @ v - 1.0]]), (J, states)
 
 
 def _fold_jacobian(prep: PreparedCase, z: np.ndarray, c: np.ndarray, J: np.ndarray) -> np.ndarray:
@@ -393,40 +365,30 @@ def _fold_jacobian(prep: PreparedCase, z: np.ndarray, c: np.ndarray, J: np.ndarr
 def _solve_fold(prep: PreparedCase, s: float, x, v, lam: float) -> _Fold | None:
     """Newton on g(x; lam) = 0, J v = 0, c.v = 1 in (x, v, lam), with c = v / |v|^2.
 
-    prep is already at scale s.  Each step is halved until the residual's
-    max-norm falls.  Returns None when Newton fails or the fold lies
-    outside U_BAND.
+    prep is already at scale s; the solve is powerflow.damped_newton.
+    Returns None when Newton fails or the fold lies outside U_BAND.
     """
     n, m = prep.n, 2 * prep.n
     c = v / (v @ v)
-    z = np.concatenate([x, v, [lam]])
-    point = _fold_residual(prep, z, c)
-    for _ in range(FOLD_MAX_ITER):
-        if point is None or np.max(np.abs(point[0])) <= FOLD_TOL:
-            break
-        F, J, _ = point
-        try:
-            A = _fold_jacobian(prep, z, c, J)
-        except ConverterInfeasible:
-            return None
-        try:
-            dz = np.linalg.solve(A, -F)
-        except np.linalg.LinAlgError:
-            raise GridStrengthError("find_critical_numeric: singular fold system") from None
-        point = None
-        for alpha in 0.5 ** np.arange(7):
-            trial = _fold_residual(prep, z + alpha * dz, c)
-            if trial is not None and np.max(np.abs(trial[0])) < np.max(np.abs(F)):
-                z, point = z + alpha * dz, trial
-                break
-    if point is None:
+
+    def resid(z):
+        return _fold_residual(prep, z, c)
+
+    def jac(z, aux):
+        return _fold_jacobian(prep, z, c, aux[0])
+
+    try:
+        res = damped_newton(resid, jac, np.concatenate([x, v, [lam]]), FOLD_TOL, FOLD_MAX_ITER)
+    except ConverterInfeasible:  # a difference point of the Jacobian left a converter's domain
         return None
-    F, _, states = point
+    if res.reason == "singular jacobian":
+        raise GridStrengthError("find_critical_numeric: singular fold system")
+    z = res.x
     U = z[n:m]
-    if np.max(np.abs(F)) > FOLD_TOL or np.any(U <= U_BAND[0]) or np.any(U >= U_BAND[1]):
+    if res.reason or np.any(U <= U_BAND[0]) or np.any(U >= U_BAND[1]):
         return None
     return _Fold(s=s, lam=float(z[-1]), x=z[:m], v=z[m:2 * m],
-                 residual=float(np.max(np.abs(F))), states=states)
+                 residual=float(res.norm), states=res.aux[1])
 
 
 def _critical_fold(case: CaseFile) -> _Fold:
@@ -542,6 +504,6 @@ def sweep_dual_infeed(case: CaseFile, rating_ratios, aggregation: str = "mean",
             raise GridStrengthError(f"sweep_dual_infeed: ratio must be positive, got {r}")
         tasks.append((with_rating(case, buses[1], r * base), float(r), aggregation))
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as ex:
             return list(ex.map(_sweep_point, tasks))
     return [_sweep_point(t) for t in tasks]

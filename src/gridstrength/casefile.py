@@ -103,13 +103,23 @@ def _get(obj: dict, key: str, where: str, kind=None):
     return val
 
 
-def _positive(val, where: str) -> float:
+def _number(obj: dict, key: str, where: str) -> float:
+    val = _get(obj, key, where)
     try:
-        x = float(val)
+        return float(val)
     except (TypeError, ValueError):
-        raise CaseFormatError(f"{where}: not a number: {val!r}") from None
+        raise CaseFormatError(f"{where}: '{key}' is not a number: {val!r}") from None
+
+
+def _positive(x: float, where: str) -> float:
     if not math.isfinite(x) or x <= 0:
-        raise CaseFormatError(f"{where}: must be a positive finite number, got {val!r}")
+        raise CaseFormatError(f"{where}: must be a positive finite number, got {x!r}")
+    return x
+
+
+def _nonnegative(x: float, where: str) -> float:
+    if not math.isfinite(x) or x < 0:
+        raise CaseFormatError(f"{where}: must be a finite number >= 0, got {x!r}")
     return x
 
 
@@ -137,8 +147,7 @@ def validate_case(case: CaseFile) -> CaseFile:
     for b in case.buses:
         if b.kind not in ("converter", "internal"):
             raise CaseFormatError(f"bus {b.id}: unknown kind '{b.kind}'")
-    if case.system_base_mva <= 0:
-        raise CaseFormatError("system_base_mva: must be positive")
+    _positive(case.system_base_mva, "system_base_mva")
     if not case.thevenin_links:
         raise CaseFormatError("thevenin_links: at least one link is required")
 
@@ -176,10 +185,8 @@ def validate_case(case: CaseFile) -> CaseFile:
         _positive(c.u_ac_kv, f"{where}.u_ac_kv")
         _positive(c.k_ratio, f"{where}.k_ratio")
         _positive(c.x_commutation_pu, f"{where}.x_commutation_pu")
-        if c.r_dc_pu < 0:
-            raise CaseFormatError(f"{where}.r_dc_pu: must be >= 0")
-        if c.b_c_pu < 0:
-            raise CaseFormatError(f"{where}.b_c_pu: must be >= 0")
+        _nonnegative(c.r_dc_pu, f"{where}.r_dc_pu")
+        _nonnegative(c.b_c_pu, f"{where}.b_c_pu")
         if c.n_bridges < 1:
             raise CaseFormatError(f"{where}.n_bridges: must be >= 1")
         if not 0.0 < c.gamma_deg < 90.0:
@@ -202,24 +209,28 @@ def _parse_converter(obj: dict, idx: int, frequency_hz: float) -> ConverterSpec:
     where = f"converters[{idx}]"
     if not isinstance(obj, dict):
         raise CaseFormatError(f"{where}: expected object")
-    gamma = obj.get("gamma_deg")
-    if gamma is None:
-        gamma = _GAMMA_DEFAULT_DEG.get(float(frequency_hz))
+    if obj.get("gamma_deg") is None:
+        gamma = _GAMMA_DEFAULT_DEG.get(frequency_hz)
         if gamma is None:
             raise CaseFormatError(
                 f"{where}: gamma_deg omitted and no default exists for {frequency_hz} Hz "
                 "(defaults cover 50 and 60 Hz)"
             )
+    else:
+        gamma = _number(obj, "gamma_deg", where)
+    n_bridges = _number(obj, "n_bridges", where)
+    if not n_bridges.is_integer():
+        raise CaseFormatError(f"{where}: 'n_bridges' must be a whole number, got {n_bridges!r}")
     return ConverterSpec(
         bus=str(_get(obj, "bus", where)),
-        p_dn_mw=float(_get(obj, "p_dn_mw", where)),
-        gamma_deg=float(gamma),
-        n_bridges=int(_get(obj, "n_bridges", where)),
-        k_ratio=float(_get(obj, "k_ratio", where)),
-        x_commutation_pu=float(_get(obj, "x_commutation_pu", where)),
-        r_dc_pu=float(_get(obj, "r_dc_pu", where)),
-        b_c_pu=float(_get(obj, "b_c_pu", where)),
-        u_ac_kv=float(_get(obj, "u_ac_kv", where)),
+        p_dn_mw=_number(obj, "p_dn_mw", where),
+        gamma_deg=gamma,
+        n_bridges=int(n_bridges),
+        k_ratio=_number(obj, "k_ratio", where),
+        x_commutation_pu=_number(obj, "x_commutation_pu", where),
+        r_dc_pu=_number(obj, "r_dc_pu", where),
+        b_c_pu=_number(obj, "b_c_pu", where),
+        u_ac_kv=_number(obj, "u_ac_kv", where),
         control=str(obj.get("control", "cp-cea")),
     )
 
@@ -240,7 +251,7 @@ def case_from_dict(doc: dict, name: str = "") -> CaseFile:
             Branch(
                 from_bus=str(_get(br, "from", f"branches[{i}]")),
                 to_bus=str(_get(br, "to", f"branches[{i}]")),
-                reactance_pu=float(_get(br, "reactance_pu", f"branches[{i}]")),
+                reactance_pu=_number(br, "reactance_pu", f"branches[{i}]"),
             )
         )
     links = []
@@ -250,17 +261,17 @@ def case_from_dict(doc: dict, name: str = "") -> CaseFile:
         links.append(
             TheveninLink(
                 bus=str(_get(ln, "bus", f"thevenin_links[{i}]")),
-                reactance_pu=float(_get(ln, "reactance_pu", f"thevenin_links[{i}]")),
-                emf_pu=float(_get(ln, "emf_pu", f"thevenin_links[{i}]")),
+                reactance_pu=_number(ln, "reactance_pu", f"thevenin_links[{i}]"),
+                emf_pu=_number(ln, "emf_pu", f"thevenin_links[{i}]"),
             )
         )
-    frequency = float(_get(doc, "frequency_hz", "top level"))
+    frequency = _number(doc, "frequency_hz", "top level")
     converters = [
         _parse_converter(c, i, frequency)
         for i, c in enumerate(_get(doc, "converters", "top level", list))
     ]
     case = CaseFile(
-        system_base_mva=float(_get(doc, "system_base_mva", "top level")),
+        system_base_mva=_number(doc, "system_base_mva", "top level"),
         frequency_hz=frequency,
         buses=tuple(buses),
         branches=tuple(branches),

@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -36,26 +35,6 @@ from .validate import SWEEP_RATIOS, validate_suite
 EXIT_OK = 0
 EXIT_COMPUTE = 1
 EXIT_INPUT = 2
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    case_path: str = ""
-    out_path: str = ""
-    tol_newton: float = NEWTON_TOL
-    tol_bisect: float = 1e-6
-    aggregation: str = "mean"
-    cg: float = 2.0
-    bg: float = 3.0
-    jobs: int = 1
-
-    def __post_init__(self):
-        for name in ("tol_newton", "tol_bisect"):
-            if not getattr(self, name) > 0:
-                raise CaseFormatError(f"{name} must be positive")
-        if self.jobs < 1:
-            raise CaseFormatError("jobs must be at least 1")
 
 
 def _sig6(x: float) -> float:
@@ -89,16 +68,16 @@ def _case_name(case: CaseFile, path: str) -> str:
 
 # ---------------------------------------------------------------- subcommands
 
-def _cmd_gscr(cfg: RunConfig) -> tuple[str, int]:
-    case = load_case(cfg.case_path)
+def _cmd_gscr(args: argparse.Namespace) -> tuple[str, int]:
+    case = load_case(args.case)
     eig, g = case_gscr(case)
     net = reduce_case(case)
     J = extended_jacobian(net.B, [case.rating_pu(case.converter_at(b)) for b in net.bus_order])
     per = perron_check(J)
-    cls = classify(g, cg=cfg.cg, bg=cfg.bg)
+    cls = classify(g, cg=args.cg, bg=args.bg)
     doc = {
         "command": "gscr",
-        "case": _case_name(case, cfg.case_path),
+        "case": _case_name(case, args.case),
         "bus_order": list(net.bus_order),
         "eigenvalues": [_sig6(v) for v in eig.lambdas],
         "gscr": _sig6(g),
@@ -113,13 +92,13 @@ def _cmd_gscr(cfg: RunConfig) -> tuple[str, int]:
     return _json_doc(doc), EXIT_OK
 
 
-def _cmd_classify(cfg: RunConfig) -> tuple[str, int]:
-    case = load_case(cfg.case_path)
+def _cmd_classify(args: argparse.Namespace) -> tuple[str, int]:
+    case = load_case(args.case)
     _, g = case_gscr(case)
-    cls = classify(g, cg=cfg.cg, bg=cfg.bg)
+    cls = classify(g, cg=args.cg, bg=args.bg)
     doc = {
         "command": "classify",
-        "case": _case_name(case, cfg.case_path),
+        "case": _case_name(case, args.case),
         "gscr": _sig6(g),
         "label": cls.label,
         "cg": _sig6(cls.cg),
@@ -128,10 +107,10 @@ def _cmd_classify(cfg: RunConfig) -> tuple[str, int]:
     return _json_doc(doc), EXIT_OK
 
 
-def _cmd_powerflow(cfg: RunConfig) -> tuple[str, int]:
-    case = load_case(cfg.case_path)
+def _cmd_powerflow(args: argparse.Namespace) -> tuple[str, int]:
+    case = load_case(args.case)
     prep = prepare(case)
-    res = newton_solve(prep, prep.rated_orders, tol=cfg.tol_newton)
+    res = newton_solve(prep, prep.rated_orders, tol=args.tol_newton)
     if isinstance(res, Diverged):
         raise GridStrengthError(f"rated power flow diverged: {res.reason}")
     buses = []
@@ -149,7 +128,7 @@ def _cmd_powerflow(cfg: RunConfig) -> tuple[str, int]:
         })
     doc = {
         "command": "powerflow",
-        "case": _case_name(case, cfg.case_path),
+        "case": _case_name(case, args.case),
         "converged": True,
         "buses": buses,
         "total_P_MW": _sig6(sum(b["P_MW"] for b in buses)),
@@ -157,9 +136,9 @@ def _cmd_powerflow(cfg: RunConfig) -> tuple[str, int]:
     return _json_doc(doc), EXIT_OK
 
 
-def _cmd_map(cfg: RunConfig) -> tuple[str, int]:
-    case = load_case(cfg.case_path)
-    res = trace_map(case, bisect_tol=cfg.tol_bisect)
+def _cmd_map(args: argparse.Namespace) -> tuple[str, int]:
+    case = load_case(args.case)
+    res = trace_map(case, bisect_tol=args.tol_bisect)
     order = reduce_case(case).bus_order
     base = case.system_base_mva
     header = (["lambda"]
@@ -179,15 +158,16 @@ def _cmd_map(cfg: RunConfig) -> tuple[str, int]:
     return _csv(header, rows), EXIT_OK
 
 
-def _cmd_find(cfg: RunConfig, which: str) -> tuple[str, int]:
-    case = load_case(cfg.case_path)
+def _cmd_find(args: argparse.Namespace) -> tuple[str, int]:
+    which = args.subcommand
+    case = load_case(args.case)
     if which == "find-cgscr":
         res = find_critical_numeric(case)
     else:
-        res = find_boundary_numeric(case, aggregation=cfg.aggregation)
+        res = find_boundary_numeric(case, aggregation=args.agg)
     doc = {
         "command": which,
-        "case": _case_name(case, cfg.case_path),
+        "case": _case_name(case, args.case),
         "kind": res.kind,
         "value": _sig6(res.value),
         "scale_star": _sig6(res.scale_star),
@@ -195,19 +175,19 @@ def _cmd_find(cfg: RunConfig, which: str) -> tuple[str, int]:
         "per_converter_mu_deg": [round(m, 2) for m in res.per_converter_mu],
     }
     if which == "find-bgscr":
-        doc["aggregation"] = cfg.aggregation
+        doc["aggregation"] = args.agg
     return _json_doc(doc), EXIT_OK
 
 
-def _cmd_sweep(cfg: RunConfig) -> tuple[str, int]:
-    case = load_case(cfg.case_path)
-    table = sweep_dual_infeed(case, SWEEP_RATIOS, aggregation=cfg.aggregation, jobs=cfg.jobs)
+def _cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
+    case = load_case(args.case)
+    table = sweep_dual_infeed(case, SWEEP_RATIOS, aggregation=args.agg, jobs=args.jobs)
     rows = [[f"{r.ratio:.6g}", f"{r.cgscr:.6g}", f"{r.bgscr:.6g}"] for r in table]
     return _csv(["ratio", "CgSCR", "BgSCR"], rows), EXIT_OK
 
 
-def _cmd_validate(cfg: RunConfig) -> tuple[str, int]:
-    report = validate_suite(jobs=cfg.jobs, aggregation=cfg.aggregation)
+def _cmd_validate(args: argparse.Namespace) -> tuple[str, int]:
+    report = validate_suite(jobs=args.jobs, aggregation=args.agg)
     rows = []
     for r in report.rows:
         rows.append({
@@ -226,6 +206,21 @@ def _cmd_validate(cfg: RunConfig) -> tuple[str, int]:
 
 # ------------------------------------------------------------------ dispatch
 
+def _positive(name: str, convert=float):
+    """argparse type: a positive finite number; the error names the setting."""
+
+    def parse(text: str):
+        try:
+            x = convert(text)
+        except ValueError:
+            x = math.nan
+        if not 0 < x < math.inf:  # also false for nan
+            raise argparse.ArgumentTypeError(f"{name} must be positive and finite, got {text!r}")
+        return x
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridstrength",
@@ -237,65 +232,35 @@ def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default="", metavar="PATH", help="write output here instead of stdout")
     jobs = argparse.ArgumentParser(add_help=False)
-    jobs.add_argument("--jobs", type=int, default=1, metavar="N", help="parallel workers")
+    jobs.add_argument("--jobs", type=_positive("jobs", int), default=1, metavar="N",
+                      help="parallel workers")
     agg = argparse.ArgumentParser(add_help=False)
     agg.add_argument("--agg", default="mean", choices=("mean", "max", "first"),
                      help="per-converter overlap-angle aggregation rule")
     thresholds = argparse.ArgumentParser(add_help=False)
-    thresholds.add_argument("--cg", type=float, default=2.0, help="critical threshold")
-    thresholds.add_argument("--bg", type=float, default=3.0, help="boundary threshold")
+    thresholds.add_argument("--cg", type=_positive("cg"), default=2.0, help="critical threshold")
+    thresholds.add_argument("--bg", type=_positive("bg"), default=3.0, help="boundary threshold")
 
-    def case_cmd(name, help_, parents):
+    def case_cmd(name, help_, parents, run):
         p = sub.add_parser(name, help=help_, parents=[out] + parents)
         p.add_argument("case", help="case file path")
+        p.set_defaults(run=run)
         return p
 
-    case_cmd("gscr", "index, spectrum and classification of a case", [thresholds])
-    case_cmd("classify", "strength class of a case", [thresholds])
-    pf = case_cmd("powerflow", "rated-point AC/DC power flow", [])
-    pf.add_argument("--tol-newton", type=float, default=NEWTON_TOL, metavar="X",
-                    help="mismatch norm tolerance")
-    mp = case_cmd("map", "continuation trace to maximum available power (CSV)", [])
-    mp.add_argument("--tol-bisect", type=float, default=1e-6, metavar="X",
+    case_cmd("gscr", "index, spectrum and classification of a case", [thresholds], _cmd_gscr)
+    case_cmd("classify", "strength class of a case", [thresholds], _cmd_classify)
+    pf = case_cmd("powerflow", "rated-point AC/DC power flow", [], _cmd_powerflow)
+    pf.add_argument("--tol-newton", type=_positive("tol_newton"), default=NEWTON_TOL,
+                    metavar="X", help="mismatch norm tolerance")
+    mp = case_cmd("map", "continuation trace to maximum available power (CSV)", [], _cmd_map)
+    mp.add_argument("--tol-bisect", type=_positive("tol_bisect"), default=1e-6, metavar="X",
                     help="loading-factor interval at the nose")
-    case_cmd("find-cgscr", "impedance scale search for the critical index", [])
-    case_cmd("find-bgscr", "impedance scale search for the 30-degree boundary", [agg])
-    case_cmd("sweep", "dual-infeed rating-ratio sweep (CSV)", [agg, jobs])
+    case_cmd("find-cgscr", "impedance scale search for the critical index", [], _cmd_find)
+    case_cmd("find-bgscr", "impedance scale search for the 30-degree boundary", [agg], _cmd_find)
+    case_cmd("sweep", "dual-infeed rating-ratio sweep (CSV)", [agg, jobs], _cmd_sweep)
     sub.add_parser("validate", help="built-in benchmark suite on bundled cases",
-                   parents=[out, agg, jobs])
+                   parents=[out, agg, jobs]).set_defaults(run=_cmd_validate)
     return parser
-
-
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        subcommand=args.subcommand,
-        case_path=getattr(args, "case", ""),
-        out_path=args.out,
-        tol_newton=getattr(args, "tol_newton", NEWTON_TOL),
-        tol_bisect=getattr(args, "tol_bisect", 1e-6),
-        aggregation=getattr(args, "agg", "mean"),
-        cg=getattr(args, "cg", 2.0),
-        bg=getattr(args, "bg", 3.0),
-        jobs=getattr(args, "jobs", 1),
-    )
-
-
-def _dispatch(cfg: RunConfig) -> tuple[str, int]:
-    if cfg.subcommand == "gscr":
-        return _cmd_gscr(cfg)
-    if cfg.subcommand == "classify":
-        return _cmd_classify(cfg)
-    if cfg.subcommand == "powerflow":
-        return _cmd_powerflow(cfg)
-    if cfg.subcommand == "map":
-        return _cmd_map(cfg)
-    if cfg.subcommand in ("find-cgscr", "find-bgscr"):
-        return _cmd_find(cfg, cfg.subcommand)
-    if cfg.subcommand == "sweep":
-        return _cmd_sweep(cfg)
-    if cfg.subcommand == "validate":
-        return _cmd_validate(cfg)
-    raise CaseFormatError(f"unknown subcommand {cfg.subcommand!r}")
 
 
 def main(argv=None) -> int:
@@ -305,16 +270,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
-        cfg = _config_from(args)
-        text, code = _dispatch(cfg)
+        text, code = args.run(args)
     except (CaseFormatError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except GridStrengthError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
-    if cfg.out_path:
-        with open(cfg.out_path, "w", encoding="utf-8", newline="\n") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

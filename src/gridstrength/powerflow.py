@@ -13,6 +13,13 @@ every iteration (full coupling).  The Newton Jacobian is the exact
 derivative of (gP, gQ); the theory sensitivity factor T of the
 small-signal model is a diagnostic, computed on demand by
 converter.sensitivity_T and never inside Newton.
+
+damped_newton is the one Newton loop in the package: the power flow here,
+and source tuning, the fold solve and the closed-form BSCR in boundary,
+each pass it a residual and a Jacobian.  They share one line search (the
+step is halved until the residual's max-norm falls, within a caller-given
+slack, for at most NEWTON_STEP_TRIES step lengths) and one set of stop
+reasons.
 """
 
 from __future__ import annotations
@@ -36,6 +43,9 @@ from .netmodel import ReducedNetwork, reduce_case
 U_BAND = (0.2, 2.0)
 NEWTON_TOL = 1e-8
 NEWTON_MAX_ITER = 50
+NEWTON_STEP_TRIES = 7       # step lengths 1, 1/2, ..., 1/64 per Newton iteration
+LAM0 = 0.1                  # light-start loading factor of the continuation
+LAM_LIMIT = 1000.0          # loading factor at which a continuation gives up
 
 
 @dataclass(frozen=True)
@@ -180,68 +190,86 @@ def assemble_jacobian(prep: PreparedCase, delta: np.ndarray, U: np.ndarray,
     return JacobianBlocks(J_pd=J_pd, J_pv=J_pv, J_qd=J_qd, J_qv=J_qv)
 
 
-def _try_point(prep, delta, U, p_orders):
-    """Mismatch at a trial point, None when converter-infeasible or out of band."""
-    if np.any(U <= U_BAND[0]) or np.any(U >= U_BAND[1]):
-        return None
-    try:
-        gP, gQ, states = mismatch(prep, delta, U, p_orders)
-    except ConverterInfeasible:
-        return None
-    return gP, gQ, states
+@dataclass(frozen=True)
+class NewtonResult:
+    x: np.ndarray
+    aux: object                 # what resid returned alongside r at x
+    norm: float                 # max-norm of r at x
+    trace: tuple[float, ...]    # norm at the start and after each accepted step
+    reason: str                 # "" when converged, else why the solve stopped
+
+
+def damped_newton(resid, jac, x, tol: float, max_iter: int, slack: float = 1.0) -> NewtonResult:
+    """Newton on resid(x) = 0 with a backtracking line search.
+
+    resid(x) returns (r, aux), or None where x is outside its domain;
+    jac(x, aux) returns dr/dx.  Each step is tried at full length and then
+    halved, NEWTON_STEP_TRIES lengths in all, until max|r| falls below slack
+    times its current value or reaches tol.  Never raises on divergence: the
+    reason says why the solve stopped ("infeasible start", "singular
+    jacobian", "no acceptable step" or "iteration limit").
+    """
+    point = resid(x)
+    if point is None:
+        return NewtonResult(x, None, math.inf, (), "infeasible start")
+    r, aux = point
+    norm = np.max(np.abs(r))
+    trace = [norm]
+    for _ in range(max_iter):
+        if norm <= tol:
+            break
+        try:
+            dx = np.linalg.solve(jac(x, aux), -r)
+        except np.linalg.LinAlgError:
+            return NewtonResult(x, aux, norm, tuple(trace), "singular jacobian")
+        for alpha in 0.5 ** np.arange(NEWTON_STEP_TRIES):
+            x_try = x + alpha * dx
+            point = resid(x_try)
+            if point is not None:
+                norm_try = np.max(np.abs(point[0]))
+                if norm_try < slack * norm or norm_try <= tol:
+                    break
+        else:
+            return NewtonResult(x, aux, norm, tuple(trace), "no acceptable step")
+        x, (r, aux), norm = x_try, point, norm_try
+        trace.append(norm)
+    return NewtonResult(x, aux, norm, tuple(trace), "" if norm <= tol else "iteration limit")
 
 
 def newton_solve(prep: PreparedCase | CaseFile, p_orders, warm: GridState | None = None,
-                 tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER):
-    """Damped Newton; returns GridState or Diverged (never raises on divergence)."""
+                 tol: float = NEWTON_TOL):
+    """Power flow by damped_newton; returns GridState or Diverged (never raises on divergence)."""
     if isinstance(prep, CaseFile):
         prep = prepare(prep)
     p_orders = np.asarray(p_orders, dtype=float)
-    if p_orders.shape != (prep.n,) or np.any(p_orders < 0):
+    n = prep.n
+    if p_orders.shape != (n,) or np.any(p_orders < 0):
         raise GridStrengthError("newton_solve: order vector must be nonnegative, one per converter")
     if warm is not None:
-        delta, U = warm.delta.copy(), warm.U.copy()
+        x = np.concatenate([warm.delta, warm.U])
     else:
-        delta, U = np.zeros(prep.n), np.ones(prep.n)
+        x = np.concatenate([np.zeros(n), np.ones(n)])
 
-    point = _try_point(prep, delta, U, p_orders)
-    if point is None:
-        return Diverged(reason="infeasible start", trace=())
-    gP, gQ, states = point
-    norm = max(np.max(np.abs(gP)), np.max(np.abs(gQ)))
-    trace = [norm]
-
-    for _ in range(max_iter):
-        if norm <= tol:
-            return GridState(delta=delta, U=U, converter_states=states)
-        blocks = assemble_jacobian(prep, delta, U, p_orders, states)
-        g = np.concatenate([gP, gQ])
+    def resid(x):
+        # a trial outside the U band or without a converter steady state is rejected
+        U = x[n:]
+        if np.any(U <= U_BAND[0]) or np.any(U >= U_BAND[1]):
+            return None
         try:
-            dx = np.linalg.solve(blocks.full(), -g)
-        except np.linalg.LinAlgError:
-            return Diverged(reason="singular jacobian", trace=tuple(trace))
-        # damp: the raw step overshoots the U band at light load with big shunts
-        alpha = 1.0
-        accepted = None
-        for _ in range(7):
-            d_try = delta + alpha * dx[: prep.n]
-            U_try = U + alpha * dx[prep.n:]
-            point = _try_point(prep, d_try, U_try, p_orders)
-            if point is not None:
-                gP_t, gQ_t, states_t = point
-                norm_t = max(np.max(np.abs(gP_t)), np.max(np.abs(gQ_t)))
-                if norm_t <= 1.2 * norm or norm_t <= tol:
-                    accepted = (d_try, U_try, gP_t, gQ_t, states_t, norm_t)
-                    break
-            alpha *= 0.5
-        if accepted is None:
-            return Diverged(reason="no acceptable step", trace=tuple(trace))
-        delta, U, gP, gQ, states, norm = accepted
-        trace.append(norm)
+            gP, gQ, states = mismatch(prep, x[:n], U, p_orders)
+        except ConverterInfeasible:
+            return None
+        return np.concatenate([gP, gQ]), states
 
-    if norm <= tol:
-        return GridState(delta=delta, U=U, converter_states=states)
-    return Diverged(reason="iteration limit", trace=tuple(trace))
+    def jac(x, states):
+        return assemble_jacobian(prep, x[:n], x[n:], p_orders, states).full()
+
+    # a step may raise the mismatch by 20%: the raw step overshoots the U band
+    # at light load with big shunts
+    res = damped_newton(resid, jac, x, tol, NEWTON_MAX_ITER, slack=1.2)
+    if res.reason:
+        return Diverged(reason=res.reason, trace=res.trace)
+    return GridState(delta=res.x[:n], U=res.x[n:], converter_states=res.aux)
 
 
 def _sigma_min(prep, delta, U, p_orders, states) -> float:
@@ -249,8 +277,8 @@ def _sigma_min(prep, delta, U, p_orders, states) -> float:
     return float(np.linalg.svd(blocks.full(), compute_uv=False)[-1])
 
 
-def continuation_steps(prep: PreparedCase, step: float = 0.02, lam0: float = 0.1,
-                       lam_limit: float = 1000.0) -> tuple[list[tuple[float, GridState]], float]:
+def continuation_steps(prep: PreparedCase,
+                       step: float = 0.02) -> tuple[list[tuple[float, GridState]], float]:
     """Stepping phase of the continuation: fixed steps in lambda until Newton diverges.
 
     Orders are lambda times the rated-order vector (loading proportional to
@@ -265,6 +293,7 @@ def continuation_steps(prep: PreparedCase, step: float = 0.02, lam0: float = 0.1
     def solve_at(lam, warm):
         return newton_solve(prep, lam * prep.rated_orders, warm=warm)
 
+    lam0 = LAM0
     state = solve_at(lam0, None)
     while isinstance(state, Diverged) and lam0 * 2.0 < 1.0:
         lam0 *= 2.0
@@ -277,16 +306,16 @@ def continuation_steps(prep: PreparedCase, step: float = 0.02, lam0: float = 0.1
     while True:
         good_lam, good_state = points[-1]
         lam_try = good_lam + step
-        if lam_try > lam_limit:
-            raise GridStrengthError(f"trace_map: no divergence below lambda = {lam_limit}")
+        if lam_try > LAM_LIMIT:
+            raise GridStrengthError(f"trace_map: no divergence below lambda = {LAM_LIMIT}")
         nxt = solve_at(lam_try, good_state)
         if isinstance(nxt, Diverged):
             return points, lam_try
         points.append((lam_try, nxt))
 
 
-def trace_map(case: CaseFile | PreparedCase, step: float = 0.02, lam0: float = 0.1,
-              bisect_tol: float = 1e-6, lam_limit: float = 1000.0) -> ContinuationResult:
+def trace_map(case: CaseFile | PreparedCase, step: float = 0.02,
+              bisect_tol: float = 1e-6) -> ContinuationResult:
     """Raise the loading factor until the power flow diverges; bisect the nose.
 
     The stepping phase is continuation_steps; the nose is then bisected
@@ -308,7 +337,7 @@ def trace_map(case: CaseFile | PreparedCase, step: float = 0.02, lam0: float = 0
             )
         )
 
-    points, bad_lam = continuation_steps(prep, step, lam0, lam_limit)
+    points, bad_lam = continuation_steps(prep, step)
     for lam, st in points:
         record(lam, st)
     good_lam, good_state = points[-1]

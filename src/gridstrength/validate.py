@@ -180,7 +180,7 @@ def run_scenario(scenario: str, aggregation: str = "mean") -> list[ValidationRow
 def validate_suite(jobs: int = 1, aggregation: str = "mean") -> ValidationReport:
     """Run every scenario; rows ordered by scenario id whatever the fan-out."""
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(SCENARIOS))) as ex:
             chunks = list(ex.map(run_scenario, SCENARIOS, [aggregation] * len(SCENARIOS)))
     else:
         chunks = [run_scenario(s, aggregation) for s in SCENARIOS]

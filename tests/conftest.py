@@ -39,6 +39,25 @@ def script_env() -> dict:
     return {**os.environ, "PYTHONPATH": path}
 
 
+def serial_pool(seen: list):
+    """A ProcessPoolExecutor stand-in: records each max_workers in seen and maps in this process."""
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    return SerialPool
+
+
 @pytest.fixture(scope="session")
 def sidc():
     return load_bundled_case("cigre_sidc")

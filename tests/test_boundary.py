@@ -35,7 +35,7 @@ from gridstrength.powerflow import (
     prepare,
 )
 
-from conftest import CONVERTER_BLOCK, hub_network_doc
+from conftest import CONVERTER_BLOCK, hub_network_doc, serial_pool
 from test_converter import cigre_params
 
 
@@ -309,6 +309,14 @@ def test_sweep_input_validation(dual, sidc):
         sweep_dual_infeed(dual, [0.0])
     with pytest.raises(GridStrengthError):
         sweep_dual_infeed(sidc, [1.0])
+
+
+def test_sweep_pool_never_exceeds_ratio_count(dual, monkeypatch):
+    seen = []
+    monkeypatch.setattr(boundary, "ProcessPoolExecutor", serial_pool(seen))
+    monkeypatch.setattr(boundary, "_sweep_point", lambda task: task[1])
+    assert sweep_dual_infeed(dual, [0.5, 2.0], jobs=5000) == [0.5, 2.0]
+    assert seen == [2]
 
 
 def test_boundary_result_validation():

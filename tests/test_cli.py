@@ -68,6 +68,42 @@ def test_nonpositive_tolerance_is_input_error(capsys, paths):
     assert "tol_bisect" in err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["powerflow", "--tol-newton", "inf"], "tol_newton"),
+    (["map", "--tol-bisect", "nan"], "tol_bisect"),
+    (["sweep", "--jobs", "0"], "jobs"),
+    (["classify", "--bg", "inf"], "bg"),
+])
+def test_nonfinite_or_nonpositive_setting_is_input_error(capsys, paths, argv, name):
+    code, out, err = run(capsys, argv + [paths["sidc"]])
+    assert (code, out) == (2, "")
+    assert name in err
+
+
+@pytest.mark.parametrize("where, value", [
+    (("branches", 0, "reactance_pu"), "abc"),
+    (("thevenin_links", 0, "emf_pu"), None),
+    (("converters", 0, "n_bridges"), "two"),
+    (("converters", 0, "gamma_deg"), "x"),
+    (("system_base_mva",), [1]),
+    (("system_base_mva",), math.nan),
+    (("converters", 0, "r_dc_pu"), math.nan),
+    (("converters", 0, "b_c_pu"), math.inf),
+    (("converters", 0, "n_bridges"), 2.7),
+])
+def test_bad_case_number_is_input_error(capsys, tmp_path, where, value):
+    doc = hub_network_doc(["a", "b"])
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, ["gscr", str(path)])
+    assert (code, out) == (2, "")
+    assert where[-1] in err
+
+
 def test_version(capsys):
     code, out, _ = run(capsys, ["--version"])
     assert code == 0

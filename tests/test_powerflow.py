@@ -11,9 +11,11 @@ from gridstrength.errors import ConverterInfeasible, GridStrengthError
 from gridstrength.gscr import characteristic_delta
 from gridstrength.netmodel import scale_impedance
 from gridstrength.powerflow import (
+    NEWTON_STEP_TRIES,
     Diverged,
     GridState,
     assemble_jacobian,
+    damped_newton,
     mismatch,
     newton_solve,
     prepare,
@@ -66,6 +68,73 @@ def fd_full_jacobian(prep, delta, U, orders, h=1e-6):
 
 
 # ----------------------------------------------------------------- jacobian
+
+# ------------------------------------------------- the shared damped Newton
+
+def sqrt2_resid(x):
+    return x * x - 2.0, None
+
+
+def sqrt2_jac(x, _):
+    return np.array([[2.0 * x[0]]])
+
+
+def test_damped_newton_converges():
+    res = damped_newton(sqrt2_resid, sqrt2_jac, np.array([1.0]), 1e-12, 50)
+    assert res.reason == ""
+    assert res.x[0] == pytest.approx(np.sqrt(2.0), abs=1e-12)
+    assert res.norm <= 1e-12
+    assert res.trace[0] == 1.0 and res.trace[-1] == res.norm
+    assert list(res.trace) == sorted(res.trace, reverse=True)
+
+
+def test_damped_newton_iteration_limit():
+    res = damped_newton(sqrt2_resid, sqrt2_jac, np.array([1.0]), 1e-12, 1)
+    assert res.reason == "iteration limit"
+    assert res.x[0] == 1.5
+    assert res.trace == (1.0, 0.25)
+
+
+def test_damped_newton_infeasible_start():
+    res = damped_newton(lambda x: None, sqrt2_jac, np.array([1.0]), 1e-12, 50)
+    assert res.reason == "infeasible start"
+    assert res.trace == ()
+
+
+def test_damped_newton_singular_jacobian():
+    res = damped_newton(sqrt2_resid, lambda x, _: np.zeros((1, 1)), np.array([1.0]), 1e-12, 50)
+    assert res.reason == "singular jacobian"
+    assert res.x[0] == 1.0 and res.trace == (1.0,)
+
+
+def test_damped_newton_no_acceptable_step():
+    # r = x - 1 is defined only for x <= 0, so every damped step from 0 leaves the domain
+    tried = []
+
+    def resid(x):
+        tried.append(x[0])
+        return (x - 1.0, None) if x[0] <= 0.0 else None
+
+    res = damped_newton(resid, lambda x, _: np.eye(1), np.array([0.0]), 1e-12, 50)
+    assert res.reason == "no acceptable step"
+    assert res.x[0] == 0.0
+    assert tried[1:] == [0.5 ** k for k in range(NEWTON_STEP_TRIES)]
+
+
+@pytest.mark.parametrize("slack, reason, x, trace", [
+    (1.2, "iteration limit", 1.0, (1.0, 1.1)),
+    (1.0, "no acceptable step", 0.0, (1.0,)),
+])
+def test_damped_newton_slack_bounds_the_rise(slack, reason, x, trace):
+    # every step raises |r| from 1.0 to 1.1
+    def resid(z):
+        return np.array([1.0 if z[0] == 0.0 else 1.1]), None
+
+    res = damped_newton(resid, lambda z, _: -np.eye(1), np.array([0.0]), 1e-12, 1, slack=slack)
+    assert (res.reason, res.x[0], res.trace) == (reason, x, trace)
+
+
+# ----------------------------------------------------------- power flow
 
 def test_jacobian_matches_finite_differences(dual):
     prep = prepare(dual)

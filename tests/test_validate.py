@@ -15,6 +15,8 @@ from gridstrength.validate import (
     validate_suite,
 )
 
+from conftest import serial_pool
+
 
 @pytest.fixture(scope="module")
 def report():
@@ -79,3 +81,12 @@ def test_unknown_scenario_is_a_failed_row():
     assert len(rows) == 1
     assert not rows[0].passed
     assert "unknown scenario" in rows[0].quantity
+
+
+@pytest.mark.parametrize("jobs, workers", [(3, 3), (5000, len(SCENARIOS))])
+def test_pool_never_exceeds_scenario_count(monkeypatch, jobs, workers):
+    seen = []
+    monkeypatch.setattr(validate, "ProcessPoolExecutor", serial_pool(seen))
+    monkeypatch.setattr(validate, "run_scenario", lambda scenario, aggregation: [])
+    assert validate_suite(jobs=jobs).rows == ()
+    assert seen == [workers]
