@@ -38,6 +38,7 @@ from .powerflow import (
     PreparedCase,
     assemble_jacobian,
     continuation_steps,
+    converter_states,
     damped_newton,
     mismatch,
     prepare,
@@ -185,18 +186,18 @@ def tune_sources(case: CaseFile) -> CaseFile:
 
     # at U = 1 and rated orders the converter states do not move with (d, E):
     # the first residual solves them and every later one reuses them
-    states = None
+    conv = None
 
     def resid(x):
-        nonlocal states
-        gP, gQ, states = mismatch(with_emfs(x[n:]), x[:n], U, orders, states)
-        return np.concatenate([gP, gQ]), states
+        nonlocal conv
+        gP, gQ, conv = mismatch(with_emfs(x[n:]), x[:n], U, orders, conv)
+        return np.concatenate([gP, gQ]), conv
 
-    def jac(x, st):
+    def jac(x, conv):
         d = x[:n]
-        blocks = assemble_jacobian(with_emfs(x[n:]), d, U, orders, st)
-        return np.block([[blocks.J_pd, np.diag(np.sin(d) / x_link)],
-                         [blocks.J_qd, -np.diag(np.cos(d) / x_link)]])
+        J = assemble_jacobian(with_emfs(x[n:]), d, U, orders, conv)
+        J[:, n:] = np.vstack([np.diag(np.sin(d) / x_link), -np.diag(np.cos(d) / x_link)])
+        return J
 
     res = damped_newton(resid, jac, np.concatenate([delta, emfs]), 1e-12, 40)
     # 40 iterations that end within 1e-10 are accepted
@@ -318,7 +319,7 @@ def _at_scale(prep: PreparedCase, s: float) -> PreparedCase:
 
 
 def _fold_residual(prep: PreparedCase, z: np.ndarray, c: np.ndarray):
-    """(g, J v, c.v - 1) at z = (x, v, lam), paired with (J, converter states).
+    """(g, J v, c.v - 1) at z = (x, v, lam), paired with (J, converter terms).
 
     None where a bus voltage is not positive or a converter has no steady state.
     """
@@ -328,11 +329,11 @@ def _fold_residual(prep: PreparedCase, z: np.ndarray, c: np.ndarray):
         return None
     orders = lam * prep.rated_orders
     try:
-        gP, gQ, states = mismatch(prep, delta, U, orders)
+        gP, gQ, conv = mismatch(prep, delta, U, orders)
     except ConverterInfeasible:
         return None
-    J = assemble_jacobian(prep, delta, U, orders, states).full()
-    return np.concatenate([gP, gQ, J @ v, [c @ v - 1.0]]), (J, states)
+    J = assemble_jacobian(prep, delta, U, orders, conv)
+    return np.concatenate([gP, gQ, J @ v, [c @ v - 1.0]]), (J, conv)
 
 
 def _fold_jacobian(prep: PreparedCase, z: np.ndarray, c: np.ndarray, J: np.ndarray) -> np.ndarray:
@@ -346,7 +347,7 @@ def _fold_jacobian(prep: PreparedCase, z: np.ndarray, c: np.ndarray, J: np.ndarr
     h = FOLD_FD_STEP
 
     def jac(xx, ll):
-        return assemble_jacobian(prep, xx[:n], xx[n:], ll * prep.rated_orders).full()
+        return assemble_jacobian(prep, xx[:n], xx[n:], ll * prep.rated_orders)
 
     def g(ll):
         gP, gQ, _ = mismatch(prep, x[:n], x[n:], ll * prep.rated_orders)
@@ -388,7 +389,7 @@ def _solve_fold(prep: PreparedCase, s: float, x, v, lam: float) -> _Fold | None:
     if res.reason or np.any(U <= U_BAND[0]) or np.any(U >= U_BAND[1]):
         return None
     return _Fold(s=s, lam=float(z[-1]), x=z[:m], v=z[m:2 * m],
-                 residual=float(res.norm), states=res.aux[1])
+                 residual=float(res.norm), states=converter_states(prep, res.aux[1]))
 
 
 def _critical_fold(case: CaseFile) -> _Fold:
@@ -411,8 +412,7 @@ def _critical_fold(case: CaseFile) -> _Fold:
             except ConverterInfeasible:
                 return _Probe(s=s, g=-math.inf, result=None)
             lam, st = points[-1]
-            J = assemble_jacobian(scaled, st.delta, st.U, lam * scaled.rated_orders,
-                                  st.converter_states).full()
+            J = assemble_jacobian(scaled, st.delta, st.U, lam * scaled.rated_orders)
             v = np.linalg.svd(J)[2][-1]
             fold = _solve_fold(scaled, s, np.concatenate([st.delta, st.U]), v, lam)
         else:

@@ -148,6 +148,7 @@ def validate_case(case: CaseFile) -> CaseFile:
         if b.kind not in ("converter", "internal"):
             raise CaseFormatError(f"bus {b.id}: unknown kind '{b.kind}'")
     _positive(case.system_base_mva, "system_base_mva")
+    _positive(case.frequency_hz, "frequency_hz")
     if not case.thevenin_links:
         raise CaseFormatError("thevenin_links: at least one link is required")
 

@@ -27,9 +27,9 @@ from .boundary import (
 )
 from .casefile import CaseFile, load_case
 from .errors import CaseFormatError, GridStrengthError
-from .gscr import classify, extended_jacobian, perron_check
+from .gscr import classify, compute_gscr, extended_jacobian, perron_check
 from .netmodel import reduce_case
-from .powerflow import NEWTON_TOL, Diverged, newton_solve, prepare, trace_map
+from .powerflow import NEWTON_TOL, Diverged, newton_solve, prepare, sigma_min, trace_map
 from .validate import SWEEP_RATIOS, validate_suite
 
 EXIT_OK = 0
@@ -70,9 +70,9 @@ def _case_name(case: CaseFile, path: str) -> str:
 
 def _cmd_gscr(args: argparse.Namespace) -> tuple[str, int]:
     case = load_case(args.case)
-    eig, g = case_gscr(case)
     net = reduce_case(case)
     J = extended_jacobian(net.B, [case.rating_pu(case.converter_at(b)) for b in net.bus_order])
+    eig, g = compute_gscr(J)
     per = perron_check(J)
     cls = classify(g, cg=args.cg, bg=args.bg)
     doc = {
@@ -138,8 +138,9 @@ def _cmd_powerflow(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_map(args: argparse.Namespace) -> tuple[str, int]:
     case = load_case(args.case)
-    res = trace_map(case, bisect_tol=args.tol_bisect)
-    order = reduce_case(case).bus_order
+    prep = prepare(case)
+    res = trace_map(prep, bisect_tol=args.tol_bisect)
+    order = prep.net.bus_order
     base = case.system_base_mva
     header = (["lambda"]
               + [f"U_{b}" for b in order]
@@ -154,7 +155,7 @@ def _cmd_map(args: argparse.Namespace) -> tuple[str, int]:
                     + [f"{p * base:.6g}" for p in pt.P]
                     + [f"{q * base:.6g}" for q in pt.Q]
                     + [f"{math.degrees(m):.2f}" for m in pt.mu]
-                    + [f"{pt.sigma_min:.6g}"])
+                    + [f"{sigma_min(prep, pt):.6g}"])
     return _csv(header, rows), EXIT_OK
 
 

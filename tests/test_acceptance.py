@@ -171,10 +171,10 @@ def test_criterion_8(dual, measured, note_criterion):
     orders = 0.9 * prep.rated_orders
     state = newton_solve(prep, orders)
     assert isinstance(state, GridState)
-    blocks = assemble_jacobian(prep, state.delta, state.U, orders)
+    J = assemble_jacobian(prep, state.delta, state.U, orders)
     fd = fd_full_jacobian(prep, state.delta, state.U, orders)
     n = prep.n
-    got = {"J_pd": blocks.J_pd, "J_pv": blocks.J_pv, "J_qd": blocks.J_qd, "J_qv": blocks.J_qv}
+    got = {"J_pd": J[:n, :n], "J_pv": J[:n, n:], "J_qd": J[n:, :n], "J_qv": J[n:, n:]}
     want = {"J_pd": fd[:n, :n], "J_pv": fd[:n, n:], "J_qd": fd[n:, :n], "J_qv": fd[n:, n:]}
     for name in got:
         scale = max(1.0, float(np.max(np.abs(want[name]))))

@@ -134,7 +134,7 @@ def test_critical_fold_certificate(name, request):
     n = prep.n
     delta, U = fold.x[:n], fold.x[n:]
     orders = fold.lam * prep.rated_orders
-    sv = np.linalg.svd(assemble_jacobian(prep, delta, U, orders).full(), compute_uv=False)
+    sv = np.linalg.svd(assemble_jacobian(prep, delta, U, orders), compute_uv=False)
     assert sv[-1] <= 1e-8 * sv[0]
     assert abs(fold.lam - 1.0) <= 1e-10
     assert fold.residual <= 1e-10

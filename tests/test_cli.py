@@ -90,6 +90,10 @@ def test_nonfinite_or_nonpositive_setting_is_input_error(capsys, paths, argv, na
     (("converters", 0, "r_dc_pu"), math.nan),
     (("converters", 0, "b_c_pu"), math.inf),
     (("converters", 0, "n_bridges"), 2.7),
+    (("frequency_hz",), -60),
+    (("frequency_hz",), 0),
+    (("frequency_hz",), math.nan),
+    (("frequency_hz",), math.inf),
 ])
 def test_bad_case_number_is_input_error(capsys, tmp_path, where, value):
     doc = hub_network_doc(["a", "b"])

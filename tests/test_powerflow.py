@@ -1,10 +1,14 @@
 """Power flow and continuation: exact Jacobian against finite differences,
-structure at the unloaded flat point, nose-search invariants."""
+structure at the unloaded flat point, the array kernel against the per-bus
+loops, nose-search invariants."""
+
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from gridstrength.boundary import case_gscr
+from gridstrength import powerflow
+from gridstrength.boundary import case_gscr, scale_to_gscr
 from gridstrength.casefile import case_from_dict, with_rating
 from gridstrength.converter import sensitivity_T
 from gridstrength.errors import ConverterInfeasible, GridStrengthError
@@ -12,17 +16,24 @@ from gridstrength.gscr import characteristic_delta
 from gridstrength.netmodel import scale_impedance
 from gridstrength.powerflow import (
     NEWTON_STEP_TRIES,
+    SMALL_N,
     Diverged,
     GridState,
     assemble_jacobian,
+    continuation_steps,
+    converter_states,
     damped_newton,
     mismatch,
     newton_solve,
     prepare,
+    sigma_min,
     trace_map,
 )
 
-from conftest import CONVERTER_BLOCK
+from conftest import CONVERTER_BLOCK, random_network_doc
+
+LOOPS = 10**6   # SMALL_N that keeps every size on the per-bus loops
+ARRAYS = 0      # SMALL_N that sends every size down the array path
 
 
 def tiny_doc(n_buses, b_c, emfs, x_t=0.4, x_tie=0.5):
@@ -141,39 +152,126 @@ def test_jacobian_matches_finite_differences(dual):
     orders = 0.9 * prep.rated_orders
     state = newton_solve(prep, orders)
     assert isinstance(state, GridState)
-    blocks = assemble_jacobian(prep, state.delta, state.U, orders)
+    J = assemble_jacobian(prep, state.delta, state.U, orders)
     fd = fd_full_jacobian(prep, state.delta, state.U, orders)
     scale = max(1.0, float(np.max(np.abs(fd))))
-    assert np.max(np.abs(blocks.full() - fd)) <= 1e-5 * scale
+    assert np.max(np.abs(J - fd)) <= 1e-5 * scale
 
 
 def test_flat_unloaded_jacobian_structure():
     # no filters, matched emfs: the flat point solves exactly and the
-    # Jacobian collapses to [[-B, 0], [0, -B]]
-    case = case_from_dict(tiny_doc(2, b_c=0.0, emfs=[1.0, 1.0]))
-    prep = prepare(case)
-    orders = np.zeros(2)
-    state = newton_solve(prep, orders)
-    assert isinstance(state, GridState)
-    assert state.U == pytest.approx([1.0, 1.0], abs=1e-12)
-    assert state.delta == pytest.approx([0.0, 0.0], abs=1e-12)
-    blocks = assemble_jacobian(prep, state.delta, state.U, orders)
-    negB = -prep.net.B.matrix
-    assert np.allclose(blocks.J_pd, negB, atol=1e-12)
-    assert np.allclose(blocks.J_qv, negB, atol=1e-12)
-    assert np.allclose(blocks.J_qd, 0.0, atol=1e-12)
-    assert np.allclose(blocks.J_pv, 0.0, atol=1e-12)
+    # Jacobian collapses to [[-B, 0], [0, -B]]; at zero order the array
+    # path's converter diagonal must give this with I = 0 on every bus
+    for n in (2, SMALL_N + 2):
+        case = case_from_dict(tiny_doc(n, b_c=0.0, emfs=[1.0] * n))
+        prep = prepare(case)
+        orders = np.zeros(n)
+        state = newton_solve(prep, orders)
+        assert isinstance(state, GridState)
+        assert state.U == pytest.approx([1.0] * n, abs=1e-12)
+        assert state.delta == pytest.approx([0.0] * n, abs=1e-12)
+        J = assemble_jacobian(prep, state.delta, state.U, orders)
+        negB = -prep.net.B.matrix
+        assert np.allclose(J[:n, :n], negB, atol=1e-12)
+        assert np.allclose(J[n:, n:], negB, atol=1e-12)
+        assert np.allclose(J[n:, :n], 0.0, atol=1e-12)
+        assert np.allclose(J[:n, n:], 0.0, atol=1e-12)
 
 
 def test_block_determinant_schur_identity(sidc):
     prep = prepare(sidc)
     state = newton_solve(prep, prep.rated_orders)
     assert isinstance(state, GridState)
-    blocks = assemble_jacobian(prep, state.delta, state.U, prep.rated_orders)
-    full = np.linalg.det(blocks.full())
-    schur = blocks.J_qv - blocks.J_qd @ np.linalg.solve(blocks.J_pd, blocks.J_pv)
-    split = np.linalg.det(blocks.J_pd) * np.linalg.det(schur)
+    J = assemble_jacobian(prep, state.delta, state.U, prep.rated_orders)
+    n = prep.n
+    full = np.linalg.det(J)
+    schur = J[n:, n:] - J[n:, :n] @ np.linalg.solve(J[:n, :n], J[:n, n:])
+    split = np.linalg.det(J[:n, :n]) * np.linalg.det(schur)
     assert split == pytest.approx(full, rel=1e-9)
+
+
+# ------------------------------------------------------------ array kernel
+
+def tuned_random_case(n):
+    """Random n-bus network with a link on every bus, at gSCR 3 with the rated point at U = 1."""
+    doc = random_network_doc(np.random.default_rng(1000 + n), n, link_prob=1.0)
+    return scale_to_gscr(case_from_dict(doc), 3.0)
+
+
+def kernel_at(prep, delta, U, orders):
+    gP, gQ, conv = mismatch(prep, delta, U, orders)
+    J = assemble_jacobian(prep, delta, U, orders, conv)
+    return np.concatenate([gP, gQ]), J, converter_states(prep, conv)
+
+
+@pytest.mark.parametrize("n", [5, 8, 16])
+def test_array_kernel_matches_loops(n, monkeypatch):
+    # at the rated point and at the continuation's last step before the nose
+    prep = prepare(tuned_random_case(n))
+    rated = newton_solve(prep, prep.rated_orders)
+    assert isinstance(rated, GridState)
+    points, _ = continuation_steps(prep)
+    for lam, st in ((1.0, rated), points[-1]):
+        at = (prep, st.delta, st.U, lam * prep.rated_orders)
+        monkeypatch.setattr(powerflow, "SMALL_N", ARRAYS)
+        r_arr, J_arr, st_arr = kernel_at(*at)
+        monkeypatch.setattr(powerflow, "SMALL_N", LOOPS)
+        r_loop, J_loop, st_loop = kernel_at(*at)
+        scale = np.abs(J_loop).max()
+        assert np.abs(J_arr - J_loop).max() <= 1e-13 * scale
+        assert np.abs(r_arr - r_loop).max() <= 1e-13 * scale
+        for a, b in zip(st_arr, st_loop, strict=True):
+            assert astuple(a) == pytest.approx(astuple(b), rel=1e-13, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_random_jacobian_matches_finite_differences(n, monkeypatch):
+    prep = prepare(tuned_random_case(n))
+    orders = 0.9 * prep.rated_orders
+    state = newton_solve(prep, orders)
+    assert isinstance(state, GridState)
+    for small_n in (ARRAYS, LOOPS):
+        monkeypatch.setattr(powerflow, "SMALL_N", small_n)
+        J = assemble_jacobian(prep, state.delta, state.U, orders)
+        fd = fd_full_jacobian(prep, state.delta, state.U, orders)
+        scale = max(1.0, float(np.abs(fd).max()))
+        assert np.abs(J - fd).max() <= 1e-5 * scale
+
+
+def test_newton_gives_one_state_on_both_paths(monkeypatch):
+    prep = prepare(tuned_random_case(16))
+    states = []
+    for small_n in (ARRAYS, LOOPS):
+        monkeypatch.setattr(powerflow, "SMALL_N", small_n)
+        states.append(newton_solve(prep, prep.rated_orders))
+    arr, loop = states
+    assert isinstance(arr, GridState) and isinstance(loop, GridState)
+    assert arr.delta == pytest.approx(loop.delta, rel=1e-12, abs=1e-14)
+    assert arr.U == pytest.approx(loop.U, rel=1e-12)
+    for a, b in zip(arr.converter_states, loop.converter_states, strict=True):
+        assert astuple(a) == pytest.approx(astuple(b), rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("bad, U_low, error", [
+    ((2, 4), None, ConverterInfeasible),    # no real root on two buses: the first one names it
+    ((4,), 1, GridStrengthError),           # U <= 0 on bus 1 comes before bus 4 in bus order
+])
+def test_infeasible_converter_named_alike_on_both_paths(bad, U_low, error, monkeypatch):
+    prep = prepare(tuned_random_case(6))
+    U = np.ones(prep.n)
+    orders = prep.rated_orders.copy()
+    orders[list(bad)] *= 50.0
+    if U_low is not None:
+        U[U_low] = 0.0
+    messages = []
+    for small_n in (ARRAYS, LOOPS):
+        monkeypatch.setattr(powerflow, "SMALL_N", small_n)
+        with pytest.raises(error) as exc:
+            mismatch(prep, np.zeros(prep.n), U, orders)
+        messages.append((type(exc.value), str(exc.value), getattr(exc.value, "bus", None)))
+    assert messages[0] == messages[1]
+    if error is ConverterInfeasible:
+        assert messages[0][2] == prep.net.bus_order[bad[0]]
 
 
 # -------------------------------------------------------------- newton solve
@@ -224,8 +322,9 @@ def test_continuation_interval_invariants(sidc_trace):
     assert len(tr.mu_at_map) == 1
 
 
-def test_sigma_min_shrinks_toward_the_nose(sidc_trace):
-    sig = [pt.sigma_min for pt in sidc_trace.history[-5:]]
+def test_sigma_min_shrinks_toward_the_nose(sidc, sidc_trace):
+    prep = prepare(sidc)
+    sig = [sigma_min(prep, pt) for pt in sidc_trace.history[-5:]]
     assert all(a > b - 1e-12 for a, b in zip(sig, sig[1:]))
     assert sig[-1] < 0.1 * sig[0] or sig[-1] < 0.05
 
