@@ -6,8 +6,11 @@ root is (T_N + sqrt(T_N^2 + 4))/2, and at the 30-degree-overlap point the
 converter equations are closed jointly with the network relation.
 
 Multi-infeed thresholds are found numerically by scaling every reactance
-by s; the grid-strength index of the scaled case is then reported.  Sources
-keep their authored emfs during a search; scaling touches reactances only.
+by s.  Kron reduction is homogeneous in the reactances, so a search
+prepares the case once, each probe divides the reduced B and source vector
+by s, and the index J_eq = -diag(1/P_N) B at the found scale is reported
+as gSCR(1)/s without reducing the scaled case again.  Sources keep their
+authored emfs during a search; scaling touches reactances only.
 
 The critical ratio is the scale at which the saddle-node (fold) of the
 power flow sits at rated load, lambda = 1.  The fold is solved for directly
@@ -48,13 +51,18 @@ from .powerflow import (
 SCALE_LO = 0.05
 SCALE_HI = 20.0
 SCALE_REL_TOL = 1e-4
-CRITICAL_TOL = 1e-3      # on |lambda_max - 1|
 BOUNDARY_TOL_DEG = 0.05  # on |mu_agg - 30 deg|
 MU_TARGET_DEG = 30.0
 FOLD_TOL = 1e-10         # on the fold residual and on |lambda - 1| at CgSCR
 FOLD_MAX_ITER = 30
 FOLD_FD_STEP = 1e-6
-AGG_RULES = ("mean", "max", "first")
+# per-converter overlap angles (deg) and rating weights -> the searched angle
+_AGGREGATE = {
+    "mean": lambda mu, w: float(np.dot(w, mu) / np.sum(w)),
+    "max": lambda mu, w: float(np.max(mu)),
+    "first": lambda mu, w: float(mu[0]),
+}
+AGG_RULES = tuple(_AGGREGATE)
 
 
 @dataclass(frozen=True)
@@ -208,23 +216,12 @@ def tune_sources(case: CaseFile) -> CaseFile:
     return replace(case, thevenin_links=new_links)
 
 
-def scale_to_gscr(case: CaseFile, target: float, retune: bool = True) -> CaseFile:
-    """Rescale reactances so the case's index equals target; optionally retune emfs."""
+def scale_to_gscr(case: CaseFile, target: float) -> CaseFile:
+    """Rescale reactances so the case's index equals target, then retune the emfs."""
     if not target > 0:
         raise GridStrengthError("scale_to_gscr: target must be positive")
     _, g = case_gscr(case)
-    scaled = scale_impedance(case, g / target)
-    return tune_sources(scaled) if retune else scaled
-
-
-def _mu_aggregate(mu_deg: np.ndarray, weights: np.ndarray, rule: str) -> float:
-    if rule == "mean":
-        return float(np.dot(weights, mu_deg) / np.sum(weights))
-    if rule == "max":
-        return float(np.max(mu_deg))
-    if rule == "first":
-        return float(mu_deg[0])
-    raise GridStrengthError(f"unknown aggregation rule {rule!r}; expected one of {AGG_RULES}")
+    return tune_sources(scale_impedance(case, g / target))
 
 
 @dataclass(frozen=True)
@@ -266,13 +263,12 @@ def _bracket(probe, kind: str) -> tuple[_Probe, _Probe]:
     return lo, hi
 
 
-def _bisect_scale(case: CaseFile, gap_of, cond_tol: float, kind: str) -> _Probe:
+def _bisect_scale(prep: PreparedCase, gap_of, cond_tol: float, kind: str) -> _Probe:
     """Find s with gap(s) = 0, gap decreasing in s; geometric probe then bisect."""
 
     def probe(s):
-        scaled = scale_impedance(case, s)
         try:
-            tr = trace_map(scaled)
+            tr = trace_map(_at_scale(prep, s))
         except ConverterInfeasible:
             # grid too weak to even carry the light start: far side of the root
             return _Probe(s=s, g=-math.inf, result=None)
@@ -308,11 +304,7 @@ class _Fold:
 
 
 def _at_scale(prep: PreparedCase, s: float) -> PreparedCase:
-    """The prepared case with every reactance times s.
-
-    Kron reduction is homogeneous in the reactances, so the reduced B and
-    f both divide by s; converter constants and emfs do not move.
-    """
+    """The prepared case with every reactance times s: reduced B and f divide by s."""
     net = prep.net
     return replace(prep, net=replace(net, B=replace(net.B, matrix=net.B.matrix / s),
                                      f=net.f / s))
@@ -392,7 +384,7 @@ def _solve_fold(prep: PreparedCase, s: float, x, v, lam: float) -> _Fold | None:
                  residual=float(res.norm), states=converter_states(prep, res.aux[1]))
 
 
-def _critical_fold(case: CaseFile) -> _Fold:
+def _critical_fold(prep: PreparedCase) -> _Fold:
     """Fold at rated load: bracket the scale, then regula falsi on lam_fold(s) - 1.
 
     A bracket probe starts the fold solve from the last converged point of
@@ -402,7 +394,6 @@ def _critical_fold(case: CaseFile) -> _Fold:
     a grid too weak to carry the light start.
     """
     kind = "find_critical_numeric"
-    prep = prepare(case)
 
     def probe(s, warm: _Fold | None = None) -> _Probe:
         scaled = _at_scale(prep, s)
@@ -446,39 +437,33 @@ def _critical_fold(case: CaseFile) -> _Fold:
     return p.result
 
 
+def _result(kind: str, prep: PreparedCase, s: float, residual: float, mu_rad) -> BoundaryResult:
+    """The search's answer at scale s; the index there is gSCR(1) / s."""
+    _, g = compute_gscr(extended_jacobian(prep.net.B, prep.consts.p_dn))
+    return BoundaryResult(kind=kind, value=g / s, scale_star=s, condition_residual=residual,
+                          per_converter_mu=tuple(math.degrees(m) for m in mu_rad))
+
+
 def find_critical_numeric(case: CaseFile) -> BoundaryResult:
     """Scale reactances until the fold of the power flow sits at rated load."""
-    fold = _critical_fold(case)
-    _, g = case_gscr(scale_impedance(case, fold.s))
-    return BoundaryResult(
-        kind="CgSCR",
-        value=g,
-        scale_star=fold.s,
-        condition_residual=max(fold.residual, abs(fold.lam - 1.0)),
-        per_converter_mu=tuple(math.degrees(st.mu) for st in fold.states),
-    )
+    prep = prepare(case)
+    fold = _critical_fold(prep)
+    return _result("CgSCR", prep, fold.s, max(fold.residual, abs(fold.lam - 1.0)),
+                   [st.mu for st in fold.states])
 
 
 def find_boundary_numeric(case: CaseFile, aggregation: str = "mean") -> BoundaryResult:
     """Scale reactances until the aggregated overlap angle at the nose is 30 deg."""
-    if aggregation not in AGG_RULES:
+    aggregate = _AGGREGATE.get(aggregation)
+    if aggregate is None:
         raise GridStrengthError(f"unknown aggregation rule {aggregation!r}; expected one of {AGG_RULES}")
     prep = prepare(case)
-    weights = np.array([p.p_dn for p in prep.converters])
 
     def gap(tr: ContinuationResult) -> float:
-        mu_deg = np.degrees(np.array(tr.mu_at_map))
-        return _mu_aggregate(mu_deg, weights, aggregation) - MU_TARGET_DEG
+        return aggregate(np.degrees(np.array(tr.mu_at_map)), prep.consts.p_dn) - MU_TARGET_DEG
 
-    best = _bisect_scale(case, gap, BOUNDARY_TOL_DEG, "find_boundary_numeric")
-    _, g = case_gscr(scale_impedance(case, best.s))
-    return BoundaryResult(
-        kind="BgSCR",
-        value=g,
-        scale_star=best.s,
-        condition_residual=abs(best.g),
-        per_converter_mu=tuple(math.degrees(m) for m in best.result.mu_at_map),
-    )
+    best = _bisect_scale(prep, gap, BOUNDARY_TOL_DEG, "find_boundary_numeric")
+    return _result("BgSCR", prep, best.s, abs(best.g), best.result.mu_at_map)
 
 
 def _sweep_point(args):

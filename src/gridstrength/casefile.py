@@ -323,9 +323,11 @@ def load_case(path: str | Path) -> CaseFile:
     """Load and validate a case file; CaseFormatError carries the location."""
     p = Path(path)
     try:
-        text = p.read_text()
+        text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise CaseFormatError(f"cannot read case file {p}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CaseFormatError(f"{p}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

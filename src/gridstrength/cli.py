@@ -20,6 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .boundary import (
+    AGG_RULES,
     case_gscr,
     find_boundary_numeric,
     find_critical_numeric,
@@ -182,7 +183,7 @@ def _cmd_find(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
     case = load_case(args.case)
-    table = sweep_dual_infeed(case, SWEEP_RATIOS, aggregation=args.agg, jobs=args.jobs)
+    table = sweep_dual_infeed(case, args.ratios, aggregation=args.agg, jobs=args.jobs)
     rows = [[f"{r.ratio:.6g}", f"{r.cgscr:.6g}", f"{r.bgscr:.6g}"] for r in table]
     return _csv(["ratio", "CgSCR", "BgSCR"], rows), EXIT_OK
 
@@ -222,6 +223,11 @@ def _positive(name: str, convert=float):
     return parse
 
 
+def _ratios(text: str) -> tuple[float, ...]:
+    """argparse type: comma-separated positive finite rating ratios."""
+    return tuple(map(_positive("each ratio"), text.split(",")))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridstrength",
@@ -236,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     jobs.add_argument("--jobs", type=_positive("jobs", int), default=1, metavar="N",
                       help="parallel workers")
     agg = argparse.ArgumentParser(add_help=False)
-    agg.add_argument("--agg", default="mean", choices=("mean", "max", "first"),
+    agg.add_argument("--agg", default="mean", choices=AGG_RULES,
                      help="per-converter overlap-angle aggregation rule")
     thresholds = argparse.ArgumentParser(add_help=False)
     thresholds.add_argument("--cg", type=_positive("cg"), default=2.0, help="critical threshold")
@@ -258,7 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="loading-factor interval at the nose")
     case_cmd("find-cgscr", "impedance scale search for the critical index", [], _cmd_find)
     case_cmd("find-bgscr", "impedance scale search for the 30-degree boundary", [agg], _cmd_find)
-    case_cmd("sweep", "dual-infeed rating-ratio sweep (CSV)", [agg, jobs], _cmd_sweep)
+    sw = case_cmd("sweep", "dual-infeed rating-ratio sweep (CSV)", [agg, jobs], _cmd_sweep)
+    sw.add_argument("--ratios", type=_ratios, default=SWEEP_RATIOS, metavar="R,R,...",
+                    help="second-to-first converter rating ratios")
     sub.add_parser("validate", help="built-in benchmark suite on bundled cases",
                    parents=[out, agg, jobs]).set_defaults(run=_cmd_validate)
     return parser
@@ -270,6 +278,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
+    if "cg" in args and args.cg >= args.bg:
+        print(f"error: --cg ({args.cg:g}) must be below --bg ({args.bg:g})", file=sys.stderr)
+        return EXIT_INPUT
     try:
         text, code = args.run(args)
     except (CaseFormatError, FileNotFoundError, IsADirectoryError) as exc:
@@ -279,8 +290,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_INPUT
     else:
         sys.stdout.write(text)
     return code

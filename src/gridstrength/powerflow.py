@@ -61,6 +61,7 @@ NEWTON_MAX_ITER = 50
 NEWTON_STEP_TRIES = 7       # step lengths 1, 1/2, ..., 1/64 per Newton iteration
 NEWTON_STEPS = tuple(0.5 ** k for k in range(NEWTON_STEP_TRIES))
 LAM0 = 0.1                  # light-start loading factor of the continuation
+LAM_STEP = 0.02             # loading-factor step of the continuation's stepping phase
 LAM_LIMIT = 1000.0          # loading factor at which a continuation gives up
 # largest bus count the kernel runs as per-bus loops: up to here numpy's fixed
 # cost per call is at least the loops' O(n^2) work (break-even at n = 3-4)
@@ -132,7 +133,6 @@ class _ArrayTerms(NamedTuple):
 class PreparedCase:
     """Reduced network plus converter constants, reused across solves."""
 
-    case: CaseFile
     net: ReducedNetwork
     converters: tuple[LccParams, ...]
     rated_orders: np.ndarray    # system pu rectifier orders at rated delivery
@@ -149,7 +149,7 @@ def prepare(case: CaseFile) -> PreparedCase:
     orders = np.array([p.p_dn * rated_order(p) for p in convs])
     table = np.array([(p.p_dn, p.a, p.b, p.b / p.a, math.cos(p.gamma), p.gamma,
                        p.b - p.r, p.r, p.omega * p.b_c) for p in convs]).T.copy()
-    return PreparedCase(case=case, net=net, converters=convs, rated_orders=orders,
+    return PreparedCase(net=net, converters=convs, rated_orders=orders,
                         consts=_ConverterArrays(*table))
 
 
@@ -365,11 +365,9 @@ def damped_newton(resid, jac, x, tol: float, max_iter: int, slack: float = 1.0) 
     return NewtonResult(x, aux, norm, tuple(trace), "" if norm <= tol else "iteration limit")
 
 
-def newton_solve(prep: PreparedCase | CaseFile, p_orders, warm: GridState | None = None,
+def newton_solve(prep: PreparedCase, p_orders, warm: GridState | None = None,
                  tol: float = NEWTON_TOL):
     """Power flow by damped_newton; returns GridState or Diverged (never raises on divergence)."""
-    if isinstance(prep, CaseFile):
-        prep = prepare(prep)
     p_orders = np.asarray(p_orders, dtype=float)
     n = prep.n
     if p_orders.shape != (n,) or np.any(p_orders < 0):
@@ -409,9 +407,8 @@ def sigma_min(prep: PreparedCase, point: MapPoint) -> float:
     return float(np.linalg.svd(J, compute_uv=False)[-1])
 
 
-def continuation_steps(prep: PreparedCase,
-                       step: float = 0.02) -> tuple[list[tuple[float, GridState]], float]:
-    """Stepping phase of the continuation: fixed steps in lambda until Newton diverges.
+def continuation_steps(prep: PreparedCase) -> tuple[list[tuple[float, GridState]], float]:
+    """Stepping phase of the continuation: LAM_STEP steps in lambda until Newton diverges.
 
     Orders are lambda times the rated-order vector (loading proportional to
     ratings); each solve warm-starts from the previous accepted state.  When
@@ -437,7 +434,7 @@ def continuation_steps(prep: PreparedCase,
     points = [(lam0, state)]
     while True:
         good_lam, good_state = points[-1]
-        lam_try = good_lam + step
+        lam_try = good_lam + LAM_STEP
         if lam_try > LAM_LIMIT:
             raise GridStrengthError(f"trace_map: no divergence below lambda = {LAM_LIMIT}")
         nxt = solve_at(lam_try, good_state)
@@ -446,8 +443,7 @@ def continuation_steps(prep: PreparedCase,
         points.append((lam_try, nxt))
 
 
-def trace_map(case: CaseFile | PreparedCase, step: float = 0.02,
-              bisect_tol: float = 1e-6) -> ContinuationResult:
+def trace_map(case: CaseFile | PreparedCase, bisect_tol: float = 1e-6) -> ContinuationResult:
     """Raise the loading factor until the power flow diverges; bisect the nose.
 
     The stepping phase is continuation_steps; the nose is then bisected
@@ -468,7 +464,7 @@ def trace_map(case: CaseFile | PreparedCase, step: float = 0.02,
             )
         )
 
-    points, bad_lam = continuation_steps(prep, step)
+    points, bad_lam = continuation_steps(prep)
     for lam, st in points:
         record(lam, st)
     good_lam, good_state = points[-1]

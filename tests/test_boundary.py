@@ -8,7 +8,6 @@ import pytest
 
 import gridstrength.boundary as boundary
 from gridstrength.boundary import (
-    CRITICAL_TOL,
     BoundaryResult,
     _bisect_scale,
     _critical_fold,
@@ -128,7 +127,7 @@ def test_find_critical_scale_invariance(sidc, crit_sidc):
 @pytest.mark.parametrize("name", ["sidc", "dual", "triple", "quad"])
 def test_critical_fold_certificate(name, request):
     case = request.getfixturevalue(name)
-    fold = _critical_fold(case)
+    fold = _critical_fold(prepare(case))
     # re-prepared from the scaled case file, not from the fold's own scaling
     prep = prepare(scale_impedance(case, fold.s))
     n = prep.n
@@ -146,10 +145,19 @@ def test_critical_fold_certificate(name, request):
 
 def test_critical_fold_matches_divergence_bisection(sidc, dual, triple, quad):
     # slow reference: bisect the scale on the continuation's last convergent lambda
+    critical_tol = 1e-3  # on |lambda_max - 1|
     for case in (sidc, dual, triple, quad):
-        best = _bisect_scale(case, lambda tr: tr.lambda_max - 1.0, CRITICAL_TOL, "reference")
+        best = _bisect_scale(prepare(case), lambda tr: tr.lambda_max - 1.0, critical_tol,
+                             "reference")
         _, want = case_gscr(scale_impedance(case, best.s))
         assert find_critical_numeric(case).value == pytest.approx(want, rel=1e-4)
+
+
+def test_search_value_is_index_of_scaled_case(crit_sidc, bnd_sidc, bnd_dual, sidc, dual):
+    # the searches report gSCR(1) / s; reducing the scaled case file agrees
+    for r, case in ((crit_sidc, sidc), (bnd_sidc, sidc), (bnd_dual, dual)):
+        _, want = case_gscr(scale_impedance(case, r.scale_star))
+        assert r.value == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_singular_fold_system_is_a_package_error(sidc, monkeypatch):
@@ -244,7 +252,7 @@ def rated_from_link_seed(case):
     # angles from the per-link closed form to land on the tuned root
     prep = prepare(case)
     delta = np.zeros(prep.n)
-    for ln in prep.case.thevenin_links:
+    for ln in case.thevenin_links:
         i = prep.net.B.index_of(ln.bus)
         st = rated_state(prep.converters[i])
         p_sys = st.P * prep.converters[i].p_dn
@@ -287,8 +295,6 @@ def test_scale_to_target_index(sidc):
     state = newton_solve(prep, prep.rated_orders)
     assert isinstance(state, GridState)
     assert math.degrees(state.converter_states[0].mu) < 30.0
-    raw = scale_to_gscr(sidc, 3.0, retune=False)
-    assert raw.thevenin_links[0].emf_pu == sidc.thevenin_links[0].emf_pu
     with pytest.raises(GridStrengthError):
         scale_to_gscr(sidc, 0.0)
 

@@ -57,6 +57,23 @@ def test_malformed_case_is_input_error(capsys, paths):
     assert "line 1" in err
 
 
+def test_non_utf8_case_is_input_error(capsys, tmp_path):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, ["gscr", str(path)])
+    assert (code, out) == (2, "")
+    assert str(path) in err
+    assert "UTF-8" in err
+
+
+def test_unwritable_out_is_input_error(capsys, paths, tmp_path):
+    target = tmp_path / "missing-dir" / "report.json"
+    code, out, err = run(capsys, ["gscr", paths["sidc"], "--out", str(target)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert not target.exists()
+
+
 def test_usage_errors_exit_two(capsys):
     assert run(capsys, [])[0] == 2
     assert run(capsys, ["bogus"])[0] == 2
@@ -151,7 +168,14 @@ def test_classify_threshold_override(capsys, paths):
     assert base["label"] == "Weak"
     moved = json.loads(run(capsys, ["classify", paths["sidc"], "--cg", "2.5"])[1])
     assert moved["label"] == "VeryWeak"
-    assert run(capsys, ["classify", paths["sidc"], "--cg", "3.0", "--bg", "2.0"])[0] == 1
+
+
+@pytest.mark.parametrize("cmd", ["gscr", "classify"])
+@pytest.mark.parametrize("cg, bg", [("3", "2"), ("2", "2")])
+def test_threshold_order_is_input_error(capsys, paths, cmd, cg, bg):
+    code, out, err = run(capsys, [cmd, paths["sidc"], "--cg", cg, "--bg", bg])
+    assert (code, out) == (2, "")
+    assert err == f"error: --cg ({cg}) must be below --bg ({bg})\n"
 
 
 def test_powerflow_report(capsys, paths):
@@ -231,6 +255,13 @@ def test_sweep_csv_wiring(capsys, paths, monkeypatch):
     assert out == "ratio,CgSCR,BgSCR\n0.25,2.01,3.02\n4,1.99,2.98\n"
     assert seen["ratios"] == (0.25, 0.5, 1.0, 2.0, 4.0)
     assert seen["jobs"] == 3
+    assert run(capsys, ["sweep", paths["sidc"], "--ratios", "0.25, 4"])[0] == 0
+    assert seen["ratios"] == (0.25, 4.0)
+    for bad in ("", "x", "1,,2", "0", "-1", "nan", "inf"):
+        seen.clear()
+        code, out, err = run(capsys, ["sweep", paths["sidc"], "--ratios", bad])
+        assert (code, out, seen) == (2, "", {})
+        assert "--ratios" in err
 
 
 def fake_row(passed, expected=1.0):
@@ -239,7 +270,7 @@ def fake_row(passed, expected=1.0):
                          tolerance=1.0, passed=passed, source="benchmark: fake")
 
 
-@pytest.mark.parametrize("script", ["sweep_dual.py", "make_cases.py"])
+@pytest.mark.parametrize("script", ["make_cases.py"])
 def test_scripts_parse_and_show_help(script):
     path = Path(__file__).resolve().parent.parent / "scripts" / script
     done = subprocess.run([sys.executable, str(path), "--help"],

@@ -329,8 +329,9 @@ def test_sigma_min_shrinks_toward_the_nose(sidc, sidc_trace):
     assert sig[-1] < 0.1 * sig[0] or sig[-1] < 0.05
 
 
-def test_step_size_does_not_move_the_nose(sidc, sidc_trace):
-    fine = trace_map(sidc, step=0.005)
+def test_step_size_does_not_move_the_nose(sidc, sidc_trace, monkeypatch):
+    monkeypatch.setattr(powerflow, "LAM_STEP", 0.005)
+    fine = trace_map(sidc)
     assert fine.lambda_max == pytest.approx(sidc_trace.lambda_max, abs=2e-4)
 
 
