@@ -13,6 +13,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -83,11 +84,14 @@ class CaseFile:
     def converter_buses(self) -> tuple[str, ...]:
         return tuple(b.id for b in self.buses if b.kind == "converter")
 
+    @cached_property
+    def _converter_by_bus(self) -> dict[str, ConverterSpec]:
+        # built on first use; replace() makes a new instance, so never stale.
+        # Reversed so that, as in a scan, the first block of a bus wins.
+        return {c.bus: c for c in reversed(self.converters)}
+
     def converter_at(self, bus: str) -> ConverterSpec:
-        for c in self.converters:
-            if c.bus == bus:
-                return c
-        raise KeyError(bus)
+        return self._converter_by_bus[bus]
 
     def rating_pu(self, spec: ConverterSpec) -> float:
         """Converter rated power on the system base."""
@@ -123,27 +127,50 @@ def _nonnegative(x: float, where: str) -> float:
     return x
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
+# Validation tests each record with one cheap condition; only a record that
+# fails it goes through the checks below, which name the first violation.
 
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
+def _branch_fault(i: int, br: Branch, known) -> None:
+    where = f"branches[{i}]"
+    for end in (br.from_bus, br.to_bus):
+        if end not in known:
+            raise CaseFormatError(f"{where}: unknown bus '{end}'")
+    if br.from_bus == br.to_bus:
+        raise CaseFormatError(f"{where}: self-loop at '{br.from_bus}'")
+    _positive(br.reactance_pu, f"{where}.reactance_pu")
 
-    def union(self, a, b):
-        self.parent[self.find(a)] = self.find(b)
+
+def _link_fault(i: int, ln: TheveninLink, known) -> None:
+    where = f"thevenin_links[{i}]"
+    if ln.bus not in known:
+        raise CaseFormatError(f"{where}: unknown bus '{ln.bus}'")
+    _positive(ln.reactance_pu, f"{where}.reactance_pu")
+    _positive(ln.emf_pu, f"{where}.emf_pu")
+
+
+def _converter_fault(c: ConverterSpec) -> None:
+    where = f"converter at {c.bus}"
+    if c.control != "cp-cea":
+        raise CaseFormatError(f"{where}: unsupported control mode '{c.control}' (only cp-cea)")
+    _positive(c.p_dn_mw, f"{where}.p_dn_mw")
+    _positive(c.u_ac_kv, f"{where}.u_ac_kv")
+    _positive(c.k_ratio, f"{where}.k_ratio")
+    _positive(c.x_commutation_pu, f"{where}.x_commutation_pu")
+    _nonnegative(c.r_dc_pu, f"{where}.r_dc_pu")
+    _nonnegative(c.b_c_pu, f"{where}.b_c_pu")
+    if c.n_bridges < 1:
+        raise CaseFormatError(f"{where}.n_bridges: must be >= 1")
+    if not 0.0 < c.gamma_deg < 90.0:
+        raise CaseFormatError(f"{where}.gamma_deg: must lie in (0, 90)")
 
 
 def validate_case(case: CaseFile) -> CaseFile:
     """Check every schema invariant; raises CaseFormatError naming the first violation."""
     ids = [b.id for b in case.buses]
-    if len(ids) != len(set(ids)):
+    known = set(ids)
+    if len(known) != len(ids):
         dup = next(i for i in ids if ids.count(i) > 1)
         raise CaseFormatError(f"buses: duplicate id '{dup}'")
-    known = set(ids)
     for b in case.buses:
         if b.kind not in ("converter", "internal"):
             raise CaseFormatError(f"bus {b.id}: unknown kind '{b.kind}'")
@@ -152,20 +179,15 @@ def validate_case(case: CaseFile) -> CaseFile:
     if not case.thevenin_links:
         raise CaseFormatError("thevenin_links: at least one link is required")
 
+    # 0 < x < inf is false for nan, inf and x <= 0 alike
+    inf = math.inf
     for i, br in enumerate(case.branches):
-        where = f"branches[{i}]"
-        for end in (br.from_bus, br.to_bus):
-            if end not in known:
-                raise CaseFormatError(f"{where}: unknown bus '{end}'")
-        if br.from_bus == br.to_bus:
-            raise CaseFormatError(f"{where}: self-loop at '{br.from_bus}'")
-        _positive(br.reactance_pu, f"{where}.reactance_pu")
+        if not (br.from_bus in known and br.to_bus in known and br.from_bus != br.to_bus
+                and 0.0 < br.reactance_pu < inf):
+            _branch_fault(i, br, known)
     for i, ln in enumerate(case.thevenin_links):
-        where = f"thevenin_links[{i}]"
-        if ln.bus not in known:
-            raise CaseFormatError(f"{where}: unknown bus '{ln.bus}'")
-        _positive(ln.reactance_pu, f"{where}.reactance_pu")
-        _positive(ln.emf_pu, f"{where}.emf_pu")
+        if not (ln.bus in known and 0.0 < ln.reactance_pu < inf and 0.0 < ln.emf_pu < inf):
+            _link_fault(i, ln, known)
 
     conv_buses = [c.bus for c in case.converters]
     if len(conv_buses) != len(set(conv_buses)):
@@ -179,59 +201,86 @@ def validate_case(case: CaseFile) -> CaseFile:
             raise CaseFormatError(f"converters: converter bus '{sorted(missing)[0]}' has no converter block")
         raise CaseFormatError(f"converters: bus '{sorted(extra)[0]}' is not declared kind=converter")
     for c in case.converters:
-        where = f"converter at {c.bus}"
-        if c.control != "cp-cea":
-            raise CaseFormatError(f"{where}: unsupported control mode '{c.control}' (only cp-cea)")
-        _positive(c.p_dn_mw, f"{where}.p_dn_mw")
-        _positive(c.u_ac_kv, f"{where}.u_ac_kv")
-        _positive(c.k_ratio, f"{where}.k_ratio")
-        _positive(c.x_commutation_pu, f"{where}.x_commutation_pu")
-        _nonnegative(c.r_dc_pu, f"{where}.r_dc_pu")
-        _nonnegative(c.b_c_pu, f"{where}.b_c_pu")
-        if c.n_bridges < 1:
-            raise CaseFormatError(f"{where}.n_bridges: must be >= 1")
-        if not 0.0 < c.gamma_deg < 90.0:
-            raise CaseFormatError(f"{where}.gamma_deg: must lie in (0, 90)")
+        if not (c.control == "cp-cea" and 0.0 < c.p_dn_mw < inf and 0.0 < c.u_ac_kv < inf
+                and 0.0 < c.k_ratio < inf and 0.0 < c.x_commutation_pu < inf
+                and 0.0 <= c.r_dc_pu < inf and 0.0 <= c.b_c_pu < inf
+                and c.n_bridges >= 1 and 0.0 < c.gamma_deg < 90.0):
+            _converter_fault(c)
 
-    # connectivity over buses + implicit ground
-    uf = _UnionFind(list(known) + ["<ground>"])
+    # connectivity to the implicit ground: search from every bus with a link
+    adjacent = {b: [] for b in ids}
     for br in case.branches:
-        uf.union(br.from_bus, br.to_bus)
-    for ln in case.thevenin_links:
-        uf.union(ln.bus, "<ground>")
-    root = uf.find("<ground>")
-    for b in known:
-        if uf.find(b) != root:
+        adjacent[br.from_bus].append(br.to_bus)
+        adjacent[br.to_bus].append(br.from_bus)
+    reached = {ln.bus for ln in case.thevenin_links}
+    stack = list(reached)
+    while stack:
+        for b in adjacent[stack.pop()]:
+            if b not in reached:
+                reached.add(b)
+                stack.append(b)
+    for b in ids:
+        if b not in reached:
             raise CaseFormatError(f"network: bus '{b}' is not connected to any source")
     return case
 
 
-def _parse_converter(obj: dict, idx: int, frequency_hz: float) -> ConverterSpec:
-    where = f"converters[{idx}]"
+# Parsing reads each section with direct dict access.  A malformed item makes
+# that raise one of _MALFORMED; the section is then read again item by item
+# with the checks below, which name the item and field at fault.
+_MALFORMED = (KeyError, TypeError, ValueError, AttributeError)
+_CONVERTER_NUMBERS = ("p_dn_mw", "k_ratio", "x_commutation_pu", "r_dc_pu", "b_c_pu", "u_ac_kv")
+
+
+def _check_fields(obj, where: str, text: tuple[str, ...], numbers: tuple[str, ...] = ()) -> None:
     if not isinstance(obj, dict):
         raise CaseFormatError(f"{where}: expected object")
+    for key in text:
+        _get(obj, key, where)
+    for key in numbers:
+        _number(obj, key, where)
+
+
+def _check_converter(obj, where: str, frequency_hz: float) -> None:
+    _check_fields(obj, where, ())
     if obj.get("gamma_deg") is None:
-        gamma = _GAMMA_DEFAULT_DEG.get(frequency_hz)
-        if gamma is None:
+        if frequency_hz not in _GAMMA_DEFAULT_DEG:
             raise CaseFormatError(
                 f"{where}: gamma_deg omitted and no default exists for {frequency_hz} Hz "
                 "(defaults cover 50 and 60 Hz)"
             )
     else:
-        gamma = _number(obj, "gamma_deg", where)
+        _number(obj, "gamma_deg", where)
     n_bridges = _number(obj, "n_bridges", where)
     if not n_bridges.is_integer():
         raise CaseFormatError(f"{where}: 'n_bridges' must be a whole number, got {n_bridges!r}")
+    _check_fields(obj, where, ("bus",), _CONVERTER_NUMBERS)
+
+
+def _section(items, name: str, parse, check) -> tuple:
+    try:
+        return tuple([parse(obj) for obj in items])
+    except _MALFORMED:
+        for i, obj in enumerate(items):
+            check(obj, f"{name}[{i}]")
+        raise
+
+
+def _converter(obj: dict, frequency_hz: float) -> ConverterSpec:
+    gamma = obj.get("gamma_deg")
+    n_bridges = float(obj["n_bridges"])
+    if not n_bridges.is_integer():
+        raise ValueError(n_bridges)
     return ConverterSpec(
-        bus=str(_get(obj, "bus", where)),
-        p_dn_mw=_number(obj, "p_dn_mw", where),
-        gamma_deg=gamma,
+        bus=str(obj["bus"]),
+        p_dn_mw=float(obj["p_dn_mw"]),
+        gamma_deg=_GAMMA_DEFAULT_DEG[frequency_hz] if gamma is None else float(gamma),
         n_bridges=int(n_bridges),
-        k_ratio=_number(obj, "k_ratio", where),
-        x_commutation_pu=_number(obj, "x_commutation_pu", where),
-        r_dc_pu=_number(obj, "r_dc_pu", where),
-        b_c_pu=_number(obj, "b_c_pu", where),
-        u_ac_kv=_number(obj, "u_ac_kv", where),
+        k_ratio=float(obj["k_ratio"]),
+        x_commutation_pu=float(obj["x_commutation_pu"]),
+        r_dc_pu=float(obj["r_dc_pu"]),
+        b_c_pu=float(obj["b_c_pu"]),
+        u_ac_kv=float(obj["u_ac_kv"]),
         control=str(obj.get("control", "cp-cea")),
     )
 
@@ -239,45 +288,32 @@ def _parse_converter(obj: dict, idx: int, frequency_hz: float) -> ConverterSpec:
 def case_from_dict(doc: dict, name: str = "") -> CaseFile:
     if not isinstance(doc, dict):
         raise CaseFormatError("top level: expected object")
-    buses = []
-    for i, b in enumerate(_get(doc, "buses", "top level", list)):
-        if not isinstance(b, dict):
-            raise CaseFormatError(f"buses[{i}]: expected object")
-        buses.append(Bus(id=str(_get(b, "id", f"buses[{i}]")), kind=str(b.get("kind", "converter"))))
-    branches = []
-    for i, br in enumerate(doc.get("branches", [])):
-        if not isinstance(br, dict):
-            raise CaseFormatError(f"branches[{i}]: expected object")
-        branches.append(
-            Branch(
-                from_bus=str(_get(br, "from", f"branches[{i}]")),
-                to_bus=str(_get(br, "to", f"branches[{i}]")),
-                reactance_pu=_number(br, "reactance_pu", f"branches[{i}]"),
-            )
-        )
-    links = []
-    for i, ln in enumerate(_get(doc, "thevenin_links", "top level", list)):
-        if not isinstance(ln, dict):
-            raise CaseFormatError(f"thevenin_links[{i}]: expected object")
-        links.append(
-            TheveninLink(
-                bus=str(_get(ln, "bus", f"thevenin_links[{i}]")),
-                reactance_pu=_number(ln, "reactance_pu", f"thevenin_links[{i}]"),
-                emf_pu=_number(ln, "emf_pu", f"thevenin_links[{i}]"),
-            )
-        )
+    buses = _section(
+        _get(doc, "buses", "top level", list), "buses",
+        lambda b: Bus(id=str(b["id"]), kind=str(b.get("kind", "converter"))),
+        lambda b, where: _check_fields(b, where, ("id",)))
+    branches = _section(
+        doc.get("branches", []), "branches",
+        lambda br: Branch(from_bus=str(br["from"]), to_bus=str(br["to"]),
+                          reactance_pu=float(br["reactance_pu"])),
+        lambda br, where: _check_fields(br, where, ("from", "to"), ("reactance_pu",)))
+    links = _section(
+        _get(doc, "thevenin_links", "top level", list), "thevenin_links",
+        lambda ln: TheveninLink(bus=str(ln["bus"]), reactance_pu=float(ln["reactance_pu"]),
+                                emf_pu=float(ln["emf_pu"])),
+        lambda ln, where: _check_fields(ln, where, ("bus",), ("reactance_pu", "emf_pu")))
     frequency = _number(doc, "frequency_hz", "top level")
-    converters = [
-        _parse_converter(c, i, frequency)
-        for i, c in enumerate(_get(doc, "converters", "top level", list))
-    ]
+    converters = _section(
+        _get(doc, "converters", "top level", list), "converters",
+        lambda c: _converter(c, frequency),
+        lambda c, where: _check_converter(c, where, frequency))
     case = CaseFile(
         system_base_mva=_number(doc, "system_base_mva", "top level"),
         frequency_hz=frequency,
-        buses=tuple(buses),
-        branches=tuple(branches),
-        thevenin_links=tuple(links),
-        converters=tuple(converters),
+        buses=buses,
+        branches=branches,
+        thevenin_links=links,
+        converters=converters,
         name=name or str(doc.get("name", "")),
         comment=str(doc.get("comment", "")),
     )

@@ -13,8 +13,10 @@ Exit codes: 0 success, 1 computation failed, 2 bad input.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -208,6 +210,21 @@ def _cmd_validate(args: argparse.Namespace) -> tuple[str, int]:
 
 # ------------------------------------------------------------------ dispatch
 
+def _unwritable(path: str) -> str | None:
+    """Why writing path would fail, or None; found without creating or truncating it."""
+    target = Path(path)
+    parent = target.parent
+    if target.is_dir():
+        code = errno.EISDIR
+    elif not parent.is_dir():
+        code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+    elif not os.access(target if target.exists() else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return None
+    return os.strerror(code)
+
+
 def _positive(name: str, convert=float):
     """argparse type: a positive finite number; the error names the setting."""
 
@@ -280,6 +297,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     if "cg" in args and args.cg >= args.bg:
         print(f"error: --cg ({args.cg:g}) must be below --bg ({args.bg:g})", file=sys.stderr)
+        return EXIT_INPUT
+    reason = _unwritable(args.out) if args.out else None
+    if reason:
+        print(f"error: cannot write {args.out}: {reason}", file=sys.stderr)
         return EXIT_INPUT
     try:
         text, code = args.run(args)

@@ -9,6 +9,13 @@ Thevenin reactance x_ti the bus susceptance matrix is
 so diagonals are negative, off-diagonals nonnegative, and -B is an
 M-matrix whenever the grounded graph is connected.  The ground node is
 implicit: Thevenin links only deepen diagonals.
+
+B is assembled from index arrays, as MATPOWER's makeYbus does (Zimmerman
+et al., IEEE TPWRS 26(1), 2011): one bincount adds every entry in file
+order, branches then links, so B is bitwise what a loop over them gives.
+Kron reduction is the Schur complement of the internal block B_ee (Dörfler
+& Bullo, IEEE TCAS-I 60(1), 2013); B_ee is factored once, for the reduced
+matrix and the reduced source vector together.
 """
 
 from __future__ import annotations
@@ -43,18 +50,49 @@ def build_susceptance(case: CaseFile) -> SusceptanceMatrix:
     order = tuple(b.id for b in case.buses)
     idx = {b: i for i, b in enumerate(order)}
     n = len(order)
-    B = np.zeros((n, n))
-    for br in case.branches:
-        i, j = idx[br.from_bus], idx[br.to_bus]
-        y = 1.0 / br.reactance_pu
-        B[i, j] += y
-        B[j, i] += y
-        B[i, i] -= y
-        B[j, j] -= y
-    for ln in case.thevenin_links:
-        i = idx[ln.bus]
-        B[i, i] -= 1.0 / ln.reactance_pu
-    return SusceptanceMatrix(matrix=B, bus_order=order)
+    # a Thevenin link is a branch to the ground node, index n, dropped at the end
+    ends = np.array([(idx[br.from_bus], idx[br.to_bus]) for br in case.branches]
+                    + [(idx[ln.bus], n) for ln in case.thevenin_links], dtype=np.intp)
+    y = 1.0 / np.array([br.reactance_pu for br in case.branches]
+                       + [ln.reactance_pu for ln in case.thevenin_links], dtype=float)
+    # flat cells (i,j) (j,i) (i,i) (j,j) of each branch in file order: bincount
+    # adds them in that order, as a loop over branches then links would
+    m = n + 1
+    cells = ends.reshape(-1, 2) @ np.array([[m, 1, m + 1, 0], [1, m, 0, m + 1]])
+    vals = y[:, None] * np.array([1.0, 1.0, -1.0, -1.0])
+    B = np.bincount(cells.ravel(), weights=vals.ravel(), minlength=m * m).reshape(m, m)
+    return SusceptanceMatrix(matrix=B[:n, :n].copy(), bus_order=order)
+
+
+def _split(B: SusceptanceMatrix, keep) -> tuple[np.ndarray, int]:
+    """Bus positions, kept buses first and each group in bus order, and the kept count."""
+    keep_idx, elim_idx = [], []
+    for i, b in enumerate(B.bus_order):
+        (keep_idx if b in keep else elim_idx).append(i)
+    return np.array(keep_idx + elim_idx, dtype=np.intp), len(keep_idx)
+
+
+def _eliminate(B: SusceptanceMatrix, perm: np.ndarray, k: int, f=None):
+    """Schur complement onto the first k buses of perm with one factorization of B_ee.
+
+    B_ee X = [B_ek | f_e] is solved for all right-hand sides at once; returns
+    the reduced matrix and, when f is given, f_k - B_ke B_ee^-1 f_e.
+    """
+    M = B.matrix.take(perm, 0).take(perm, 1)
+    Bke = M[:k, k:]
+    rhs = Bke.T if f is None else np.column_stack((Bke.T, f.take(perm[k:])))
+    try:
+        X = np.linalg.solve(M[k:, k:], rhs)
+    except np.linalg.LinAlgError:
+        floating = [B.bus_order[i] for i in perm[k:]]
+        raise GridStrengthError(
+            f"kron_reduce: singular internal block, buses {floating} float with no path to a source"
+        ) from None
+    P = Bke @ X
+    red = M[:k, :k] - P[:, :k]
+    red = 0.5 * (red + red.T)  # exact symmetry, elimination is symmetric in theory
+    reduced = SusceptanceMatrix(matrix=red, bus_order=tuple(B.bus_order[i] for i in perm[:k]))
+    return reduced, None if f is None else f.take(perm[:k]) - P[:, k]
 
 
 def kron_reduce(B: SusceptanceMatrix, keep: set[str] | tuple[str, ...]) -> SusceptanceMatrix:
@@ -63,32 +101,18 @@ def kron_reduce(B: SusceptanceMatrix, keep: set[str] | tuple[str, ...]) -> Susce
     unknown = keep_set - set(B.bus_order)
     if unknown:
         raise GridStrengthError(f"kron_reduce: unknown buses {sorted(unknown)}")
-    keep_idx = [i for i, b in enumerate(B.bus_order) if b in keep_set]
-    elim_idx = [i for i, b in enumerate(B.bus_order) if b not in keep_set]
-    if not elim_idx:
+    perm, k = _split(B, keep_set)
+    if k == B.order:
         return B
-    M = B.matrix
-    Bkk = M[np.ix_(keep_idx, keep_idx)]
-    Bke = M[np.ix_(keep_idx, elim_idx)]
-    Bee = M[np.ix_(elim_idx, elim_idx)]
-    try:
-        X = np.linalg.solve(Bee, Bke.T)
-    except np.linalg.LinAlgError:
-        floating = [B.bus_order[i] for i in elim_idx]
-        raise GridStrengthError(
-            f"kron_reduce: singular internal block, buses {floating} float with no path to a source"
-        ) from None
-    red = Bkk - Bke @ X
-    red = 0.5 * (red + red.T)  # exact symmetry, elimination is symmetric in theory
-    return SusceptanceMatrix(matrix=red, bus_order=tuple(B.bus_order[i] for i in keep_idx))
+    return _eliminate(B, perm, k)[0]
 
 
 def source_vector(case: CaseFile, B: SusceptanceMatrix) -> np.ndarray:
     """Per-bus equivalent source injection f_i = E_i / x_ti (0 where no link)."""
-    f = np.zeros(B.order)
-    for ln in case.thevenin_links:
-        f[B.index_of(ln.bus)] += ln.emf_pu / ln.reactance_pu
-    return f
+    idx = {b: i for i, b in enumerate(B.bus_order)}
+    links = case.thevenin_links
+    at = np.array([idx[ln.bus] for ln in links], dtype=np.intp)
+    return np.bincount(at, weights=[ln.emf_pu / ln.reactance_pu for ln in links], minlength=B.order)
 
 
 @dataclass(frozen=True)
@@ -118,18 +142,11 @@ class ReducedNetwork:
 
 def reduce_case(case: CaseFile) -> ReducedNetwork:
     full = build_susceptance(case)
-    f_full = source_vector(case, full)
-    keep = case.converter_buses()
-    keep_idx = [i for i, b in enumerate(full.bus_order) if b in set(keep)]
-    elim_idx = [i for i, b in enumerate(full.bus_order) if b not in set(keep)]
-    red = kron_reduce(full, set(keep))
-    if elim_idx:
-        M = full.matrix
-        Bce = M[np.ix_(keep_idx, elim_idx)]
-        Bee = M[np.ix_(elim_idx, elim_idx)]
-        f_red = f_full[keep_idx] - Bce @ np.linalg.solve(Bee, f_full[elim_idx])
-    else:
-        f_red = f_full[keep_idx]
+    f = source_vector(case, full)
+    perm, k = _split(full, set(case.converter_buses()))
+    if k == full.order:
+        return ReducedNetwork(B=full, f=f)
+    red, f_red = _eliminate(full, perm, k, f)
     return ReducedNetwork(B=red, f=f_red)
 
 

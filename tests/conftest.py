@@ -125,6 +125,39 @@ def random_case(rng, n):
     return case_from_dict(random_network_doc(rng, n))
 
 
+def internal_network_doc(rng, n):
+    """n converter buses plus n // 2 + 1 sourced internal buses in random order.
+
+    A random spanning tree plus random ties (parallel branches included)
+    keeps the graph connected; a third of the converter buses carry a
+    source as well.  Kron reduction has n // 2 + 1 buses to eliminate.
+    """
+    conv = [f"c{i}" for i in range(n)]
+    internal = [f"x{i}" for i in range(n // 2 + 1)]
+    order = [str(b) for b in rng.permutation(conv + internal)]
+    branches = []
+    for i in range(1, len(order)):
+        j = int(rng.integers(0, i))
+        branches.append({"from": order[i], "to": order[j],
+                         "reactance_pu": float(rng.uniform(0.2, 2.0))})
+    for _ in range(int(rng.integers(len(order) // 4, len(order) // 2 + 1))):
+        i, j = rng.choice(len(order), size=2, replace=False)
+        branches.append({"from": order[int(i)], "to": order[int(j)],
+                         "reactance_pu": float(rng.uniform(0.2, 2.0))})
+    sourced = internal + [b for b in conv if rng.random() < 1.0 / 3.0]
+    return {
+        "name": f"internal-{n}",
+        "system_base_mva": 990.0,
+        "frequency_hz": 60,
+        "buses": [{"id": b, "kind": "internal" if b in internal else "converter"} for b in order],
+        "branches": branches,
+        "thevenin_links": [{"bus": b, "reactance_pu": float(rng.uniform(0.3, 1.5)),
+                            "emf_pu": float(rng.uniform(0.9, 1.1))} for b in sourced],
+        "converters": [{**CONVERTER_BLOCK, "bus": b, "p_dn_mw": float(rng.uniform(300.0, 1500.0))}
+                       for b in conv],
+    }
+
+
 def hub_network_doc(link_buses):
     """Two converters tied through an internal hub bus that Kron reduction
     removes; Thevenin links of 0.5, 0.4, ... pu on the buses named in link_buses."""

@@ -73,6 +73,30 @@ def kron_oracle(M, keep_idx):
     ]
 
 
+def susceptance_loop(case):
+    """Bus susceptance matrix and source vector of a case, one branch and one link at a time.
+
+    Entries are updated in file order, branches first, then links; returns
+    (B, f) as lists in bus order.
+    """
+    idx = {b.id: i for i, b in enumerate(case.buses)}
+    n = len(idx)
+    B = [[0.0] * n for _ in range(n)]
+    f = [0.0] * n
+    for br in case.branches:
+        i, j = idx[br.from_bus], idx[br.to_bus]
+        y = 1.0 / br.reactance_pu
+        B[i][j] += y
+        B[j][i] += y
+        B[i][i] -= y
+        B[j][j] -= y
+    for ln in case.thevenin_links:
+        i = idx[ln.bus]
+        B[i][i] -= 1.0 / ln.reactance_pu
+        f[i] += ln.emf_pu / ln.reactance_pu
+    return B, f
+
+
 def det_lu(M):
     """Determinant by pure-python LU with partial pivoting."""
     n = len(M)

@@ -10,6 +10,7 @@ import pytest
 
 from gridstrength.casefile import (
     CASE_DIR_ENV,
+    bundled_case_dir,
     case_from_dict,
     case_to_dict,
     load_bundled_case,
@@ -79,6 +80,174 @@ def test_invalid_documents_are_named(mutate, fragment):
     with pytest.raises(CaseFormatError) as err:
         case_from_dict(doc)
     assert fragment in str(err.value)
+
+
+def golden_doc():
+    """Two converter buses and one internal bus; every section has an item [1]."""
+    return {
+        "system_base_mva": 990.0,
+        "frequency_hz": 60,
+        "buses": [{"id": "c1", "kind": "converter"}, {"id": "c2", "kind": "converter"},
+                  {"id": "m", "kind": "internal"}],
+        "branches": [{"from": "c1", "to": "m", "reactance_pu": 0.5},
+                     {"from": "c2", "to": "m", "reactance_pu": 0.4}],
+        "thevenin_links": [{"bus": "c1", "reactance_pu": 0.5, "emf_pu": 1.0},
+                           {"bus": "m", "reactance_pu": 0.3, "emf_pu": 1.1}],
+        "converters": [{**CONVERTER_BLOCK, "bus": "c1"}, {**CONVERTER_BLOCK, "bus": "c2"}],
+    }
+
+
+def _doc(mutate):
+    """case_from_dict on golden_doc() after mutate(doc) edits it in place."""
+    def call(path):
+        doc = golden_doc()
+        mutate(doc)
+        case_from_dict(doc)
+    return call
+
+
+def _raw(obj):
+    return lambda path: case_from_dict(obj)
+
+
+def _file(data):
+    """load_case on a file holding data (bytes), or on a missing file for None."""
+    def call(path):
+        if data is not None:
+            path.write_bytes(data)
+        load_case(path)
+    return call
+
+
+def _set(section, i, **values):
+    return _doc(lambda d: d[section][i].update(values))
+
+
+def _drop(section, i, key):
+    return _doc(lambda d: d[section][i].pop(key))
+
+
+# Full text of every CaseFormatError casefile raises, one row per raise site
+# and per checked field; $PATH is the file a row loads, $CASES the bundled dir.
+GOLDEN_MESSAGES = [
+    (_raw([]), "top level: expected object"),
+    (_doc(lambda d: d.pop("buses")), "top level: missing key 'buses'"),
+    (_doc(lambda d: d.update(buses={})), "top level.buses: expected list, got dict"),
+    (_doc(lambda d: d["buses"].__setitem__(1, "c2")), "buses[1]: expected object"),
+    (_drop("buses", 1, "id"), "buses[1]: missing key 'id'"),
+    (_doc(lambda d: d["branches"].__setitem__(1, [])), "branches[1]: expected object"),
+    (_drop("branches", 1, "from"), "branches[1]: missing key 'from'"),
+    (_drop("branches", 1, "to"), "branches[1]: missing key 'to'"),
+    (_drop("branches", 1, "reactance_pu"), "branches[1]: missing key 'reactance_pu'"),
+    (_set("branches", 1, reactance_pu="x"), "branches[1]: 'reactance_pu' is not a number: 'x'"),
+    (_set("branches", 1, reactance_pu=None),
+     "branches[1]: 'reactance_pu' is not a number: None"),
+    (_doc(lambda d: d.pop("thevenin_links")), "top level: missing key 'thevenin_links'"),
+    (_doc(lambda d: d.update(thevenin_links="m")),
+     "top level.thevenin_links: expected list, got str"),
+    (_doc(lambda d: d["thevenin_links"].__setitem__(1, 3)), "thevenin_links[1]: expected object"),
+    (_drop("thevenin_links", 1, "bus"), "thevenin_links[1]: missing key 'bus'"),
+    (_drop("thevenin_links", 1, "reactance_pu"),
+     "thevenin_links[1]: missing key 'reactance_pu'"),
+    (_drop("thevenin_links", 1, "emf_pu"), "thevenin_links[1]: missing key 'emf_pu'"),
+    (_set("thevenin_links", 1, reactance_pu=[]),
+     "thevenin_links[1]: 'reactance_pu' is not a number: []"),
+    (_set("thevenin_links", 1, emf_pu="high"),
+     "thevenin_links[1]: 'emf_pu' is not a number: 'high'"),
+    (_doc(lambda d: d.pop("frequency_hz")), "top level: missing key 'frequency_hz'"),
+    (_doc(lambda d: d.update(frequency_hz="sixty")),
+     "top level: 'frequency_hz' is not a number: 'sixty'"),
+    (_doc(lambda d: d.pop("converters")), "top level: missing key 'converters'"),
+    (_doc(lambda d: d.update(converters={})), "top level.converters: expected list, got dict"),
+    (_doc(lambda d: d["converters"].__setitem__(1, None)), "converters[1]: expected object"),
+    (_doc(lambda d: (d.update(frequency_hz=16.7), d["converters"][1].pop("gamma_deg"))),
+     "converters[1]: gamma_deg omitted and no default exists for 16.7 Hz "
+     "(defaults cover 50 and 60 Hz)"),
+    (_set("converters", 1, gamma_deg="x"), "converters[1]: 'gamma_deg' is not a number: 'x'"),
+    (_drop("converters", 1, "n_bridges"), "converters[1]: missing key 'n_bridges'"),
+    (_set("converters", 1, n_bridges="two"),
+     "converters[1]: 'n_bridges' is not a number: 'two'"),
+    (_set("converters", 1, n_bridges=2.5),
+     "converters[1]: 'n_bridges' must be a whole number, got 2.5"),
+    (_drop("converters", 1, "bus"), "converters[1]: missing key 'bus'"),
+    *[(_drop("converters", 1, key), f"converters[1]: missing key '{key}'")
+      for key in ("p_dn_mw", "k_ratio", "x_commutation_pu", "r_dc_pu", "b_c_pu", "u_ac_kv")],
+    *[(_set("converters", 1, **{key: "?"}), f"converters[1]: '{key}' is not a number: '?'")
+      for key in ("p_dn_mw", "k_ratio", "x_commutation_pu", "r_dc_pu", "b_c_pu", "u_ac_kv")],
+    (_doc(lambda d: d.pop("system_base_mva")), "top level: missing key 'system_base_mva'"),
+    (_doc(lambda d: d.update(system_base_mva={})),
+     "top level: 'system_base_mva' is not a number: {}"),
+    (_doc(lambda d: d["buses"].append({"id": "c2", "kind": "converter"})),
+     "buses: duplicate id 'c2'"),
+    (_set("buses", 2, kind="load"), "bus m: unknown kind 'load'"),
+    (_doc(lambda d: d.update(system_base_mva=0)),
+     "system_base_mva: must be a positive finite number, got 0.0"),
+    (_doc(lambda d: d.update(frequency_hz=float("nan"))),
+     "frequency_hz: must be a positive finite number, got nan"),
+    (_doc(lambda d: d["thevenin_links"].clear()), "thevenin_links: at least one link is required"),
+    (_set("branches", 1, **{"from": "zz"}), "branches[1]: unknown bus 'zz'"),
+    (_set("branches", 1, to="zz"), "branches[1]: unknown bus 'zz'"),
+    (_set("branches", 1, to="c2"), "branches[1]: self-loop at 'c2'"),
+    (_set("branches", 1, reactance_pu=-0.4),
+     "branches[1].reactance_pu: must be a positive finite number, got -0.4"),
+    (_set("branches", 1, reactance_pu=float("inf")),
+     "branches[1].reactance_pu: must be a positive finite number, got inf"),
+    (_set("thevenin_links", 1, bus="zz"), "thevenin_links[1]: unknown bus 'zz'"),
+    (_set("thevenin_links", 1, reactance_pu=0),
+     "thevenin_links[1].reactance_pu: must be a positive finite number, got 0.0"),
+    (_set("thevenin_links", 1, emf_pu=-1),
+     "thevenin_links[1].emf_pu: must be a positive finite number, got -1.0"),
+    (_doc(lambda d: d["converters"].append({**CONVERTER_BLOCK, "bus": "c2"})),
+     "converters: duplicate converter at bus 'c2'"),
+    (_doc(lambda d: d["converters"].pop(1)),
+     "converters: converter bus 'c2' has no converter block"),
+    (_doc(lambda d: d["converters"].append({**CONVERTER_BLOCK, "bus": "m"})),
+     "converters: bus 'm' is not declared kind=converter"),
+    (_set("converters", 1, control="cc"),
+     "converter at c2: unsupported control mode 'cc' (only cp-cea)"),
+    (_set("converters", 1, p_dn_mw=0),
+     "converter at c2.p_dn_mw: must be a positive finite number, got 0.0"),
+    (_set("converters", 1, u_ac_kv=-230),
+     "converter at c2.u_ac_kv: must be a positive finite number, got -230.0"),
+    (_set("converters", 1, k_ratio=float("nan")),
+     "converter at c2.k_ratio: must be a positive finite number, got nan"),
+    (_set("converters", 1, x_commutation_pu=float("inf")),
+     "converter at c2.x_commutation_pu: must be a positive finite number, got inf"),
+    (_set("converters", 1, r_dc_pu=-0.01),
+     "converter at c2.r_dc_pu: must be a finite number >= 0, got -0.01"),
+    (_set("converters", 1, b_c_pu=float("nan")),
+     "converter at c2.b_c_pu: must be a finite number >= 0, got nan"),
+    (_set("converters", 1, n_bridges=0), "converter at c2.n_bridges: must be >= 1"),
+    (_set("converters", 1, gamma_deg=90), "converter at c2.gamma_deg: must lie in (0, 90)"),
+    (_set("converters", 1, gamma_deg=float("nan")),
+     "converter at c2.gamma_deg: must lie in (0, 90)"),
+    (_doc(lambda d: d["buses"].append({"id": "island", "kind": "internal"})),
+     "network: bus 'island' is not connected to any source"),
+    (_doc(lambda d: d["branches"].pop(1)), "network: bus 'c2' is not connected to any source"),
+    (_file(None), "cannot read case file $PATH: No such file or directory"),
+    (_file(b'{"name": "\xff"}'), "$PATH: not UTF-8 text (invalid start byte at byte 10)"),
+    (_file(b"{,}"), "$PATH: line 1, column 2: Expecting property name enclosed in double quotes"),
+    (_file(json.dumps({**golden_doc(), "thevenin_links": []}).encode()),
+     "$PATH: thevenin_links: at least one link is required"),
+    (lambda path: load_bundled_case("nope"), "no bundled case named 'nope.json' in $CASES"),
+]
+
+
+@pytest.mark.parametrize("call, message", GOLDEN_MESSAGES)
+def test_error_messages_are_golden(call, message, tmp_path):
+    path = tmp_path / "golden.json"
+    with pytest.raises(CaseFormatError) as err:
+        call(path)
+    assert str(err.value) == (message.replace("$PATH", str(path))
+                              .replace("$CASES", str(bundled_case_dir())))
+
+
+def test_bus_named_like_the_ground_is_not_a_source():
+    doc = golden_doc()
+    doc["buses"].append({"id": "<ground>", "kind": "internal"})
+    with pytest.raises(CaseFormatError) as err:
+        case_from_dict(doc)
+    assert str(err.value) == "network: bus '<ground>' is not connected to any source"
 
 
 def test_zero_branch_reactance_rejected():
@@ -204,6 +373,18 @@ def test_with_rating_replaces_only_target():
     assert varied.converter_at(b1).p_dn_mw == case.converter_at(b1).p_dn_mw
     with pytest.raises(KeyError):
         with_rating(case, "no-such-bus", 100.0)
+
+
+def test_converter_lookup_follows_with_rating():
+    case = load_bundled_case("dual")
+    b1, b2 = case.converter_buses()
+    before = case.converter_at(b2)  # the lookup of the original is in use
+    varied = with_rating(case, b2, 495.0)
+    assert varied.converter_at(b2) is varied.converters[1]
+    assert varied.converter_at(b2).p_dn_mw == 495.0
+    assert case.converter_at(b2) is before and before.p_dn_mw != 495.0
+    with pytest.raises(KeyError):
+        varied.converter_at("no-such-bus")
 
 
 def test_case_files_are_json_with_trailing_newline(tmp_path):

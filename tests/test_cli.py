@@ -74,6 +74,31 @@ def test_unwritable_out_is_input_error(capsys, paths, tmp_path):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("parts, reason", [
+    (("missing-dir", "report.json"), "No such file or directory"),
+    ((), "Is a directory"),
+])
+def test_unwritable_out_is_reported_before_running(capsys, monkeypatch, tmp_path, parts, reason):
+    def never(**kwargs):
+        raise AssertionError("validate_suite ran")
+
+    monkeypatch.setattr(cli, "validate_suite", never)
+    target = tmp_path.joinpath(*parts)
+    code, out, err = run(capsys, ["validate", "--out", str(target)])
+    assert (code, out, err) == (2, "", f"error: cannot write {target}: {reason}\n")
+
+
+def test_bus_named_like_the_ground_is_input_error(capsys, tmp_path):
+    # an isolated bus must fail validation whatever its id
+    doc = hub_network_doc(["a", "b"])
+    doc["buses"].append({"id": "<ground>", "kind": "internal"})
+    path = tmp_path / "ground.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, ["gscr", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: network: bus '<ground>' is not connected to any source\n"
+
+
 def test_usage_errors_exit_two(capsys):
     assert run(capsys, [])[0] == 2
     assert run(capsys, ["bogus"])[0] == 2

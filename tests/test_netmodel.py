@@ -14,10 +14,11 @@ from gridstrength.netmodel import (
     kron_reduce,
     reduce_case,
     scale_impedance,
+    source_vector,
 )
 
-from conftest import CONVERTER_BLOCK, random_case, random_network_doc
-from oracles import kron_oracle
+from conftest import CONVERTER_BLOCK, internal_network_doc, random_case, random_network_doc
+from oracles import kron_oracle, susceptance_loop
 
 
 def doc_of(buses, branches, links, converter_buses):
@@ -101,6 +102,35 @@ def test_reduction_matches_elimination_oracle(rng):
         keep_idx = [B.bus_order.index(b) for b in red.bus_order]
         expect = np.array(kron_oracle(B.matrix.tolist(), keep_idx))
         assert np.max(np.abs(red.matrix - expect)) <= 1e-12
+
+
+INTERNAL_SIZES = (2, 3, 5, 8, 13, 24, 40, 64)
+
+
+@pytest.mark.parametrize("n", INTERNAL_SIZES)
+def test_assembly_is_bitwise_the_loop_assembly(n):
+    rng = np.random.default_rng(7100 + n)
+    for _ in range(3):
+        case = case_from_dict(internal_network_doc(rng, n))
+        B = build_susceptance(case)
+        B_loop, f_loop = susceptance_loop(case)
+        assert B.matrix.tolist() == B_loop
+        assert source_vector(case, B).tolist() == f_loop
+
+
+@pytest.mark.parametrize("n", INTERNAL_SIZES)
+def test_reduced_network_matches_elimination_oracle(n):
+    # f_red is the reduced coupling to a source node bordering B by f
+    case = case_from_dict(internal_network_doc(np.random.default_rng(7200 + n), n))
+    net = reduce_case(case)
+    B_loop, f_loop = susceptance_loop(case)
+    bordered = [row + [fi] for row, fi in zip(B_loop, f_loop)] + [f_loop + [0.0]]
+    order = [b.id for b in case.buses]
+    keep_idx = [order.index(b) for b in net.bus_order] + [len(order)]
+    expect = np.array(kron_oracle(bordered, keep_idx))
+    k = net.order
+    assert np.max(np.abs(net.B.matrix - expect[:k, :k])) <= 1e-12 * np.max(np.abs(expect[:k, :k]))
+    assert np.max(np.abs(net.f - expect[:k, k])) <= 1e-12 * np.max(np.abs(expect[:k, k]))
 
 
 def test_reduction_composes(rng):
