@@ -51,6 +51,7 @@ from .gscr import (
     extended_jacobian,
     factorization_check,
     perron_check,
+    perron_report,
 )
 from .netmodel import ReducedNetwork, SusceptanceMatrix, reduce_case, scale_impedance
 from .powerflow import (
@@ -103,6 +104,7 @@ __all__ = [
     "newton_solve",
     "overlap_angle",
     "perron_check",
+    "perron_report",
     "rated_order",
     "rated_state",
     "reduce_case",

@@ -113,6 +113,8 @@ def _number(obj: dict, key: str, where: str) -> float:
         return float(val)
     except (TypeError, ValueError):
         raise CaseFormatError(f"{where}: '{key}' is not a number: {val!r}") from None
+    except OverflowError:   # an integer beyond the float range
+        raise CaseFormatError(f"{where}: '{key}' is outside the float range") from None
 
 
 def _positive(x: float, where: str) -> float:
@@ -228,7 +230,7 @@ def validate_case(case: CaseFile) -> CaseFile:
 # Parsing reads each section with direct dict access.  A malformed item makes
 # that raise one of _MALFORMED; the section is then read again item by item
 # with the checks below, which name the item and field at fault.
-_MALFORMED = (KeyError, TypeError, ValueError, AttributeError)
+_MALFORMED = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
 _CONVERTER_NUMBERS = ("p_dn_mw", "k_ratio", "x_commutation_pu", "r_dc_pu", "b_c_pu", "u_ac_kv")
 
 
@@ -293,7 +295,7 @@ def case_from_dict(doc: dict, name: str = "") -> CaseFile:
         lambda b: Bus(id=str(b["id"]), kind=str(b.get("kind", "converter"))),
         lambda b, where: _check_fields(b, where, ("id",)))
     branches = _section(
-        doc.get("branches", []), "branches",
+        _get(doc, "branches", "top level", list) if "branches" in doc else [], "branches",
         lambda br: Branch(from_bus=str(br["from"]), to_bus=str(br["to"]),
                           reactance_pu=float(br["reactance_pu"])),
         lambda br, where: _check_fields(br, where, ("from", "to"), ("reactance_pu",)))

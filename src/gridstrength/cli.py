@@ -30,7 +30,7 @@ from .boundary import (
 )
 from .casefile import CaseFile, load_case
 from .errors import CaseFormatError, GridStrengthError
-from .gscr import classify, compute_gscr, extended_jacobian, perron_check
+from .gscr import classify, compute_gscr, extended_jacobian, perron_report
 from .netmodel import reduce_case
 from .powerflow import NEWTON_TOL, Diverged, newton_solve, prepare, sigma_min, trace_map
 from .validate import SWEEP_RATIOS, validate_suite
@@ -76,7 +76,7 @@ def _cmd_gscr(args: argparse.Namespace) -> tuple[str, int]:
     net = reduce_case(case)
     J = extended_jacobian(net.B, [case.rating_pu(case.converter_at(b)) for b in net.bus_order])
     eig, g = compute_gscr(J)
-    per = perron_check(J)
+    per = perron_report(eig)
     cls = classify(g, cg=args.cg, bg=args.bg)
     doc = {
         "command": "gscr",

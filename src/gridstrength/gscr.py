@@ -112,12 +112,16 @@ def compute_gscr(J: ExtendedJacobian) -> tuple[EigenResult, float]:
 
 
 def perron_check(J: ExtendedJacobian) -> PerronReport:
-    """Margins for lambda_1 > 0, simplicity and Perron positivity.
+    """perron_report of J's spectrum, from one compute_gscr."""
+    return perron_report(compute_gscr(J)[0])
+
+
+def perron_report(eig: EigenResult) -> PerronReport:
+    """Margins for lambda_1 > 0, simplicity and Perron positivity of a computed spectrum.
 
     Failures are report entries, not exceptions: exactly symmetric
     topologies with zero coupling legitimately collapse the spectral gap.
     """
-    eig, gscr = compute_gscr(J)
     lam = eig.lambdas
     gap = float(lam[1] - lam[0]) if len(lam) > 1 else float("inf")
     lam_n = float(lam[-1])

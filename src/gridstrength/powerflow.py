@@ -18,13 +18,16 @@ mismatch and assemble_jacobian are the power-flow kernel.  Above SMALL_N
 buses they work on whole arrays, in the array form of MATPOWER's dSbus_dV
 (Zimmerman et al., IEEE TPWRS 26(1), 2011): the current quadratic is
 solved for every converter at once (low root, with solve_state's
-arithmetic element by element), the residual comes from the products
-B (U cos d) and B (U sin d), and the Jacobian fills one 2n x 2n array from
-B o cos(d_i - d_j) and B o sin(d_i - d_j) plus an exact converter diagonal.
+arithmetic element by element), and each point takes one exp(j d), one
+W = B o e^{j (d_i - d_j)} and one product W U.  The residual is read off
+f e^{j d} + W U; the Jacobian fills one 2n x 2n array from the real and
+imaginary parts of W and the same sum, plus an exact converter diagonal.
 At SMALL_N buses or fewer numpy's fixed cost per call outweighs the O(n^2)
 work, so the kernel runs per-bus loops over solve_state and
-state_derivatives instead.  mismatch returns the converter terms it
-solved; callers hand them to assemble_jacobian at the same point, and
+state_derivatives instead.  mismatch returns the terms of its point (the
+converter solution and, on the array path, the network products); callers
+hand them to assemble_jacobian at the same point, or back to mismatch at
+the same U and orders to reuse the converter solution alone, and
 converter_states turns them into ConverterState records for output.
 
 damped_newton is the one Newton loop in the package: the power flow here,
@@ -40,12 +43,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .casefile import CaseFile
 from .converter import (
+    SQRT2,
     ConverterState,
     LccParams,
     rated_order,
@@ -108,8 +113,9 @@ class _ConverterArrays(NamedTuple):
     b: np.ndarray
     b_over_a: np.ndarray
     cos_g: np.ndarray
+    acg: np.ndarray         # a cos(gamma)
     gamma: np.ndarray
-    A: np.ndarray           # b - r, the current quadratic's leading coefficient
+    A4: np.ndarray          # 4 (b - r), the current quadratic's leading coefficient times 4
     r: np.ndarray
     wbc: np.ndarray         # omega b_c
 
@@ -129,12 +135,24 @@ class _ArrayTerms(NamedTuple):
     root: np.ndarray        # sqrt of the quadratic's discriminant
 
 
+class _PointTerms(NamedTuple):
+    """What one array-path point shares between the residual and the Jacobian.
+
+    conv depends only on (U, orders); W and inj also on delta and f, so a
+    caller that moves delta or f reuses conv alone.
+    """
+
+    conv: _ArrayTerms
+    W: np.ndarray           # B_ij e^{j (d_i - d_j)}
+    inj: np.ndarray         # f_i e^{j d_i} + sum_j W_ij U_j, the j = i term included
+
+
 @dataclass(frozen=True)
 class PreparedCase:
     """Reduced network plus converter constants, reused across solves."""
 
     net: ReducedNetwork
-    converters: tuple[LccParams, ...]
+    case: CaseFile              # its converter blocks give converters; net may be rescaled
     rated_orders: np.ndarray    # system pu rectifier orders at rated delivery
     consts: _ConverterArrays
 
@@ -142,15 +160,47 @@ class PreparedCase:
     def n(self) -> int:
         return self.net.order
 
+    @cached_property
+    def converters(self) -> tuple[LccParams, ...]:
+        """LccParams per bus, built on first use: the per-bus loops and their callers read them."""
+        return _lcc_params(self.case, self.net.bus_order)
+
+
+def _lcc_params(case: CaseFile, buses) -> tuple[LccParams, ...]:
+    return tuple(LccParams.from_spec(case.converter_at(bus), case) for bus in buses)
+
 
 def prepare(case: CaseFile) -> PreparedCase:
+    """Reduce the network and take LccParams' constants and rated_order for every bus at once.
+
+    The arithmetic is LccParams' and rated_current's, element by element, so
+    the constants are bitwise theirs.  Where a converter is outside their
+    domain the per-bus constructors run, and the first failure raises.
+    """
     net = reduce_case(case)
-    convs = tuple(LccParams.from_spec(case.converter_at(bus), case) for bus in net.bus_order)
-    orders = np.array([p.p_dn * rated_order(p) for p in convs])
-    table = np.array([(p.p_dn, p.a, p.b, p.b / p.a, math.cos(p.gamma), p.gamma,
-                       p.b - p.r, p.r, p.omega * p.b_c) for p in convs]).T.copy()
-    return PreparedCase(net=net, converters=convs, rated_orders=orders,
-                        consts=_ConverterArrays(*table))
+    rows = [(s.p_dn_mw, s.gamma_deg, s.n_bridges, s.k_ratio, s.x_commutation_pu, s.r_dc_pu, s.b_c_pu)
+            for s in map(case.converter_at, net.bus_order)]
+    mw, gamma_deg, nb, k, x, r, b_c = np.array(rows, dtype=float).reshape(-1, 7).T
+    p_dn = mw / case.system_base_mva
+    gamma = np.radians(gamma_deg)
+    # math.cos, not np.cos: numpy's vector cos may round differently from libm's
+    cos_g = np.array([math.cos(g) for g in gamma.tolist()])
+    a = 3.0 * SQRT2 * nb * k / math.pi
+    b = 3.0 * nb * x / math.pi
+    Bq = a * cos_g
+    disc = Bq * Bq - 4.0 * b
+    # every test false on nan, as in LccParams and rated_current
+    bad = (~((0.0 < gamma) & (gamma < math.pi / 2)) | (nb < 1) | (x <= 0) | (k <= 0)
+           | (r < 0) | (b_c < 0) | (p_dn <= 0) | (disc < 0.0))
+    if bad.any():
+        for p in _lcc_params(case, net.bus_order):
+            rated_order(p)
+        raise AssertionError("unreachable: the per-bus constructors raise on the same bus")
+    I_N = 2.0 / (Bq + np.sqrt(disc))
+    consts = _ConverterArrays(p_dn=p_dn, a=a, b=b, b_over_a=b / a, cos_g=cos_g, acg=Bq,
+                              gamma=gamma, A4=4.0 * (b - r), r=r, wbc=b_c)   # omega = 1
+    return PreparedCase(net=net, case=case, rated_orders=p_dn * (1.0 + I_N * I_N * r),
+                        consts=consts)
 
 
 def _solve_converters(prep: PreparedCase, U: np.ndarray, p_orders: np.ndarray) -> _ArrayTerms:
@@ -164,7 +214,7 @@ def _solve_converters(prep: PreparedCase, U: np.ndarray, p_orders: np.ndarray) -
     k = prep.consts
     p = p_orders / k.p_dn
     Bq = k.a * U * k.cos_g
-    disc = Bq * Bq - 4.0 * k.A * p
+    disc = Bq * Bq - k.A4 * p
     # min() is nan, and every test below false, when an input is nan
     if U.min() > 0.0 and p.min() >= 0.0 and disc.min() >= 0.0:
         root = np.sqrt(disc)
@@ -190,36 +240,40 @@ def _solve_converters_loop(prep: PreparedCase, U: np.ndarray, p_orders: np.ndarr
 
 
 def converter_states(prep: PreparedCase, conv) -> tuple[ConverterState, ...]:
-    """The converter terms mismatch returned, as one ConverterState per bus (for output)."""
-    if not isinstance(conv, _ArrayTerms):
+    """The converter solution mismatch returned, as one ConverterState per bus (for output)."""
+    if not isinstance(conv, _PointTerms):
         return conv     # the per-bus path solved ConverterState records already
-    k = prep.consts
-    cols = (conv.U, conv.I, conv.P, conv.Q, np.arccos(conv.cphi),
-            np.arccos(conv.mu_arg) - k.gamma, conv.c, conv.P / (conv.U * conv.U),
-            conv.Bq - k.b * conv.I)
+    k, t = prep.consts, conv.conv
+    cols = (t.U, t.I, t.P, t.Q, np.arccos(t.cphi), np.arccos(t.mu_arg) - k.gamma, t.c,
+            t.P / (t.U * t.U), t.Bq - k.b * t.I)
     return tuple(ConverterState(*row) for row in zip(*(col.tolist() for col in cols)))
+
+
+def _point_terms(prep: PreparedCase, delta: np.ndarray, U: np.ndarray,
+                 p_orders: np.ndarray, conv: _ArrayTerms | None) -> _PointTerms:
+    """The converter solution (conv when given) and one exp, one B product and one matvec."""
+    if conv is None:
+        conv = _solve_converters(prep, U, p_orders)
+    e = np.exp(1j * delta)
+    W = prep.net.B.matrix * (e[:, None] * e.conj())
+    return _PointTerms(conv, W, prep.net.f * e + W @ U)
 
 
 def mismatch(prep: PreparedCase, delta: np.ndarray, U: np.ndarray,
              p_orders: np.ndarray, conv=None):
-    """Scaled mismatches (gP, gQ) and the converter terms they used.
+    """Scaled mismatches (gP, gQ) and the terms they came from.
 
-    The converter terms are solved here unless conv passes in what an
-    earlier call returned at the same U and orders.
+    The converter solution is solved here unless conv passes in what an
+    earlier call returned at the same U and orders; only that part of conv
+    is reused.  The terms returned serve assemble_jacobian at this point.
     """
     if prep.n <= SMALL_N:
         return _mismatch_loop(prep, delta, U, p_orders, conv)
-    if conv is None:
-        conv = _solve_converters(prep, U, p_orders)
-    B = prep.net.B.matrix
-    f = prep.net.f
+    t = _point_terms(prep, delta, U, p_orders, None if conv is None else conv.conv)
     p_dn = prep.consts.p_dn
-    cos_d, sin_d = np.cos(delta), np.sin(delta)
-    # sum_j B_ij U_j cos(d_i - d_j) and sin(d_i - d_j), the j = i term included
-    bc, bs = B @ (U * cos_d), B @ (U * sin_d)
-    gP = f * sin_d + (sin_d * bc - cos_d * bs) - conv.P * p_dn / U
-    gQ = -(cos_d * bc + sin_d * bs) - f * cos_d - conv.Q * p_dn / U
-    return gP, gQ, conv
+    gP = t.inj.imag - t.conv.P * p_dn / U
+    gQ = -t.inj.real - t.conv.Q * p_dn / U
+    return gP, gQ, t
 
 
 def _mismatch_loop(prep, delta, U, p_orders, states):
@@ -250,37 +304,32 @@ def assemble_jacobian(prep: PreparedCase, delta: np.ndarray, U: np.ndarray,
                       p_orders: np.ndarray, conv=None) -> np.ndarray:
     """Exact Jacobian of (gP, gQ) in (delta, U), as [[dgP/dd, dgP/dU], [dgQ/dd, dgQ/dU]].
 
-    conv is what mismatch returned at the same point, or None to solve it here.
+    conv is what mismatch returned at the same point, or None to compute it here.
     """
     if prep.n <= SMALL_N:
         return _jacobian_loop(prep, delta, U, p_orders, conv)
     if conv is None:
-        conv = _solve_converters(prep, U, p_orders)
+        conv = _point_terms(prep, delta, U, p_orders, None)
     n = prep.n
-    B = prep.net.B.matrix
-    f = prep.net.f
-    k, t = prep.consts, conv
-    e = np.exp(1j * delta)
-    W = B * (e[:, None] * e.conj())     # B_ij e^{j (d_i - d_j)}
-    C, S = W.real, W.imag
+    k, t = prep.consts, conv.conv
+    C, S, mU = conv.W.real, conv.W.imag, -U
     J = np.empty((2 * n, 2 * n))
-    np.multiply(C, -U, out=J[:n, :n])
-    np.multiply(S, -U, out=J[n:, :n])
+    np.multiply(C, mU, out=J[:n, :n])
+    np.multiply(S, mU, out=J[n:, :n])
     J[:n, n:] = S
     np.negative(C, out=J[n:, n:])
-    # converter slopes at fixed order; 2 A I - a U cos(gamma) = -root at the low root
-    dI = -k.a * k.cos_g * t.I / t.root
+    # converter slopes at fixed order; 2 (b - r) I - a U cos(gamma) = -root at the low root
+    dI = -k.acg * t.I / t.root
     dc = k.b_over_a * (dI - t.I / U) / U
     dP = -2.0 * t.I * dI * k.r
     dQ = -dP * t.sphi / t.cphi - t.P * dc / (t.cphi * t.cphi * t.sphi) + 2.0 * k.wbc * U
     # block diagonals as strided views of the flat J; the products above left
-    # -C_ii U_i on the angle diagonals, and W @ U sums over every j
-    WU = W @ U
-    flat, s, m = J.reshape(-1), 2 * n + 1, 2 * n * n
-    flat[:n * s:s] += f * e.real + WU.real          # dgP/dd
-    flat[m::s] += f * e.imag + WU.imag              # dgQ/dd
-    flat[n:n * s:s] = k.p_dn * (t.P - U * dP) / (U * U)                # dgP/dU
-    flat[m + n::s] = k.p_dn * (t.Q - U * dQ) / (U * U) - B.diagonal()  # dgQ/dU
+    # -C_ii U_i on the angle diagonals, and inj sums W_ij U_j over every j
+    flat, s, m, U2 = J.reshape(-1), 2 * n + 1, 2 * n * n, U * U
+    flat[:n * s:s] += conv.inj.real             # dgP/dd
+    flat[m::s] += conv.inj.imag                 # dgQ/dd
+    flat[n:n * s:s] = k.p_dn * (t.P - U * dP) / U2                                   # dgP/dU
+    flat[m + n::s] = k.p_dn * (t.Q - U * dQ) / U2 - prep.net.B.matrix.diagonal()    # dgQ/dU
     return J
 
 
@@ -450,6 +499,7 @@ def trace_map(case: CaseFile | PreparedCase, bisect_tol: float = 1e-6) -> Contin
     between the last converged and the first divergent lambda.
     """
     prep = case if isinstance(case, PreparedCase) else prepare(case)
+    p_dn = prep.consts.p_dn.tolist()
     history: list[MapPoint] = []
 
     def record(lam, st):
@@ -458,8 +508,8 @@ def trace_map(case: CaseFile | PreparedCase, bisect_tol: float = 1e-6) -> Contin
                 lam=lam,
                 delta=tuple(float(d) for d in st.delta),
                 U=tuple(float(u) for u in st.U),
-                P=tuple(s.P * p.p_dn for s, p in zip(st.converter_states, prep.converters)),
-                Q=tuple(s.Q * p.p_dn for s, p in zip(st.converter_states, prep.converters)),
+                P=tuple(s.P * p for s, p in zip(st.converter_states, p_dn)),
+                Q=tuple(s.Q * p for s, p in zip(st.converter_states, p_dn)),
                 mu=tuple(s.mu for s in st.converter_states),
             )
         )

@@ -142,6 +142,10 @@ GOLDEN_MESSAGES = [
     (_set("branches", 1, reactance_pu="x"), "branches[1]: 'reactance_pu' is not a number: 'x'"),
     (_set("branches", 1, reactance_pu=None),
      "branches[1]: 'reactance_pu' is not a number: None"),
+    (_set("branches", 1, reactance_pu=10**400),
+     "branches[1]: 'reactance_pu' is outside the float range"),
+    (_doc(lambda d: d.update(branches=None)), "top level.branches: expected list, got NoneType"),
+    (_doc(lambda d: d.update(branches=3)), "top level.branches: expected list, got int"),
     (_doc(lambda d: d.pop("thevenin_links")), "top level: missing key 'thevenin_links'"),
     (_doc(lambda d: d.update(thevenin_links="m")),
      "top level.thevenin_links: expected list, got str"),
@@ -154,9 +158,13 @@ GOLDEN_MESSAGES = [
      "thevenin_links[1]: 'reactance_pu' is not a number: []"),
     (_set("thevenin_links", 1, emf_pu="high"),
      "thevenin_links[1]: 'emf_pu' is not a number: 'high'"),
+    (_set("thevenin_links", 1, emf_pu=-10**400),
+     "thevenin_links[1]: 'emf_pu' is outside the float range"),
     (_doc(lambda d: d.pop("frequency_hz")), "top level: missing key 'frequency_hz'"),
     (_doc(lambda d: d.update(frequency_hz="sixty")),
      "top level: 'frequency_hz' is not a number: 'sixty'"),
+    (_doc(lambda d: d.update(frequency_hz=10**400)),
+     "top level: 'frequency_hz' is outside the float range"),
     (_doc(lambda d: d.pop("converters")), "top level: missing key 'converters'"),
     (_doc(lambda d: d.update(converters={})), "top level.converters: expected list, got dict"),
     (_doc(lambda d: d["converters"].__setitem__(1, None)), "converters[1]: expected object"),
@@ -169,6 +177,8 @@ GOLDEN_MESSAGES = [
      "converters[1]: 'n_bridges' is not a number: 'two'"),
     (_set("converters", 1, n_bridges=2.5),
      "converters[1]: 'n_bridges' must be a whole number, got 2.5"),
+    *[(_set("converters", 1, **{key: 10**400}), f"converters[1]: '{key}' is outside the float range")
+      for key in ("gamma_deg", "n_bridges", "p_dn_mw", "x_commutation_pu")],
     (_drop("converters", 1, "bus"), "converters[1]: missing key 'bus'"),
     *[(_drop("converters", 1, key), f"converters[1]: missing key '{key}'")
       for key in ("p_dn_mw", "k_ratio", "x_commutation_pu", "r_dc_pu", "b_c_pu", "u_ac_kv")],
@@ -177,6 +187,8 @@ GOLDEN_MESSAGES = [
     (_doc(lambda d: d.pop("system_base_mva")), "top level: missing key 'system_base_mva'"),
     (_doc(lambda d: d.update(system_base_mva={})),
      "top level: 'system_base_mva' is not a number: {}"),
+    (_doc(lambda d: d.update(system_base_mva=10**400)),
+     "top level: 'system_base_mva' is outside the float range"),
     (_doc(lambda d: d["buses"].append({"id": "c2", "kind": "converter"})),
      "buses: duplicate id 'c2'"),
     (_set("buses", 2, kind="load"), "bus m: unknown kind 'load'"),

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import gridstrength.cli as cli
+from gridstrength import gscr
 from gridstrength.boundary import SweepRow
 from gridstrength.casefile import case_from_dict, load_bundled_case, save_case
 from gridstrength.netmodel import scale_impedance
@@ -136,6 +137,12 @@ def test_nonfinite_or_nonpositive_setting_is_input_error(capsys, paths, argv, na
     (("frequency_hz",), 0),
     (("frequency_hz",), math.nan),
     (("frequency_hz",), math.inf),
+    (("branches",), None),
+    (("branches",), 3),
+    pytest.param(("branches", 0, "reactance_pu"), 10**400, id="reactance-400-digits"),
+    pytest.param(("thevenin_links", 0, "emf_pu"), 10**400, id="emf-400-digits"),
+    pytest.param(("converters", 0, "x_commutation_pu"), -10**400, id="x-minus-400-digits"),
+    pytest.param(("system_base_mva",), 10**400, id="base-400-digits"),
 ])
 def test_bad_case_number_is_input_error(capsys, tmp_path, where, value):
     doc = hub_network_doc(["a", "b"])
@@ -186,6 +193,22 @@ def test_gscr_report_and_determinism(capsys, paths):
     assert len(doc["eigenvalues"]) == len(doc["bus_order"]) == 1
     again = run(capsys, ["gscr", paths["sidc"]])[1]
     assert again == out
+
+
+def test_gscr_runs_one_eigensolve(capsys, paths, monkeypatch):
+    calls = []
+    real = gscr.compute_gscr
+
+    def counted(J):
+        calls.append(J)
+        return real(J)
+
+    # the CLI holds its own binding of the name; count calls through either
+    monkeypatch.setattr(gscr, "compute_gscr", counted)
+    monkeypatch.setattr(cli, "compute_gscr", counted)
+    code, out, _ = run(capsys, ["gscr", paths["sidc"]])
+    assert code == 0 and json.loads(out)["spectrum_check"]["lambda_1_positive"] is True
+    assert len(calls) == 1
 
 
 def test_classify_threshold_override(capsys, paths):

@@ -2,15 +2,16 @@
 structure at the unloaded flat point, the array kernel against the per-bus
 loops, nose-search invariants."""
 
-from dataclasses import astuple
+import math
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
 from gridstrength import powerflow
 from gridstrength.boundary import case_gscr, scale_to_gscr
-from gridstrength.casefile import case_from_dict, with_rating
-from gridstrength.converter import sensitivity_T
+from gridstrength.casefile import case_from_dict, load_bundled_case, with_rating
+from gridstrength.converter import LccParams, rated_order, sensitivity_T
 from gridstrength.errors import ConverterInfeasible, GridStrengthError
 from gridstrength.gscr import characteristic_delta
 from gridstrength.netmodel import scale_impedance
@@ -272,6 +273,124 @@ def test_infeasible_converter_named_alike_on_both_paths(bad, U_low, error, monke
     assert messages[0] == messages[1]
     if error is ConverterInfeasible:
         assert messages[0][2] == prep.net.bus_order[bad[0]]
+
+
+# ---------------------------------------- the array kernel's shared terms
+
+@pytest.mark.parametrize("n", [5, 8, 16, 32, 64])
+def test_jacobian_from_mismatch_terms_is_bitwise_a_fresh_one(n):
+    prep = prepare(tuned_random_case(n))
+    rated = newton_solve(prep, prep.rated_orders)
+    assert isinstance(rated, GridState)
+    points, _ = continuation_steps(prep)
+    for lam, st in ((1.0, rated), points[-1]):
+        orders = lam * prep.rated_orders
+        _, _, terms = mismatch(prep, st.delta, st.U, orders)
+        J_terms = assemble_jacobian(prep, st.delta, st.U, orders, terms)
+        J_fresh = assemble_jacobian(prep, st.delta, st.U, orders)
+        assert J_terms.tobytes() == J_fresh.tobytes()
+
+
+@pytest.mark.parametrize("n", [5, 16])
+def test_mismatch_reuses_only_the_converter_terms(n):
+    # as in tune_sources: U and orders stay, the angles and the source term move
+    prep = prepare(tuned_random_case(n))
+    st = newton_solve(prep, prep.rated_orders)
+    assert isinstance(st, GridState)
+    _, _, old = mismatch(prep, st.delta, st.U, prep.rated_orders)
+    moved = replace(prep, net=replace(prep.net, f=1.01 * prep.net.f))
+    delta = st.delta + 0.01 * np.cos(np.arange(n))
+    gP, gQ, terms = mismatch(moved, delta, st.U, prep.rated_orders, old)
+    gP_fresh, gQ_fresh, _ = mismatch(moved, delta, st.U, prep.rated_orders)
+    assert gP.tobytes() == gP_fresh.tobytes() and gQ.tobytes() == gQ_fresh.tobytes()
+    assert (assemble_jacobian(moved, delta, st.U, prep.rated_orders, terms).tobytes()
+            == assemble_jacobian(moved, delta, st.U, prep.rated_orders).tobytes())
+
+
+def varied_converters_doc(rng, n):
+    """random_network_doc with every converter constant drawn per bus (rated power reachable)."""
+    doc = random_network_doc(rng, n)
+    for conv in doc["converters"]:
+        conv.update(gamma_deg=float(rng.uniform(10.0, 25.0)), n_bridges=int(rng.integers(2, 5)),
+                    k_ratio=float(rng.uniform(0.4, 0.6)),
+                    x_commutation_pu=float(rng.uniform(0.03, 0.08)),
+                    r_dc_pu=float(rng.uniform(0.0, 0.05)), b_c_pu=float(rng.uniform(0.0, 1.0)))
+    return doc
+
+
+@pytest.mark.parametrize("source", ["cigre_sidc", "dual", "triple", "quad",
+                                    *[f"random-{n}" for n in (2, 3, 4, 5, 8, 16, 32, 64)]])
+def test_prepared_constants_are_bitwise_the_per_bus_ones(source):
+    if source.startswith("random-"):
+        n = int(source.split("-")[1])
+        case = case_from_dict(varied_converters_doc(np.random.default_rng(3000 + n), n))
+    else:
+        case = load_bundled_case(source)
+    prep = prepare(case)
+    convs = tuple(LccParams.from_spec(case.converter_at(b), case) for b in prep.net.bus_order)
+    expected = {
+        "p_dn": [p.p_dn for p in convs],
+        "a": [p.a for p in convs],
+        "b": [p.b for p in convs],
+        "b_over_a": [p.b / p.a for p in convs],
+        "cos_g": [math.cos(p.gamma) for p in convs],
+        "acg": [p.a * math.cos(p.gamma) for p in convs],
+        "gamma": [p.gamma for p in convs],
+        "A4": [4.0 * (p.b - p.r) for p in convs],
+        "r": [p.r for p in convs],
+        "wbc": [p.omega * p.b_c for p in convs],
+    }
+    assert set(expected) == set(prep.consts._fields)
+    for name, values in expected.items():
+        assert getattr(prep.consts, name).tobytes() == np.array(values).tobytes(), name
+    orders = np.array([p.p_dn * rated_order(p) for p in convs])
+    assert prep.rated_orders.tobytes() == orders.tobytes()
+    assert prep.converters == convs
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({1: {"gamma_deg": 95.0}}, "gamma must lie in (0, pi/2)"),
+    ({1: {"x_commutation_pu": 0.0}}, "invalid converter constants"),
+    ({1: {"x_commutation_pu": 5.0}}, "converter cannot deliver rated power at rated voltage"),
+    # every bus's constants are checked before any bus's rated point
+    ({0: {"x_commutation_pu": 5.0}, 4: {"gamma_deg": 95.0}}, "gamma must lie in (0, pi/2)"),
+])
+def test_prepare_rejects_converters_outside_the_model(changes, message):
+    case = case_from_dict(random_network_doc(np.random.default_rng(11), 6))
+    buses = case.converter_buses()
+    specs = tuple(replace(c, **changes.get(buses.index(c.bus), {})) for c in case.converters)
+    with pytest.raises(GridStrengthError) as err:
+        prepare(replace(case, converters=specs))
+    assert str(err.value) == message
+
+
+def test_converters_solved_once_per_mismatch_never_in_the_jacobian(monkeypatch):
+    prep = prepare(tuned_random_case(16))
+    log = []
+    solve, mis, jac = powerflow._solve_converters, powerflow.mismatch, powerflow.assemble_jacobian
+
+    def counted_solve(*args):
+        log.append("solve")
+        return solve(*args)
+
+    def counted_mismatch(*args):
+        log.append("mismatch")
+        return mis(*args)
+
+    def counted_jacobian(*args):
+        log.append("jacobian")
+        J = jac(*args)
+        log.append("end")
+        return J
+
+    monkeypatch.setattr(powerflow, "_solve_converters", counted_solve)
+    monkeypatch.setattr(powerflow, "mismatch", counted_mismatch)
+    monkeypatch.setattr(powerflow, "assemble_jacobian", counted_jacobian)
+    assert isinstance(newton_solve(prep, prep.rated_orders), GridState)
+    calls = log.count("mismatch")
+    assert calls > 1 and log.count("jacobian") == calls - 1
+    assert log.count("solve") == calls
+    assert all(a != "jacobian" or b == "end" for a, b in zip(log, log[1:]))
 
 
 # -------------------------------------------------------------- newton solve
