@@ -25,8 +25,8 @@ overlap angle at the continuation's last convergent point = 30 degrees.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,8 +80,7 @@ class BoundaryResult:
             raise GridStrengthError("BoundaryResult: value must be positive")
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     ratio: float
     cgscr: float
     bgscr: float
@@ -190,7 +189,7 @@ def tune_sources(case: CaseFile) -> CaseFile:
         delta[i] = math.atan2(Z * p_sys, 1.0 - Z * q_sys)
 
     def with_emfs(e):
-        return replace(prep, net=replace(prep.net, f=e / x_link))
+        return replace(prep, net=prep.net._replace(f=e / x_link))
 
     # at U = 1 and rated orders the converter states do not move with (d, E):
     # the first residual solves them and every later one reuses them
@@ -211,7 +210,7 @@ def tune_sources(case: CaseFile) -> CaseFile:
     # 40 iterations that end within 1e-10 are accepted
     if res.reason and not (res.reason == "iteration limit" and res.norm <= 1e-10):
         raise GridStrengthError(f"tune_sources: {res.reason}")
-    new_links = tuple(replace(ln, emf_pu=float(res.x[n + prep.net.B.index_of(ln.bus)]))
+    new_links = tuple(ln._replace(emf_pu=float(res.x[n + prep.net.B.index_of(ln.bus)]))
                       for ln in links)
     return replace(case, thevenin_links=new_links)
 
@@ -224,8 +223,7 @@ def scale_to_gscr(case: CaseFile, target: float) -> CaseFile:
     return tune_sources(scale_impedance(case, g / target))
 
 
-@dataclass(frozen=True)
-class _Probe:
+class _Probe(NamedTuple):
     s: float
     g: float
     result: ContinuationResult | _Fold | None
@@ -291,8 +289,7 @@ def _bisect_scale(prep: PreparedCase, gap_of, cond_tol: float, kind: str) -> _Pr
     return best
 
 
-@dataclass(frozen=True)
-class _Fold:
+class _Fold(NamedTuple):
     """Saddle-node of the power flow at impedance scale s and loading lam."""
 
     s: float
@@ -306,8 +303,8 @@ class _Fold:
 def _at_scale(prep: PreparedCase, s: float) -> PreparedCase:
     """The prepared case with every reactance times s: reduced B and f divide by s."""
     net = prep.net
-    return replace(prep, net=replace(net, B=replace(net.B, matrix=net.B.matrix / s),
-                                     f=net.f / s))
+    return replace(prep, net=net._replace(B=replace(net.B, matrix=net.B.matrix / s),
+                                          f=net.f / s))
 
 
 def _fold_residual(prep: PreparedCase, z: np.ndarray, c: np.ndarray):
@@ -466,6 +463,16 @@ def find_boundary_numeric(case: CaseFile, aggregation: str = "mean") -> Boundary
     return _result("BgSCR", prep, best.s, abs(best.g), best.result.mu_at_map)
 
 
+def fan_out(fn, jobs: int, *iterables) -> list:
+    """list(map(fn, *iterables)), over min(jobs, task count) worker processes when jobs > 1."""
+    if jobs <= 1:
+        return list(map(fn, *iterables))
+    # imported only here, so that importing the package never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=min(jobs, len(iterables[0]))) as ex:
+        return list(ex.map(fn, *iterables))
+
+
 def _sweep_point(args):
     case, ratio, aggregation = args
     # re-establish the rated point near each search's own target region:
@@ -488,7 +495,4 @@ def sweep_dual_infeed(case: CaseFile, rating_ratios, aggregation: str = "mean",
         if not r > 0:
             raise GridStrengthError(f"sweep_dual_infeed: ratio must be positive, got {r}")
         tasks.append((with_rating(case, buses[1], r * base), float(r), aggregation))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as ex:
-            return list(ex.map(_sweep_point, tasks))
-    return [_sweep_point(t) for t in tasks]
+    return fan_out(_sweep_point, jobs, tasks)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import CaseFormatError
 
@@ -25,28 +26,24 @@ CASE_DIR_ENV = "GRIDSTRENGTH_CASE_DIR"
 _GAMMA_DEFAULT_DEG = {50.0: 18.0, 60.0: 15.0}
 
 
-@dataclass(frozen=True)
-class Bus:
+class Bus(NamedTuple):
     id: str
     kind: str  # "converter" | "internal"
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     from_bus: str
     to_bus: str
     reactance_pu: float
 
 
-@dataclass(frozen=True)
-class TheveninLink:
+class TheveninLink(NamedTuple):
     bus: str
     reactance_pu: float
     emf_pu: float
 
 
-@dataclass(frozen=True)
-class ConverterSpec:
+class ConverterSpec(NamedTuple):
     """Raw converter block as written in the case file.
 
     Quantities are pu on the converter's own base (``p_dn_mw``,
@@ -370,6 +367,8 @@ def load_case(path: str | Path) -> CaseFile:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CaseFormatError(f"{p}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:   # an integer literal beyond Python's digit limit
+        raise CaseFormatError(f"{p}: a number has too many digits to read") from exc
     try:
         return case_from_dict(doc, name=p.stem)
     except CaseFormatError as exc:
@@ -402,6 +401,6 @@ def with_rating(case: CaseFile, bus: str, p_dn_mw: float) -> CaseFile:
     if not any(c.bus == bus for c in case.converters):
         raise KeyError(bus)
     convs = tuple(
-        replace(c, p_dn_mw=p_dn_mw) if c.bus == bus else c for c in case.converters
+        c._replace(p_dn_mw=p_dn_mw) if c.bus == bus else c for c in case.converters
     )
     return replace(case, converters=convs)

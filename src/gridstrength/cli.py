@@ -28,7 +28,7 @@ from .boundary import (
     find_critical_numeric,
     sweep_dual_infeed,
 )
-from .casefile import CaseFile, load_case
+from .casefile import CaseFile, bundled_case_dir, load_bundled_case, load_case
 from .errors import CaseFormatError, GridStrengthError
 from .gscr import classify, compute_gscr, extended_jacobian, perron_report
 from .netmodel import reduce_case
@@ -69,10 +69,18 @@ def _case_name(case: CaseFile, path: str) -> str:
     return case.name or Path(path).stem
 
 
+def _load(arg: str) -> CaseFile:
+    """The case file at arg, or the bundled case named arg when no such path exists."""
+    if (not os.path.exists(arg) and Path(arg).name == arg
+            and (bundled_case_dir() / f"{arg}.json").is_file()):
+        return load_bundled_case(arg)
+    return load_case(arg)
+
+
 # ---------------------------------------------------------------- subcommands
 
 def _cmd_gscr(args: argparse.Namespace) -> tuple[str, int]:
-    case = load_case(args.case)
+    case = _load(args.case)
     net = reduce_case(case)
     J = extended_jacobian(net.B, [case.rating_pu(case.converter_at(b)) for b in net.bus_order])
     eig, g = compute_gscr(J)
@@ -96,7 +104,7 @@ def _cmd_gscr(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_classify(args: argparse.Namespace) -> tuple[str, int]:
-    case = load_case(args.case)
+    case = _load(args.case)
     _, g = case_gscr(case)
     cls = classify(g, cg=args.cg, bg=args.bg)
     doc = {
@@ -111,7 +119,7 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_powerflow(args: argparse.Namespace) -> tuple[str, int]:
-    case = load_case(args.case)
+    case = _load(args.case)
     prep = prepare(case)
     res = newton_solve(prep, prep.rated_orders, tol=args.tol_newton)
     if isinstance(res, Diverged):
@@ -140,7 +148,7 @@ def _cmd_powerflow(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_map(args: argparse.Namespace) -> tuple[str, int]:
-    case = load_case(args.case)
+    case = _load(args.case)
     prep = prepare(case)
     res = trace_map(prep, bisect_tol=args.tol_bisect)
     order = prep.net.bus_order
@@ -164,7 +172,7 @@ def _cmd_map(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_find(args: argparse.Namespace) -> tuple[str, int]:
     which = args.subcommand
-    case = load_case(args.case)
+    case = _load(args.case)
     if which == "find-cgscr":
         res = find_critical_numeric(case)
     else:
@@ -184,7 +192,7 @@ def _cmd_find(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
-    case = load_case(args.case)
+    case = _load(args.case)
     table = sweep_dual_infeed(case, args.ratios, aggregation=args.agg, jobs=args.jobs)
     rows = [[f"{r.ratio:.6g}", f"{r.cgscr:.6g}", f"{r.bgscr:.6g}"] for r in table]
     return _csv(["ratio", "CgSCR", "BgSCR"], rows), EXIT_OK
@@ -267,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def case_cmd(name, help_, parents, run):
         p = sub.add_parser(name, help=help_, parents=[out] + parents)
-        p.add_argument("case", help="case file path")
+        p.add_argument("case", help="case file path or bundled case name")
         p.set_defaults(run=run)
         return p
 

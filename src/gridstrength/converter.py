@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .casefile import CaseFile, ConverterSpec
 from .errors import ConverterInfeasible, GridStrengthError
@@ -72,8 +73,7 @@ class LccParams:
         )
 
 
-@dataclass(frozen=True)
-class ConverterState:
+class ConverterState(NamedTuple):
     """Solved operating point, converter-local pu; angles in radians."""
 
     U: float
@@ -87,8 +87,7 @@ class ConverterState:
     U_dI: float
 
 
-@dataclass(frozen=True)
-class StateDerivatives:
+class StateDerivatives(NamedTuple):
     """Exact d/dU at fixed power order, along the CP-CEA characteristic."""
 
     dI_dU: float
@@ -97,8 +96,7 @@ class StateDerivatives:
     dQ_dU: float
 
 
-@dataclass(frozen=True)
-class SensitivityBundle:
+class SensitivityBundle(NamedTuple):
     K_c: float
     T: float
     dphi_dU_exact: float    # d(tan phi)/dU through the exact dc/dU

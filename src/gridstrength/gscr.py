@@ -9,7 +9,7 @@ rather than a general nonsymmetric one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,29 +20,25 @@ from .netmodel import SusceptanceMatrix
 DEGENERATE_GAP = 1e-9
 
 
-@dataclass(frozen=True)
-class ExtendedJacobian:
+class ExtendedJacobian(NamedTuple):
     matrix: np.ndarray      # -diag(1/P_N) B_red
     p_n: np.ndarray         # ratings, system-base pu
     bus_order: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class EigenResult:
+class EigenResult(NamedTuple):
     lambdas: np.ndarray         # ascending
     perron_vector: np.ndarray   # eigenvector of lambda_1, unit sum, positive
     transform: np.ndarray       # columns diagonalize J_eq (W^-1 J W = diag)
 
 
-@dataclass(frozen=True)
-class StrengthClass:
+class StrengthClass(NamedTuple):
     label: str              # "VeryWeak" | "Weak" | "Strong"
     cg: float
     bg: float
 
 
-@dataclass(frozen=True)
-class PerronReport:
+class PerronReport(NamedTuple):
     """Spectral sanity of J_eq: positivity, simplicity, Perron positivity."""
 
     lambda1: float

@@ -21,6 +21,7 @@ matrix and the reduced source vector together.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,8 +116,7 @@ def source_vector(case: CaseFile, B: SusceptanceMatrix) -> np.ndarray:
     return np.bincount(at, weights=[ln.emf_pu / ln.reactance_pu for ln in links], minlength=B.order)
 
 
-@dataclass(frozen=True)
-class ReducedNetwork:
+class ReducedNetwork(NamedTuple):
     """Network seen from the converter buses after eliminating internal ones.
 
     ``f`` is the reduced equivalent source vector: f_red = f_c - B_ce B_ee^-1 f_e.
@@ -154,6 +154,6 @@ def scale_impedance(case: CaseFile, s: float) -> CaseFile:
     """Multiply every branch and Thevenin reactance by s; nothing else changes."""
     if not s > 0:
         raise GridStrengthError(f"scale_impedance: scale must be positive, got {s}")
-    branches = tuple(replace(br, reactance_pu=br.reactance_pu * s) for br in case.branches)
-    links = tuple(replace(ln, reactance_pu=ln.reactance_pu * s) for ln in case.thevenin_links)
+    branches = tuple(br._replace(reactance_pu=br.reactance_pu * s) for br in case.branches)
+    links = tuple(ln._replace(reactance_pu=ln.reactance_pu * s) for ln in case.thevenin_links)
     return replace(case, branches=branches, thevenin_links=links)

@@ -73,21 +73,18 @@ LAM_LIMIT = 1000.0          # loading factor at which a continuation gives up
 SMALL_N = 4
 
 
-@dataclass(frozen=True)
-class GridState:
+class GridState(NamedTuple):
     delta: np.ndarray
     U: np.ndarray
     converter_states: tuple[ConverterState, ...]
 
 
-@dataclass(frozen=True)
-class Diverged:
+class Diverged(NamedTuple):
     reason: str
     trace: tuple[float, ...]    # mismatch inf-norms per iteration
 
 
-@dataclass(frozen=True)
-class MapPoint:
+class MapPoint(NamedTuple):
     lam: float
     delta: tuple[float, ...]    # rad
     U: tuple[float, ...]
@@ -96,8 +93,7 @@ class MapPoint:
     mu: tuple[float, ...]       # rad
 
 
-@dataclass(frozen=True)
-class ContinuationResult:
+class ContinuationResult(NamedTuple):
     lambda_max: float
     state_at_map: GridState
     mu_at_map: tuple[float, ...]    # rad
@@ -246,7 +242,7 @@ def converter_states(prep: PreparedCase, conv) -> tuple[ConverterState, ...]:
     k, t = prep.consts, conv.conv
     cols = (t.U, t.I, t.P, t.Q, np.arccos(t.cphi), np.arccos(t.mu_arg) - k.gamma, t.c,
             t.P / (t.U * t.U), t.Bq - k.b * t.I)
-    return tuple(ConverterState(*row) for row in zip(*(col.tolist() for col in cols)))
+    return tuple(map(ConverterState._make, zip(*(col.tolist() for col in cols))))
 
 
 def _point_terms(prep: PreparedCase, delta: np.ndarray, U: np.ndarray,
@@ -368,8 +364,7 @@ def _jacobian_loop(prep, delta, U, p_orders, states):
     return J
 
 
-@dataclass(frozen=True)
-class NewtonResult:
+class NewtonResult(NamedTuple):
     x: np.ndarray
     aux: object                 # what resid returned alongside r at x
     norm: float                 # max-norm of r at x

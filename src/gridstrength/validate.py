@@ -11,10 +11,10 @@ a clean rated point.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import NamedTuple
 
-from .boundary import scale_to_gscr, sweep_dual_infeed
+from .boundary import fan_out, scale_to_gscr, sweep_dual_infeed
 from .casefile import CaseFile, load_bundled_case
 from .errors import GridStrengthError
 from .powerflow import trace_map
@@ -43,8 +43,7 @@ SWEEP_SCENARIO = "case9-dual-sweep"
 SCENARIOS = tuple(sorted([*CRITICAL_EXPECTED, *BOUNDARY_EXPECTED, SWEEP_SCENARIO]))
 
 
-@dataclass(frozen=True)
-class ValidationRow:
+class ValidationRow(NamedTuple):
     scenario: str
     quantity: str
     expected: float
@@ -55,8 +54,7 @@ class ValidationRow:
     source: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     rows: tuple[ValidationRow, ...]
 
     @property
@@ -70,7 +68,7 @@ class ValidationReport:
 def _triple_variant(case: CaseFile) -> CaseFile:
     """The fourth boundary scenario: the inv2-inv3 tie tightened to 0.9 pu."""
     branches = tuple(
-        replace(b, reactance_pu=0.9) if {b.from_bus, b.to_bus} == {"inv2", "inv3"} else b
+        b._replace(reactance_pu=0.9) if {b.from_bus, b.to_bus} == {"inv2", "inv3"} else b
         for b in case.branches
     )
     return replace(case, branches=branches, name="triple-x23-0.9")
@@ -179,10 +177,6 @@ def run_scenario(scenario: str, aggregation: str = "mean") -> list[ValidationRow
 
 def validate_suite(jobs: int = 1, aggregation: str = "mean") -> ValidationReport:
     """Run every scenario; rows ordered by scenario id whatever the fan-out."""
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(SCENARIOS))) as ex:
-            chunks = list(ex.map(run_scenario, SCENARIOS, [aggregation] * len(SCENARIOS)))
-    else:
-        chunks = [run_scenario(s, aggregation) for s in SCENARIOS]
+    chunks = fan_out(run_scenario, jobs, SCENARIOS, [aggregation] * len(SCENARIOS))
     rows = [row for chunk in chunks for row in chunk]
     return ValidationReport(rows=tuple(rows))

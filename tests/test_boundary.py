@@ -1,6 +1,7 @@
 """Strength thresholds: closed forms, the numeric scale searches and the
 source-tuning helper."""
 
+import concurrent.futures
 import math
 
 import numpy as np
@@ -319,7 +320,7 @@ def test_sweep_input_validation(dual, sidc):
 
 def test_sweep_pool_never_exceeds_ratio_count(dual, monkeypatch):
     seen = []
-    monkeypatch.setattr(boundary, "ProcessPoolExecutor", serial_pool(seen))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", serial_pool(seen))
     monkeypatch.setattr(boundary, "_sweep_point", lambda task: task[1])
     assert sweep_dual_infeed(dual, [0.5, 2.0], jobs=5000) == [0.5, 2.0]
     assert seen == [2]

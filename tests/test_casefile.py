@@ -239,6 +239,8 @@ GOLDEN_MESSAGES = [
     (_file(None), "cannot read case file $PATH: No such file or directory"),
     (_file(b'{"name": "\xff"}'), "$PATH: not UTF-8 text (invalid start byte at byte 10)"),
     (_file(b"{,}"), "$PATH: line 1, column 2: Expecting property name enclosed in double quotes"),
+    (_file(b'{"system_base_mva": 1' + b"0" * 5000 + b"}"),
+     "$PATH: a number has too many digits to read"),
     (_file(json.dumps({**golden_doc(), "thevenin_links": []}).encode()),
      "$PATH: thevenin_links: at least one link is required"),
     (lambda path: load_bundled_case("nope"), "no bundled case named 'nope.json' in $CASES"),

@@ -12,7 +12,7 @@ import pytest
 import gridstrength.cli as cli
 from gridstrength import gscr
 from gridstrength.boundary import SweepRow
-from gridstrength.casefile import case_from_dict, load_bundled_case, save_case
+from gridstrength.casefile import bundled_case_dir, case_from_dict, load_bundled_case, save_case
 from gridstrength.netmodel import scale_impedance
 from gridstrength.validate import ValidationReport, ValidationRow
 
@@ -157,10 +157,63 @@ def test_bad_case_number_is_input_error(capsys, tmp_path, where, value):
     assert where[-1] in err
 
 
+def test_number_with_too_many_digits_is_input_error(capsys, tmp_path):
+    # beyond Python's 4,300-digit limit json cannot read the integer, nor write it
+    doc = hub_network_doc(["a", "b"])
+    doc["branches"][0]["reactance_pu"] = "HUGE"
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(doc).replace('"HUGE"', "1" + "0" * 5000), encoding="utf-8")
+    code, out, err = run(capsys, ["gscr", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: a number has too many digits to read\n"
+
+
+@pytest.mark.parametrize("argv", [["gscr", "quad"], ["find-cgscr", "cigre_sidc"]])
+def test_bundled_case_name_reads_as_its_path(capsys, argv):
+    by_name = run(capsys, argv)
+    by_path = run(capsys, [argv[0], str(bundled_case_dir() / f"{argv[1]}.json")])
+    assert by_name == by_path and by_name[0] == 0
+
+
+def test_existing_path_wins_over_bundled_name(capsys, paths, monkeypatch, tmp_path):
+    (tmp_path / "quad").write_bytes(Path(paths["sidc"]).read_bytes())
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, ["gscr", "quad"])
+    sidc = json.loads(run(capsys, ["gscr", paths["sidc"]])[1])
+    assert code == 0
+    assert {**json.loads(out), "case": sidc["case"]} == sidc
+
+
+def test_unknown_case_name_is_input_error(capsys):
+    code, out, err = run(capsys, ["gscr", "quadd"])
+    assert (code, out) == (2, "")
+    assert err == "error: cannot read case file quadd: No such file or directory\n"
+
+
 def test_version(capsys):
     code, out, _ = run(capsys, ["--version"])
     assert code == 0
     assert "gridstrength" in out
+
+
+def test_python_m_runs_the_cli():
+    done = subprocess.run([sys.executable, "-m", "gridstrength", "--version"],
+                          capture_output=True, text=True, timeout=60, env=script_env())
+    assert done.returncode == 0
+    assert done.stdout.startswith("gridstrength ")
+
+
+def test_import_loads_every_module_and_no_process_pool():
+    code = ("import sys, gridstrength; "
+            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('gridstrength', 'concurrent', 'multiprocessing'))))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=script_env())
+    assert done.returncode == 0
+    assert done.stdout.split() == [
+        "gridstrength", *(f"gridstrength.{m}" for m in (
+            "boundary", "casefile", "converter", "errors", "gscr", "netmodel", "powerflow",
+            "validate"))]
 
 
 def test_link_off_converter_bus_exits_one(capsys, tmp_path):

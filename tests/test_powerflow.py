@@ -3,7 +3,7 @@ structure at the unloaded flat point, the array kernel against the per-bus
 loops, nose-search invariants."""
 
 import math
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -222,7 +222,7 @@ def test_array_kernel_matches_loops(n, monkeypatch):
         assert np.abs(J_arr - J_loop).max() <= 1e-13 * scale
         assert np.abs(r_arr - r_loop).max() <= 1e-13 * scale
         for a, b in zip(st_arr, st_loop, strict=True):
-            assert astuple(a) == pytest.approx(astuple(b), rel=1e-13, abs=1e-15)
+            assert tuple(a) == pytest.approx(tuple(b), rel=1e-13, abs=1e-15)
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -250,7 +250,7 @@ def test_newton_gives_one_state_on_both_paths(monkeypatch):
     assert arr.delta == pytest.approx(loop.delta, rel=1e-12, abs=1e-14)
     assert arr.U == pytest.approx(loop.U, rel=1e-12)
     for a, b in zip(arr.converter_states, loop.converter_states, strict=True):
-        assert astuple(a) == pytest.approx(astuple(b), rel=1e-12, abs=1e-14)
+        assert tuple(a) == pytest.approx(tuple(b), rel=1e-12, abs=1e-14)
 
 
 @pytest.mark.parametrize("bad, U_low, error", [
@@ -298,7 +298,7 @@ def test_mismatch_reuses_only_the_converter_terms(n):
     st = newton_solve(prep, prep.rated_orders)
     assert isinstance(st, GridState)
     _, _, old = mismatch(prep, st.delta, st.U, prep.rated_orders)
-    moved = replace(prep, net=replace(prep.net, f=1.01 * prep.net.f))
+    moved = replace(prep, net=prep.net._replace(f=1.01 * prep.net.f))
     delta = st.delta + 0.01 * np.cos(np.arange(n))
     gP, gQ, terms = mismatch(moved, delta, st.U, prep.rated_orders, old)
     gP_fresh, gQ_fresh, _ = mismatch(moved, delta, st.U, prep.rated_orders)
@@ -358,7 +358,7 @@ def test_prepared_constants_are_bitwise_the_per_bus_ones(source):
 def test_prepare_rejects_converters_outside_the_model(changes, message):
     case = case_from_dict(random_network_doc(np.random.default_rng(11), 6))
     buses = case.converter_buses()
-    specs = tuple(replace(c, **changes.get(buses.index(c.bus), {})) for c in case.converters)
+    specs = tuple(c._replace(**changes.get(buses.index(c.bus), {})) for c in case.converters)
     with pytest.raises(GridStrengthError) as err:
         prepare(replace(case, converters=specs))
     assert str(err.value) == message

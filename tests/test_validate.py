@@ -1,5 +1,6 @@
 """The packaged validation suite end to end, once, plus its error paths."""
 
+import concurrent.futures
 import math
 
 import pytest
@@ -86,7 +87,7 @@ def test_unknown_scenario_is_a_failed_row():
 @pytest.mark.parametrize("jobs, workers", [(3, 3), (5000, len(SCENARIOS))])
 def test_pool_never_exceeds_scenario_count(monkeypatch, jobs, workers):
     seen = []
-    monkeypatch.setattr(validate, "ProcessPoolExecutor", serial_pool(seen))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", serial_pool(seen))
     monkeypatch.setattr(validate, "run_scenario", lambda scenario, aggregation: [])
     assert validate_suite(jobs=jobs).rows == ()
     assert seen == [workers]
