@@ -465,7 +465,7 @@ def find_boundary_numeric(case: CaseFile, aggregation: str = "mean") -> Boundary
 
 def fan_out(fn, jobs: int, *iterables) -> list:
     """list(map(fn, *iterables)), over min(jobs, task count) worker processes when jobs > 1."""
-    if jobs <= 1:
+    if jobs <= 1 or len(iterables[0]) == 0:     # no task needs no pool
         return list(map(fn, *iterables))
     # imported only here, so that importing the package never loads multiprocessing
     from concurrent.futures import ProcessPoolExecutor

@@ -369,6 +369,8 @@ def load_case(path: str | Path) -> CaseFile:
         raise CaseFormatError(f"{p}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except ValueError as exc:   # an integer literal beyond Python's digit limit
         raise CaseFormatError(f"{p}: a number has too many digits to read") from exc
+    except RecursionError as exc:
+        raise CaseFormatError(f"{p}: arrays or objects nest too deeply to read") from exc
     try:
         return case_from_dict(doc, name=p.stem)
     except CaseFormatError as exc:

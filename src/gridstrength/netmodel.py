@@ -51,15 +51,16 @@ def build_susceptance(case: CaseFile) -> SusceptanceMatrix:
     order = tuple(b.id for b in case.buses)
     idx = {b: i for i, b in enumerate(order)}
     n = len(order)
-    # a Thevenin link is a branch to the ground node, index n, dropped at the end
-    ends = np.array([(idx[br.from_bus], idx[br.to_bus]) for br in case.branches]
-                    + [(idx[ln.bus], n) for ln in case.thevenin_links], dtype=np.intp)
+    links = case.thevenin_links
+    # ends i, j; a Thevenin link is a branch to the ground node, index n, dropped at the end
+    ends = np.array(([idx[br.from_bus] for br in case.branches] + [idx[ln.bus] for ln in links],
+                     [idx[br.to_bus] for br in case.branches] + [n] * len(links)), dtype=np.intp)
     y = 1.0 / np.array([br.reactance_pu for br in case.branches]
-                       + [ln.reactance_pu for ln in case.thevenin_links], dtype=float)
+                       + [ln.reactance_pu for ln in links], dtype=float)
     # flat cells (i,j) (j,i) (i,i) (j,j) of each branch in file order: bincount
     # adds them in that order, as a loop over branches then links would
     m = n + 1
-    cells = ends.reshape(-1, 2) @ np.array([[m, 1, m + 1, 0], [1, m, 0, m + 1]])
+    cells = ends.T @ np.array([[m, 1, m + 1, 0], [1, m, 0, m + 1]])
     vals = y[:, None] * np.array([1.0, 1.0, -1.0, -1.0])
     B = np.bincount(cells.ravel(), weights=vals.ravel(), minlength=m * m).reshape(m, m)
     return SusceptanceMatrix(matrix=B[:n, :n].copy(), bus_order=order)
@@ -143,10 +144,10 @@ class ReducedNetwork(NamedTuple):
 def reduce_case(case: CaseFile) -> ReducedNetwork:
     full = build_susceptance(case)
     f = source_vector(case, full)
-    perm, k = _split(full, set(case.converter_buses()))
-    if k == full.order:
+    keep = set(case.converter_buses())
+    if len(keep) == full.order:     # no internal bus (bus ids are unique)
         return ReducedNetwork(B=full, f=f)
-    red, f_red = _eliminate(full, perm, k, f)
+    red, f_red = _eliminate(full, *_split(full, keep), f)
     return ReducedNetwork(B=red, f=f_red)
 
 

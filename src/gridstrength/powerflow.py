@@ -16,19 +16,17 @@ converter.sensitivity_T and never inside Newton.
 
 mismatch and assemble_jacobian are the power-flow kernel.  Above SMALL_N
 buses they work on whole arrays, in the array form of MATPOWER's dSbus_dV
-(Zimmerman et al., IEEE TPWRS 26(1), 2011): the current quadratic is
-solved for every converter at once (low root, with solve_state's
-arithmetic element by element), and each point takes one exp(j d), one
-W = B o e^{j (d_i - d_j)} and one product W U.  The residual is read off
-f e^{j d} + W U; the Jacobian fills one 2n x 2n array from the real and
-imaginary parts of W and the same sum, plus an exact converter diagonal.
-At SMALL_N buses or fewer numpy's fixed cost per call outweighs the O(n^2)
-work, so the kernel runs per-bus loops over solve_state and
-state_derivatives instead.  mismatch returns the terms of its point (the
-converter solution and, on the array path, the network products); callers
-hand them to assemble_jacobian at the same point, or back to mismatch at
-the same U and orders to reuse the converter solution alone, and
-converter_states turns them into ConverterState records for output.
+(Zimmerman et al., IEEE TPWRS 26(1), 2011), with solve_state's arithmetic
+element by element.  Once per solve, newton_solve takes the current
+quadratic's terms in the orders alone (p, 2p, 4(b - r)p, p >= 0).  Once
+per point: the low root for every converter, one exp(j d), one
+W = B o e^{j (d_i - d_j)} and one W U, whose sum with f e^{j d} gives the
+residual as one vector and, with the converter terms, the 2n x 2n
+Jacobian.  At SMALL_N buses or fewer numpy's fixed cost per call outweighs
+the O(n^2) work, so the kernel runs per-bus loops over solve_state and
+state_derivatives instead.  mismatch returns the terms of its point for
+assemble_jacobian there, for mismatch at the same U and orders (which
+reuses the converter solution alone) and for converter_states (output).
 
 damped_newton is the one Newton loop in the package: the power flow here,
 and source tuning, the fold solve and the closed-form BSCR in boundary,
@@ -42,8 +40,9 @@ small n an iteration costs little beyond the caller's residual and Jacobian.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -116,31 +115,33 @@ class _ConverterArrays(NamedTuple):
     wbc: np.ndarray         # omega b_c
 
 
-class _ArrayTerms(NamedTuple):
-    """Converter solution at every bus, converter-local pu (array path)."""
+class _Orders(NamedTuple):
+    """The orders and the quadratic's terms in them alone: once per newton_solve, else per call."""
+
+    orders: np.ndarray      # system pu
+    p: np.ndarray           # converter pu
+    p2: np.ndarray          # 2 p
+    A4p: np.ndarray         # 4 (b - r) p
+    valid: bool             # p >= 0 and, in a record for one call, U > 0 on every bus
+
+
+class _Point(NamedTuple):
+    """One array-path point: U to mQ (converter pu) depend on (U, orders), W, inj, r on all."""
 
     U: np.ndarray
     I: np.ndarray
-    c: np.ndarray
     cphi: np.ndarray
     sphi: np.ndarray
-    P: np.ndarray
-    Q: np.ndarray
-    mu_arg: np.ndarray      # cos(gamma) - 2c
-    Bq: np.ndarray          # a U cos(gamma)
     root: np.ndarray        # sqrt of the quadratic's discriminant
-
-
-class _PointTerms(NamedTuple):
-    """What one array-path point shares between the residual and the Jacobian.
-
-    conv depends only on (U, orders); W and inj also on delta and f, so a
-    caller that moves delta or f reuses conv alone.
-    """
-
-    conv: _ArrayTerms
+    P: np.ndarray
+    mQ: np.ndarray          # -Q, which saves a negation in Q and in gQ
     W: np.ndarray           # B_ij e^{j (d_i - d_j)}
     inj: np.ndarray         # f_i e^{j d_i} + sum_j W_ij U_j, the j = i term included
+    r: np.ndarray           # (gP, gQ) as one vector
+
+
+# LccParams' lower bounds in prepare's rows (x <= 0 is x < 5e-324); nan passes, as there
+_LOWER = np.array([5e-324, 5e-324, 1.0, 5e-324, 5e-324, 0.0, 0.0])[:, None]
 
 
 @dataclass(frozen=True)
@@ -151,6 +152,12 @@ class PreparedCase:
     case: CaseFile              # its converter blocks give converters; net may be rescaled
     rated_orders: np.ndarray    # system pu rectifier orders at rated delivery
     consts: _ConverterArrays
+    B_c: np.ndarray = field(init=False)     # B as complex, the type it meets in W, and
+    B_diag: np.ndarray = field(init=False)  # its diagonal: both follow net, replace() included
+
+    def __post_init__(self):
+        object.__setattr__(self, "B_c", self.net.B.matrix.astype(complex))
+        object.__setattr__(self, "B_diag", self.net.B.matrix.diagonal().copy())
 
     @property
     def n(self) -> int:
@@ -174,21 +181,19 @@ def prepare(case: CaseFile) -> PreparedCase:
     domain the per-bus constructors run, and the first failure raises.
     """
     net = reduce_case(case)
-    rows = [(s.p_dn_mw, s.gamma_deg, s.n_bridges, s.k_ratio, s.x_commutation_pu, s.r_dc_pu, s.b_c_pu)
-            for s in map(case.converter_at, net.bus_order)]
-    mw, gamma_deg, nb, k, x, r, b_c = np.array(rows, dtype=float).reshape(-1, 7).T
-    p_dn = mw / case.system_base_mva
-    gamma = np.radians(gamma_deg)
+    # ConverterSpec's fields p_dn_mw .. b_c_pu, one row each
+    rows = chain.from_iterable([s[1:8] for s in map(case.converter_at, net.bus_order)])
+    C = np.fromiter(rows, float).reshape(-1, 7).T.copy()
+    C[0] /= case.system_base_mva
+    np.radians(C[1], out=C[1])
+    p_dn, gamma, nb, k, x, r, b_c = C
     # math.cos, not np.cos: numpy's vector cos may round differently from libm's
     cos_g = np.array([math.cos(g) for g in gamma.tolist()])
     a = 3.0 * SQRT2 * nb * k / math.pi
     b = 3.0 * nb * x / math.pi
     Bq = a * cos_g
     disc = Bq * Bq - 4.0 * b
-    # every test false on nan, as in LccParams and rated_current
-    bad = (~((0.0 < gamma) & (gamma < math.pi / 2)) | (nb < 1) | (x <= 0) | (k <= 0)
-           | (r < 0) | (b_c < 0) | (p_dn <= 0) | (disc < 0.0))
-    if bad.any():
+    if (C < _LOWER).any() or not (gamma < math.pi / 2).all() or (disc < 0.0).any():
         for p in _lcc_params(case, net.bus_order):
             rated_order(p)
         raise AssertionError("unreachable: the per-bus constructors raise on the same bus")
@@ -199,8 +204,15 @@ def prepare(case: CaseFile) -> PreparedCase:
                         consts=consts)
 
 
-def _solve_converters(prep: PreparedCase, U: np.ndarray, p_orders: np.ndarray) -> _ArrayTerms:
-    """Every converter at once: the low root of the current quadratic.
+def _order_terms(prep: PreparedCase, p_orders: np.ndarray, U=None) -> _Orders:
+    p = p_orders / prep.consts.p_dn
+    # min() is nan, and each test false, when an input is nan
+    valid = p.min() >= 0.0 and (U is None or U.min() > 0.0)
+    return _Orders(p_orders, p, 2.0 * p, prep.consts.A4 * p, valid)
+
+
+def _solve_converters(prep: PreparedCase, U: np.ndarray, o: _Orders) -> tuple:
+    """Every converter at once: the low root of the current quadratic, as _Point's U to mQ.
 
     The arithmetic and the domain checks are solve_state's, element by
     element, so a bus fails here exactly where solve_state fails on it.  On
@@ -208,22 +220,21 @@ def _solve_converters(prep: PreparedCase, U: np.ndarray, p_orders: np.ndarray) -
     one raises its ConverterInfeasible reason and bus name.
     """
     k = prep.consts
-    p = p_orders / k.p_dn
     Bq = k.a * U * k.cos_g
-    disc = Bq * Bq - k.A4 * p
-    # min() is nan, and every test below false, when an input is nan
-    if U.min() > 0.0 and p.min() >= 0.0 and disc.min() >= 0.0:
+    disc = Bq * Bq - o.A4p
+    # U > 0 is in o.valid or newton_solve's band; min() is nan, each test false, on nan
+    if o.valid and disc.min() >= 0.0:
         root = np.sqrt(disc)
-        I = 2.0 * p / (Bq + root)
+        I = o.p2 / (Bq + root)
         c = k.b_over_a * I / U
         cphi = k.cos_g - c
-        mu_arg = k.cos_g - 2.0 * c      # <= 1, as c >= 0
-        if cphi.min() > 0.0 and mu_arg.min() > -1.0:
-            P = p - I * I * k.r
+        # as c >= 0 and cos(gamma) <= 1, this gives -1 < cos(gamma) - 2c <= 1 too
+        if cphi.min() > 0.0:
+            P = o.p - I * I * k.r
             sphi = np.sqrt(1.0 - cphi * cphi)
-            Q = -P * sphi / cphi + k.wbc * U * U
-            return _ArrayTerms(U, I, c, cphi, sphi, P, Q, mu_arg, Bq, root)
-    _solve_converters_loop(prep, U, p_orders)
+            mQ = P * sphi / cphi - k.wbc * U * U
+            return U, I, cphi, sphi, root, P, mQ
+    _solve_converters_loop(prep, U, o.orders)
     raise AssertionError("unreachable: the per-bus solves raise on the same bus")
 
 
@@ -237,39 +248,38 @@ def _solve_converters_loop(prep: PreparedCase, U: np.ndarray, p_orders: np.ndarr
 
 def converter_states(prep: PreparedCase, conv) -> tuple[ConverterState, ...]:
     """The converter solution mismatch returned, as one ConverterState per bus (for output)."""
-    if not isinstance(conv, _PointTerms):
+    if not isinstance(conv, _Point):
         return conv     # the per-bus path solved ConverterState records already
-    k, t = prep.consts, conv.conv
-    cols = (t.U, t.I, t.P, t.Q, np.arccos(t.cphi), np.arccos(t.mu_arg) - k.gamma, t.c,
-            t.P / (t.U * t.U), t.Bq - k.b * t.I)
+    k, t = prep.consts, conv
+    c = k.b_over_a * t.I / t.U
+    cols = (t.U, t.I, t.P, -t.mQ, np.arccos(t.cphi), np.arccos(k.cos_g - 2.0 * c) - k.gamma, c,
+            t.P / (t.U * t.U), k.a * t.U * k.cos_g - k.b * t.I)
     return tuple(map(ConverterState._make, zip(*(col.tolist() for col in cols))))
 
 
-def _point_terms(prep: PreparedCase, delta: np.ndarray, U: np.ndarray,
-                 p_orders: np.ndarray, conv: _ArrayTerms | None) -> _PointTerms:
-    """The converter solution (conv when given) and one exp, one B product and one matvec."""
-    if conv is None:
-        conv = _solve_converters(prep, U, p_orders)
-    e = np.exp(1j * delta)
-    W = prep.net.B.matrix * (e[:, None] * e.conj())
-    return _PointTerms(conv, W, prep.net.f * e + W @ U)
-
-
 def mismatch(prep: PreparedCase, delta: np.ndarray, U: np.ndarray,
-             p_orders: np.ndarray, conv=None):
+             p_orders, conv=None):
     """Scaled mismatches (gP, gQ) and the terms they came from.
 
-    The converter solution is solved here unless conv passes in what an
-    earlier call returned at the same U and orders; only that part of conv
-    is reused.  The terms returned serve assemble_jacobian at this point.
+    p_orders (system pu) may come as newton_solve's _Orders.  The converter
+    solution is solved here unless conv, what an earlier call returned at the
+    same U and orders, lends its own.  The terms serve assemble_jacobian here.
     """
-    if prep.n <= SMALL_N:
+    n = len(U)
+    if n <= SMALL_N:
         return _mismatch_loop(prep, delta, U, p_orders, conv)
-    t = _point_terms(prep, delta, U, p_orders, None if conv is None else conv.conv)
-    p_dn = prep.consts.p_dn
-    gP = t.inj.imag - t.conv.P * p_dn / U
-    gQ = -t.inj.real - t.conv.Q * p_dn / U
-    return gP, gQ, t
+    if conv is None:
+        o = p_orders if type(p_orders) is _Orders else _order_terms(prep, p_orders, U)
+        conv = _solve_converters(prep, U, o)
+    else:
+        conv = conv[:7]     # U to mQ
+    e = np.exp(1j * delta)
+    W = prep.B_c * np.multiply.outer(e, e.conj())
+    inj = prep.net.f * e + W.dot(U)     # as W @ U, without matmul's dispatch
+    r, p_dn = np.empty(2 * n), prep.consts.p_dn
+    gP = np.subtract(inj.imag, conv[-2] * p_dn / U, out=r[:n])      # conv[-2] is P
+    gQ = np.subtract(conv[-1] * p_dn / U, inj.real, out=r[n:])      # conv[-1] is -Q
+    return gP, gQ, _Point(*conv, W, inj, r)
 
 
 def _mismatch_loop(prep, delta, U, p_orders, states):
@@ -297,35 +307,35 @@ def _mismatch_loop(prep, delta, U, p_orders, states):
 
 
 def assemble_jacobian(prep: PreparedCase, delta: np.ndarray, U: np.ndarray,
-                      p_orders: np.ndarray, conv=None) -> np.ndarray:
+                      p_orders, conv=None) -> np.ndarray:
     """Exact Jacobian of (gP, gQ) in (delta, U), as [[dgP/dd, dgP/dU], [dgQ/dd, dgQ/dU]].
 
     conv is what mismatch returned at the same point, or None to compute it here.
     """
-    if prep.n <= SMALL_N:
+    n = len(U)
+    if n <= SMALL_N:
         return _jacobian_loop(prep, delta, U, p_orders, conv)
-    if conv is None:
-        conv = _point_terms(prep, delta, U, p_orders, None)
-    n = prep.n
-    k, t = prep.consts, conv.conv
-    C, S, mU = conv.W.real, conv.W.imag, -U
+    t = mismatch(prep, delta, U, p_orders)[2] if conv is None else conv
+    k = prep.consts
+    C, S, mU = t.W.real, t.W.imag, -U
     J = np.empty((2 * n, 2 * n))
     np.multiply(C, mU, out=J[:n, :n])
     np.multiply(S, mU, out=J[n:, :n])
     J[:n, n:] = S
     np.negative(C, out=J[n:, n:])
-    # converter slopes at fixed order; 2 (b - r) I - a U cos(gamma) = -root at the low root
-    dI = -k.acg * t.I / t.root
-    dc = k.b_over_a * (dI - t.I / U) / U
-    dP = -2.0 * t.I * dI * k.r
-    dQ = -dP * t.sphi / t.cphi - t.P * dc / (t.cphi * t.cphi * t.sphi) + 2.0 * k.wbc * U
+    # converter slopes at fixed order, with 2 (b - r) I - a U cos(gamma) = -root
+    # at the low root; ndI, ndc and ndQ are -dI/dU, -dc/dU and -dQ/dU
+    ndI = k.acg * t.I / t.root
+    ndc = k.b_over_a * (ndI + t.I / U) / U
+    dP = 2.0 * t.I * ndI * k.r
+    ndQ = dP * t.sphi / t.cphi - t.P * ndc / (t.cphi * t.cphi * t.sphi) - 2.0 * k.wbc * U
     # block diagonals as strided views of the flat J; the products above left
     # -C_ii U_i on the angle diagonals, and inj sums W_ij U_j over every j
     flat, s, m, U2 = J.reshape(-1), 2 * n + 1, 2 * n * n, U * U
-    flat[:n * s:s] += conv.inj.real             # dgP/dd
-    flat[m::s] += conv.inj.imag                 # dgQ/dd
-    flat[n:n * s:s] = k.p_dn * (t.P - U * dP) / U2                                   # dgP/dU
-    flat[m + n::s] = k.p_dn * (t.Q - U * dQ) / U2 - prep.net.B.matrix.diagonal()    # dgQ/dU
+    flat[:n * s:s] += t.inj.real                                        # dgP/dd
+    flat[m::s] += t.inj.imag                                            # dgQ/dd
+    np.divide(k.p_dn * (t.P - U * dP), U2, out=flat[n:n * s:s])         # dgP/dU
+    np.subtract(k.p_dn * (U * ndQ - t.mQ) / U2, prep.B_diag, out=flat[m + n::s])   # dgQ/dU
     return J
 
 
@@ -414,13 +424,15 @@ def newton_solve(prep: PreparedCase, p_orders, warm: GridState | None = None,
     """Power flow by damped_newton; returns GridState or Diverged (never raises on divergence)."""
     p_orders = np.asarray(p_orders, dtype=float)
     n = prep.n
-    if p_orders.shape != (n,) or np.any(p_orders < 0):
+    if p_orders.shape != (n,) or (p_orders < 0).any():
         raise GridStrengthError("newton_solve: order vector must be nonnegative, one per converter")
     if warm is not None:
         x = np.concatenate([warm.delta, warm.U])
     else:
         x = np.concatenate([np.zeros(n), np.ones(n)])
     lo, hi = U_BAND
+    array = n > SMALL_N     # order terms once per solve, the residual as one vector
+    orders = _order_terms(prep, p_orders) if array else p_orders
 
     def resid(x):
         # a trial outside the U band or without a converter steady state is rejected
@@ -428,13 +440,13 @@ def newton_solve(prep: PreparedCase, p_orders, warm: GridState | None = None,
         if U.min() <= lo or U.max() >= hi:
             return None
         try:
-            gP, gQ, conv = mismatch(prep, x[:n], U, p_orders)
+            gP, gQ, conv = mismatch(prep, x[:n], U, orders)
         except ConverterInfeasible:
             return None
-        return np.concatenate([gP, gQ]), conv
+        return (conv.r if array else np.concatenate([gP, gQ])), conv
 
     def jac(x, conv):
-        return assemble_jacobian(prep, x[:n], x[n:], p_orders, conv)
+        return assemble_jacobian(prep, x[:n], x[n:], orders, conv)
 
     # a step may raise the mismatch by 20%: the raw step overshoots the U band
     # at light load with big shunts

@@ -16,6 +16,7 @@ from gridstrength.boundary import (
     bscr_solve,
     case_gscr,
     cscr_closed_form,
+    fan_out,
     find_boundary_numeric,
     find_critical_numeric,
     scale_to_gscr,
@@ -324,6 +325,13 @@ def test_sweep_pool_never_exceeds_ratio_count(dual, monkeypatch):
     monkeypatch.setattr(boundary, "_sweep_point", lambda task: task[1])
     assert sweep_dual_infeed(dual, [0.5, 2.0], jobs=5000) == [0.5, 2.0]
     assert seen == [2]
+
+
+def test_fan_out_with_no_task_opens_no_pool(monkeypatch):
+    seen = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", serial_pool(seen))
+    assert fan_out(abs, 2, []) == []
+    assert seen == []
 
 
 def test_boundary_result_validation():

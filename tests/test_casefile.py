@@ -241,6 +241,7 @@ GOLDEN_MESSAGES = [
     (_file(b"{,}"), "$PATH: line 1, column 2: Expecting property name enclosed in double quotes"),
     (_file(b'{"system_base_mva": 1' + b"0" * 5000 + b"}"),
      "$PATH: a number has too many digits to read"),
+    (_file(b"[" * 100_000 + b"]" * 100_000), "$PATH: arrays or objects nest too deeply to read"),
     (_file(json.dumps({**golden_doc(), "thevenin_links": []}).encode()),
      "$PATH: thevenin_links: at least one link is required"),
     (lambda path: load_bundled_case("nope"), "no bundled case named 'nope.json' in $CASES"),

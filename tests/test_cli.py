@@ -168,6 +168,16 @@ def test_number_with_too_many_digits_is_input_error(capsys, tmp_path):
     assert err == f"error: {path}: a number has too many digits to read\n"
 
 
+def test_deeply_nested_document_is_input_error(tmp_path):
+    # json.loads gives up on 100,000 nested arrays with a RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    done = subprocess.run([sys.executable, "-m", "gridstrength", "gscr", str(path)],
+                          capture_output=True, text=True, timeout=60, env=script_env())
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: {path}: arrays or objects nest too deeply to read\n"
+
+
 @pytest.mark.parametrize("argv", [["gscr", "quad"], ["find-cgscr", "cigre_sidc"]])
 def test_bundled_case_name_reads_as_its_path(capsys, argv):
     by_name = run(capsys, argv)

@@ -239,8 +239,9 @@ def test_random_jacobian_matches_finite_differences(n, monkeypatch):
         assert np.abs(J - fd).max() <= 1e-5 * scale
 
 
-def test_newton_gives_one_state_on_both_paths(monkeypatch):
-    prep = prepare(tuned_random_case(16))
+@pytest.mark.parametrize("n", [5, 16, 32])
+def test_newton_gives_one_state_on_both_paths(n, monkeypatch):
+    prep = prepare(tuned_random_case(n))
     states = []
     for small_n in (ARRAYS, LOOPS):
         monkeypatch.setattr(powerflow, "SMALL_N", small_n)
@@ -251,6 +252,33 @@ def test_newton_gives_one_state_on_both_paths(monkeypatch):
     assert arr.U == pytest.approx(loop.U, rel=1e-12)
     for a, b in zip(arr.converter_states, loop.converter_states, strict=True):
         assert tuple(a) == pytest.approx(tuple(b), rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_continuation_steps_agree_on_both_paths(n, monkeypatch):
+    # at n = 16 the divergent last step tries points outside the U band and
+    # points without a converter steady state, which a flat rated start never does
+    prep = prepare(tuned_random_case(n))
+    fallbacks = []
+    loop_solve = powerflow._solve_converters_loop
+
+    def counted(*args):
+        fallbacks.append(args)
+        return loop_solve(*args)
+
+    monkeypatch.setattr(powerflow, "_solve_converters_loop", counted)
+    monkeypatch.setattr(powerflow, "SMALL_N", ARRAYS)
+    arr, bad_arr = continuation_steps(prep)
+    assert fallbacks or n == 8      # the array path handed an infeasible point to the loops
+    monkeypatch.setattr(powerflow, "SMALL_N", LOOPS)
+    loop, bad_loop = continuation_steps(prep)
+    assert [lam for lam, _ in arr] == [lam for lam, _ in loop]
+    assert bad_arr == bad_loop
+    for (_, a), (_, b) in zip(arr, loop, strict=True):
+        assert a.delta == pytest.approx(b.delta, rel=1e-12, abs=1e-14)
+        assert a.U == pytest.approx(b.U, rel=1e-12)
+        for x, y in zip(a.converter_states, b.converter_states, strict=True):
+            assert tuple(x) == pytest.approx(tuple(y), rel=1e-12, abs=1e-14)
 
 
 @pytest.mark.parametrize("bad, U_low, error", [
