@@ -15,11 +15,10 @@ authored emfs during a search; scaling touches reactances only.
 The critical ratio is the scale at which the saddle-node (fold) of the
 power flow sits at rated load, lambda = 1.  The fold is solved for directly
 as a point of collapse (Canizares & Alvarado, IEEE TPWRS 8(1), 1993): a
-Newton on g(x; lambda) = 0, J v = 0, c.v = 1 in (x, v, lambda), started
-from the last converged point of the continuation's stepping phase.  The
-scale is bracketed from s = 1 and then found by regula falsi on
-lambda_fold(s) - 1.  The boundary ratio bisects s on the aggregated
-overlap angle at the continuation's last convergent point = 30 degrees.
+Newton on g(x) = 0, J v = 0, c.v = 1 and one free parameter.  A bracket of
+fold probes in lambda is followed by one fold Newton in s at lambda = 1.
+The boundary ratio bisects s on the aggregated overlap angle at the
+continuation's last convergent point = 30 degrees.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ SCALE_HI = 20.0
 SCALE_REL_TOL = 1e-4
 BOUNDARY_TOL_DEG = 0.05  # on |mu_agg - 30 deg|
 MU_TARGET_DEG = 30.0
-FOLD_TOL = 1e-10         # on the fold residual and on |lambda - 1| at CgSCR
+FOLD_TOL = 1e-10         # on the fold system's residual
 FOLD_MAX_ITER = 30
 FOLD_FD_STEP = 1e-6
 # per-converter overlap angles (deg) and rating weights -> the searched angle
@@ -307,88 +306,81 @@ def _at_scale(prep: PreparedCase, s: float) -> PreparedCase:
                                           f=net.f / s))
 
 
-def _fold_residual(prep: PreparedCase, z: np.ndarray, c: np.ndarray):
-    """(g, J v, c.v - 1) at z = (x, v, lam), paired with (J, converter terms).
-
-    None where a bus voltage is not positive or a converter has no steady state.
-    """
-    n, m = prep.n, 2 * prep.n
-    delta, U, v, lam = z[:n], z[n:m], z[m:2 * m], z[-1]
-    if np.any(U <= 0.0):
-        return None
-    orders = lam * prep.rated_orders
-    try:
-        gP, gQ, conv = mismatch(prep, delta, U, orders)
-    except ConverterInfeasible:
-        return None
-    J = assemble_jacobian(prep, delta, U, orders, conv)
-    return np.concatenate([gP, gQ, J @ v, [c @ v - 1.0]]), (J, conv)
+def _fold_point(at, p: float, x: np.ndarray):
+    """g, J and the converter terms at x, with (prepared case, s, lam) = at(p)."""
+    prep, _, lam = at(p)
+    n, orders = prep.n, lam * prep.rated_orders
+    gP, gQ, conv = mismatch(prep, x[:n], x[n:], orders)
+    return np.concatenate([gP, gQ]), assemble_jacobian(prep, x[:n], x[n:], orders, conv), conv
 
 
-def _fold_jacobian(prep: PreparedCase, z: np.ndarray, c: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """Jacobian of the fold system in z = (x, v, lam), by central differences.
+def _fold_jacobian(at, z: np.ndarray, c: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """Jacobian of the fold system in z = (x, v, p), by central differences.
 
     d(J v)/dx equals the derivative of J along v, because the second
     derivatives of g are symmetric, so one difference pair gives that block.
     """
-    n, m = prep.n, 2 * prep.n
-    x, v, lam = z[:m], z[m:2 * m], z[-1]
+    m = len(c)
+    x, v, p = z[:m], z[m:2 * m], z[-1]
     h = FOLD_FD_STEP
-
-    def jac(xx, ll):
-        return assemble_jacobian(prep, xx[:n], xx[n:], ll * prep.rated_orders)
-
-    def g(ll):
-        gP, gQ, _ = mismatch(prep, x[:n], x[n:], ll * prep.rated_orders)
-        return np.concatenate([gP, gQ])
-
+    g_up, J_up, _ = _fold_point(at, p + h, x)
+    g_dn, J_dn, _ = _fold_point(at, p - h, x)
     A = np.zeros((2 * m + 1, 2 * m + 1))
-    A[:m, :m] = J
-    A[m:2 * m, :m] = (jac(x + h * v, lam) - jac(x - h * v, lam)) / (2.0 * h)
-    A[m:2 * m, m:2 * m] = J
+    A[:m, :m] = A[m:2 * m, m:2 * m] = J
+    A[m:2 * m, :m] = (_fold_point(at, p, x + h * v)[1]
+                      - _fold_point(at, p, x - h * v)[1]) / (2.0 * h)
     A[2 * m, m:2 * m] = c
-    A[:m, 2 * m] = (g(lam + h) - g(lam - h)) / (2.0 * h)
-    A[m:2 * m, 2 * m] = (jac(x, lam + h) - jac(x, lam - h)) @ v / (2.0 * h)
+    A[:m, 2 * m] = (g_up - g_dn) / (2.0 * h)
+    A[m:2 * m, 2 * m] = (J_up - J_dn) @ v / (2.0 * h)
     return A
 
 
-def _solve_fold(prep: PreparedCase, s: float, x, v, lam: float) -> _Fold | None:
-    """Newton on g(x; lam) = 0, J v = 0, c.v = 1 in (x, v, lam), with c = v / |v|^2.
+def _solve_fold(at, x, v, p: float) -> _Fold | None:
+    """Newton on g(x) = 0, J v = 0, c.v = 1 in (x, v, p), with c = v / |v|^2.
 
-    prep is already at scale s; the solve is powerflow.damped_newton.
+    at(p) gives (prepared case, s, lam): a probe frees lam at a fixed scale,
+    the closing solve frees s at lam = 1.  The solve is powerflow.damped_newton.
     Returns None when Newton fails or the fold lies outside U_BAND.
     """
-    n, m = prep.n, 2 * prep.n
+    m = len(x)
     c = v / (v @ v)
 
     def resid(z):
-        return _fold_residual(prep, z, c)
-
-    def jac(z, aux):
-        return _fold_jacobian(prep, z, c, aux[0])
+        # None where a bus voltage is not positive or a converter has no steady state
+        if np.any(z[m // 2:m] <= 0.0):
+            return None
+        try:
+            g, J, conv = _fold_point(at, z[-1], z[:m])
+        except ConverterInfeasible:
+            return None
+        vv = z[m:2 * m]
+        return np.concatenate([g, J @ vv, [c @ vv - 1.0]]), (J, conv)
 
     try:
-        res = damped_newton(resid, jac, np.concatenate([x, v, [lam]]), FOLD_TOL, FOLD_MAX_ITER)
+        res = damped_newton(resid, lambda z, aux: _fold_jacobian(at, z, c, aux[0]),
+                            np.concatenate([x, v, [p]]), FOLD_TOL, FOLD_MAX_ITER)
     except ConverterInfeasible:  # a difference point of the Jacobian left a converter's domain
         return None
     if res.reason == "singular jacobian":
         raise GridStrengthError("find_critical_numeric: singular fold system")
     z = res.x
-    U = z[n:m]
+    U = z[m // 2:m]
     if res.reason or np.any(U <= U_BAND[0]) or np.any(U >= U_BAND[1]):
         return None
-    return _Fold(s=s, lam=float(z[-1]), x=z[:m], v=z[m:2 * m],
+    prep, s, lam = at(z[-1])
+    return _Fold(s=float(s), lam=float(lam), x=z[:m], v=z[m:2 * m],
                  residual=float(res.norm), states=converter_states(prep, res.aux[1]))
 
 
 def _critical_fold(prep: PreparedCase) -> _Fold:
-    """Fold at rated load: bracket the scale, then regula falsi on lam_fold(s) - 1.
+    """Fold at rated load: bracket the scale with fold probes, then one fold Newton in s.
 
-    A bracket probe starts the fold solve from the last converged point of
-    the continuation's stepping phase, with the null vector of J there; a
-    probe inside the bracket warm-starts from the nearer solved fold.  A
-    failed fold, or one outside U_BAND, is the far side of the root, as is
-    a grid too weak to carry the light start.
+    A probe frees lam at a fixed scale, from the last converged point of the
+    continuation's stepping phase; a failed fold, one outside U_BAND or a grid
+    too weak for the light start is the far side of the root.  The closing
+    Newton frees s at lam = 1 from the bracket end nearer rated load.  As in
+    rtsafe (Numerical Recipes 9.4) a root outside the bracket is refused: a
+    probe at the midpoint, warm-started from the nearer fold, shrinks it first.
     """
     kind = "find_critical_numeric"
 
@@ -401,37 +393,24 @@ def _critical_fold(prep: PreparedCase) -> _Fold:
                 return _Probe(s=s, g=-math.inf, result=None)
             lam, st = points[-1]
             J = assemble_jacobian(scaled, st.delta, st.U, lam * scaled.rated_orders)
-            v = np.linalg.svd(J)[2][-1]
-            fold = _solve_fold(scaled, s, np.concatenate([st.delta, st.U]), v, lam)
+            x, v = np.concatenate([st.delta, st.U]), np.linalg.svd(J)[2][-1]
         else:
-            fold = _solve_fold(scaled, s, warm.x, warm.v, warm.lam)
+            x, v, lam = warm.x, warm.v, warm.lam
+        fold = _solve_fold(lambda p: (scaled, s, p), x, v, lam)
         return _Probe(s=s, g=-math.inf if fold is None else fold.lam - 1.0, result=fold)
 
     lo, hi = _bracket(probe, kind)
-    p = lo
-    # Illinois: halve the kept end's gap when the same end moves twice running
-    g_lo, g_hi, moved = lo.g, hi.g, 0
-    while abs(p.g) > FOLD_TOL:
+    while True:     # lo is hi when lam = 1 exactly at s = 1: the Newton stays there
+        start = (lo if abs(lo.g) <= abs(hi.g) else hi).result
+        fold = _solve_fold(lambda p: (_at_scale(prep, p), p, 1.0), start.x, start.v, start.s)
+        if fold is not None and lo.s <= fold.s <= hi.s:
+            return fold
         if hi.s - lo.s <= FOLD_TOL * lo.s:
             raise GridStrengthError(f"{kind}: no fold at rated load between scales "
                                     f"{lo.s:.6g} and {hi.s:.6g}")
-        if hi.result is None:
-            s = 0.5 * (lo.s + hi.s)
-        else:
-            s = (lo.s * g_hi - hi.s * g_lo) / (g_hi - g_lo)
-        near = lo if hi.result is None or s - lo.s <= hi.s - s else hi
-        p = probe(s, near.result)
-        if p.g > 0:
-            lo, g_lo = p, p.g
-            if moved > 0:
-                g_hi *= 0.5
-            moved = 1
-        else:
-            hi, g_hi = p, p.g
-            if moved < 0:
-                g_lo *= 0.5
-            moved = -1
-    return p.result
+        s = 0.5 * (lo.s + hi.s)
+        p = probe(s, (lo if hi.result is None or s - lo.s <= hi.s - s else hi).result)
+        lo, hi = (p, hi) if p.g > 0 else (lo, p)
 
 
 def _result(kind: str, prep: PreparedCase, s: float, residual: float, mu_rad) -> BoundaryResult:
@@ -445,8 +424,7 @@ def find_critical_numeric(case: CaseFile) -> BoundaryResult:
     """Scale reactances until the fold of the power flow sits at rated load."""
     prep = prepare(case)
     fold = _critical_fold(prep)
-    return _result("CgSCR", prep, fold.s, max(fold.residual, abs(fold.lam - 1.0)),
-                   [st.mu for st in fold.states])
+    return _result("CgSCR", prep, fold.s, fold.residual, [st.mu for st in fold.states])
 
 
 def find_boundary_numeric(case: CaseFile, aggregation: str = "mean") -> BoundaryResult:

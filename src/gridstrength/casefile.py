@@ -137,6 +137,7 @@ def _branch_fault(i: int, br: Branch, known) -> None:
     if br.from_bus == br.to_bus:
         raise CaseFormatError(f"{where}: self-loop at '{br.from_bus}'")
     _positive(br.reactance_pu, f"{where}.reactance_pu")
+    _positive(1.0 / br.reactance_pu, f"{where}.reactance_pu: 1/reactance_pu")
 
 
 def _link_fault(i: int, ln: TheveninLink, known) -> None:
@@ -145,13 +146,16 @@ def _link_fault(i: int, ln: TheveninLink, known) -> None:
         raise CaseFormatError(f"{where}: unknown bus '{ln.bus}'")
     _positive(ln.reactance_pu, f"{where}.reactance_pu")
     _positive(ln.emf_pu, f"{where}.emf_pu")
+    _positive(1.0 / ln.reactance_pu, f"{where}.reactance_pu: 1/reactance_pu")
+    _positive(ln.emf_pu / ln.reactance_pu, f"{where}.emf_pu: emf_pu/reactance_pu")
 
 
-def _converter_fault(c: ConverterSpec) -> None:
+def _converter_fault(c: ConverterSpec, base_mva: float) -> None:
     where = f"converter at {c.bus}"
     if c.control != "cp-cea":
         raise CaseFormatError(f"{where}: unsupported control mode '{c.control}' (only cp-cea)")
     _positive(c.p_dn_mw, f"{where}.p_dn_mw")
+    _positive(c.p_dn_mw / base_mva, f"{where}.p_dn_mw: p_dn_mw/system_base_mva")
     _positive(c.u_ac_kv, f"{where}.u_ac_kv")
     _positive(c.k_ratio, f"{where}.k_ratio")
     _positive(c.x_commutation_pu, f"{where}.x_commutation_pu")
@@ -178,14 +182,16 @@ def validate_case(case: CaseFile) -> CaseFile:
     if not case.thevenin_links:
         raise CaseFormatError("thevenin_links: at least one link is required")
 
-    # 0 < x < inf is false for nan, inf and x <= 0 alike
-    inf = math.inf
+    # 0 < x < inf is false for nan, inf and x <= 0 alike; a positive finite
+    # input can still overflow in per unit (1/x, E/x, P/S), tested likewise
+    inf, base = math.inf, case.system_base_mva
     for i, br in enumerate(case.branches):
         if not (br.from_bus in known and br.to_bus in known and br.from_bus != br.to_bus
-                and 0.0 < br.reactance_pu < inf):
+                and 0.0 < br.reactance_pu < inf and 1.0 / br.reactance_pu < inf):
             _branch_fault(i, br, known)
     for i, ln in enumerate(case.thevenin_links):
-        if not (ln.bus in known and 0.0 < ln.reactance_pu < inf and 0.0 < ln.emf_pu < inf):
+        if not (ln.bus in known and 0.0 < ln.reactance_pu < inf and 0.0 < ln.emf_pu < inf
+                and 1.0 / ln.reactance_pu < inf and 0.0 < ln.emf_pu / ln.reactance_pu < inf):
             _link_fault(i, ln, known)
 
     conv_buses = [c.bus for c in case.converters]
@@ -200,11 +206,11 @@ def validate_case(case: CaseFile) -> CaseFile:
             raise CaseFormatError(f"converters: converter bus '{sorted(missing)[0]}' has no converter block")
         raise CaseFormatError(f"converters: bus '{sorted(extra)[0]}' is not declared kind=converter")
     for c in case.converters:
-        if not (c.control == "cp-cea" and 0.0 < c.p_dn_mw < inf and 0.0 < c.u_ac_kv < inf
-                and 0.0 < c.k_ratio < inf and 0.0 < c.x_commutation_pu < inf
-                and 0.0 <= c.r_dc_pu < inf and 0.0 <= c.b_c_pu < inf
-                and c.n_bridges >= 1 and 0.0 < c.gamma_deg < 90.0):
-            _converter_fault(c)
+        if not (c.control == "cp-cea" and 0.0 < c.p_dn_mw < inf and 0.0 < c.p_dn_mw / base < inf
+                and 0.0 < c.u_ac_kv < inf and 0.0 < c.k_ratio < inf
+                and 0.0 < c.x_commutation_pu < inf and 0.0 <= c.r_dc_pu < inf
+                and 0.0 <= c.b_c_pu < inf and c.n_bridges >= 1 and 0.0 < c.gamma_deg < 90.0):
+            _converter_fault(c, base)
 
     # connectivity to the implicit ground: search from every bus with a link
     adjacent = {b: [] for b in ids}

@@ -150,7 +150,7 @@ def _cmd_powerflow(args: argparse.Namespace) -> tuple[str, int]:
 def _cmd_map(args: argparse.Namespace) -> tuple[str, int]:
     case = _load(args.case)
     prep = prepare(case)
-    res = trace_map(prep, bisect_tol=args.tol_bisect)
+    res = trace_map(prep)
     order = prep.net.bus_order
     base = case.system_base_mva
     header = (["lambda"]
@@ -284,9 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf = case_cmd("powerflow", "rated-point AC/DC power flow", [], _cmd_powerflow)
     pf.add_argument("--tol-newton", type=_positive("tol_newton"), default=NEWTON_TOL,
                     metavar="X", help="mismatch norm tolerance")
-    mp = case_cmd("map", "continuation trace to maximum available power (CSV)", [], _cmd_map)
-    mp.add_argument("--tol-bisect", type=_positive("tol_bisect"), default=1e-6, metavar="X",
-                    help="loading-factor interval at the nose")
+    case_cmd("map", "continuation trace to maximum available power (CSV)", [], _cmd_map)
     case_cmd("find-cgscr", "impedance scale search for the critical index", [], _cmd_find)
     case_cmd("find-bgscr", "impedance scale search for the 30-degree boundary", [agg], _cmd_find)
     sw = case_cmd("sweep", "dual-infeed rating-ratio sweep (CSV)", [agg, jobs], _cmd_sweep)

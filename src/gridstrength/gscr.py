@@ -95,7 +95,7 @@ def compute_gscr(J: ExtendedJacobian) -> tuple[EigenResult, float]:
     w1 = W[:, 0] / np.linalg.norm(W[:, 0])
     resid = np.linalg.norm(J.matrix @ w1 - lam[0] * w1)
     scale = np.linalg.norm(J.matrix)
-    if scale > 0 and resid > 1e-10 * scale:
+    if not resid <= 1e-10 * scale:     # false for nan as well
         raise EigenSolveError(f"eigenpair residual {resid:.3e} exceeds tolerance")
     # fix sign by the largest-magnitude component, then normalize to unit sum
     if w1[np.argmax(np.abs(w1))] < 0:

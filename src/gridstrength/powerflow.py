@@ -67,6 +67,7 @@ NEWTON_STEPS = tuple(0.5 ** k for k in range(NEWTON_STEP_TRIES))
 LAM0 = 0.1                  # light-start loading factor of the continuation
 LAM_STEP = 0.02             # loading-factor step of the continuation's stepping phase
 LAM_LIMIT = 1000.0          # loading factor at which a continuation gives up
+LAM_BISECT_TOL = 1e-6       # loading-factor interval at which trace_map's nose bisection stops
 # largest bus count the kernel runs as per-bus loops: up to here numpy's fixed
 # cost per call is at least the loops' O(n^2) work (break-even at n = 3-4)
 SMALL_N = 4
@@ -499,7 +500,7 @@ def continuation_steps(prep: PreparedCase) -> tuple[list[tuple[float, GridState]
         points.append((lam_try, nxt))
 
 
-def trace_map(case: CaseFile | PreparedCase, bisect_tol: float = 1e-6) -> ContinuationResult:
+def trace_map(case: CaseFile | PreparedCase) -> ContinuationResult:
     """Raise the loading factor until the power flow diverges; bisect the nose.
 
     The stepping phase is continuation_steps; the nose is then bisected
@@ -526,7 +527,7 @@ def trace_map(case: CaseFile | PreparedCase, bisect_tol: float = 1e-6) -> Contin
         record(lam, st)
     good_lam, good_state = points[-1]
 
-    while bad_lam - good_lam > bisect_tol:
+    while bad_lam - good_lam > LAM_BISECT_TOL:
         mid = 0.5 * (good_lam + bad_lam)
         nxt = newton_solve(prep, mid * prep.rated_orders, warm=good_state)
         if isinstance(nxt, Diverged):

@@ -118,12 +118,14 @@ def test_find_critical_single_infeed(crit_sidc, measured):
     assert abs(r.value - closed) / closed <= 0.03
 
 
-def test_find_critical_scale_invariance(sidc, crit_sidc):
+def test_find_critical_scale_invariance(sidc, dual, triple, quad):
     # at 5x and 15x the continuation first stops on the U = 2 band edge, which
     # is no fold; only an in-band fold counts as the near side of the root
-    for s in (0.5, 2.0, 5.0, 15.0):
-        r = find_critical_numeric(scale_impedance(sidc, s))
-        assert r.value == pytest.approx(crit_sidc.value, rel=1e-3)
+    for case in (sidc, dual, triple, quad):
+        want = find_critical_numeric(case).value
+        for s in (0.5, 2.0, 5.0, 15.0):
+            r = find_critical_numeric(scale_impedance(case, s))
+            assert r.value == pytest.approx(want, rel=1e-8)
 
 
 @pytest.mark.parametrize("name", ["sidc", "dual", "triple", "quad"])
@@ -137,7 +139,7 @@ def test_critical_fold_certificate(name, request):
     orders = fold.lam * prep.rated_orders
     sv = np.linalg.svd(assemble_jacobian(prep, delta, U, orders), compute_uv=False)
     assert sv[-1] <= 1e-8 * sv[0]
-    assert abs(fold.lam - 1.0) <= 1e-10
+    assert fold.lam == 1.0
     assert fold.residual <= 1e-10
     gP, gQ, _ = mismatch(prep, delta, U, orders)
     assert np.max(np.abs(np.concatenate([gP, gQ]))) <= 1e-10
@@ -162,9 +164,45 @@ def test_search_value_is_index_of_scaled_case(crit_sidc, bnd_sidc, bnd_dual, sid
         assert r.value == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+def test_closing_newton_outside_bracket_shrinks_it(sidc, monkeypatch):
+    # the first fold Newton in s fails; a midpoint probe shrinks the bracket
+    # and the second Newton lands inside it
+    solve = boundary._solve_fold
+    calls = []      # (free parameter is s, s at the start, fold)
+
+    def first_s_free_call_fails(at, x, v, p):
+        s_free = at(2.0 * p)[1] != at(p)[1]
+        fold = None if s_free and not any(c[0] for c in calls) else solve(at, x, v, p)
+        calls.append((s_free, at(p)[1], fold))
+        return fold
+
+    monkeypatch.setattr(boundary, "_solve_fold", first_s_free_call_fails)
+    fold = _critical_fold(prepare(sidc))
+    kinds = [c[0] for c in calls]
+    assert kinds[-3:] == [True, False, True]      # failed Newton, midpoint probe, Newton
+    probes = [(s, f) for s_free, s, f in calls if not s_free]
+    lo = max(s for s, f in probes if f is not None and f.lam > 1.0)
+    hi = min(s for s, f in probes if f is None or f.lam <= 1.0)
+    assert lo <= fold.s <= hi
+    assert fold.lam == 1.0
+    _, g = case_gscr(sidc)
+    assert g / fold.s == pytest.approx(1.9987510265167951, rel=1e-10)
+
+
+def test_closing_newton_that_never_lands_collapses_the_bracket(sidc, monkeypatch):
+    solve = boundary._solve_fold
+
+    def s_free_calls_fail(at, x, v, p):
+        return None if at(2.0 * p)[1] != at(p)[1] else solve(at, x, v, p)
+
+    monkeypatch.setattr(boundary, "_solve_fold", s_free_calls_fail)
+    with pytest.raises(GridStrengthError, match="no fold at rated load between scales"):
+        find_critical_numeric(sidc)
+
+
 def test_singular_fold_system_is_a_package_error(sidc, monkeypatch):
     monkeypatch.setattr(boundary, "_fold_jacobian",
-                        lambda prep, *args: np.zeros((4 * prep.n + 1, 4 * prep.n + 1)))
+                        lambda at, z, *args: np.zeros((len(z), len(z))))
     with pytest.raises(GridStrengthError, match="singular fold system"):
         find_critical_numeric(sidc)
 

@@ -105,15 +105,9 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys, ["bogus"])[0] == 2
 
 
-def test_nonpositive_tolerance_is_input_error(capsys, paths):
-    code, _, err = run(capsys, ["map", paths["sidc"], "--tol-bisect", "0"])
-    assert code == 2
-    assert "tol_bisect" in err
-
-
 @pytest.mark.parametrize("argv, name", [
     (["powerflow", "--tol-newton", "inf"], "tol_newton"),
-    (["map", "--tol-bisect", "nan"], "tol_bisect"),
+    (["gscr", "--cg", "nan"], "cg"),
     (["sweep", "--jobs", "0"], "jobs"),
     (["classify", "--bg", "inf"], "bg"),
 ])
@@ -143,6 +137,9 @@ def test_nonfinite_or_nonpositive_setting_is_input_error(capsys, paths, argv, na
     pytest.param(("thevenin_links", 0, "emf_pu"), 10**400, id="emf-400-digits"),
     pytest.param(("converters", 0, "x_commutation_pu"), -10**400, id="x-minus-400-digits"),
     pytest.param(("system_base_mva",), 10**400, id="base-400-digits"),
+    # positive and finite as written, but 1/x or P_dn/S_base overflows to inf
+    pytest.param(("branches", 0, "reactance_pu"), 1e-320, id="reactance-1e-320"),
+    pytest.param(("system_base_mva",), 1e-320, id="base-1e-320"),
 ])
 def test_bad_case_number_is_input_error(capsys, tmp_path, where, value):
     doc = hub_network_doc(["a", "b"])

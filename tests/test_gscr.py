@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from gridstrength.errors import GridStrengthError
+from gridstrength.errors import EigenSolveError, GridStrengthError
 from gridstrength.gscr import (
+    ExtendedJacobian,
     characteristic_delta,
     classify,
     compute_gscr,
@@ -85,6 +86,14 @@ def test_rating_vector_validation():
         extended_jacobian(b, [1.0, 0.0])
     with pytest.raises(GridStrengthError):
         extended_jacobian(b, [1.0, -2.0])
+
+
+def test_nonfinite_matrix_is_eigensolve_error():
+    # the eigenpair residual is nan here, which a plain "resid > tol" lets through
+    J = ExtendedJacobian(matrix=np.array([[math.nan, 0.0], [0.0, 1.0]]), p_n=np.ones(2),
+                         bus_order=("a", "b"))
+    with pytest.raises(EigenSolveError):
+        compute_gscr(J)
 
 
 def test_gscr_against_charpoly_oracle(rng):
