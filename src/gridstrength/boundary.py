@@ -12,13 +12,13 @@ by s, and the index J_eq = -diag(1/P_N) B at the found scale is reported
 as gSCR(1)/s without reducing the scaled case again.  Sources keep their
 authored emfs during a search; scaling touches reactances only.
 
-The critical ratio is the scale at which the saddle-node (fold) of the
-power flow sits at rated load, lambda = 1.  The fold is solved for directly
-as a point of collapse (Canizares & Alvarado, IEEE TPWRS 8(1), 1993): a
-Newton on g(x) = 0, J v = 0, c.v = 1 and one free parameter.  A bracket of
-fold probes in lambda is followed by one fold Newton in s at lambda = 1.
-The boundary ratio bisects s on the aggregated overlap angle at the
-continuation's last convergent point = 30 degrees.
+The critical ratio is the scale at which the saddle-node (fold) of the power
+flow sits at rated load, lambda = 1.  The fold is solved for directly as a
+point of collapse (Canizares & Alvarado, IEEE TPWRS 8(1), 1993): a Newton on
+g(x) = 0, J v = 0, c.v = 1 and one free parameter, s at lambda = 1, started
+at the paper's threshold s = gSCR(1)/2; when that fold fails its certificate,
+fold probes in lambda bracket s first.  The boundary ratio bisects s on the
+aggregated overlap angle at the continuation's last convergent point = 30 deg.
 """
 
 from __future__ import annotations
@@ -37,12 +37,14 @@ from .netmodel import reduce_case, scale_impedance
 from .powerflow import (
     U_BAND,
     ContinuationResult,
+    GridState,
     PreparedCase,
     assemble_jacobian,
     continuation_steps,
     converter_states,
     damped_newton,
     mismatch,
+    newton_solve,
     prepare,
     trace_map,
 )
@@ -54,6 +56,7 @@ BOUNDARY_TOL_DEG = 0.05  # on |mu_agg - 30 deg|
 MU_TARGET_DEG = 30.0
 FOLD_TOL = 1e-10         # on the fold system's residual
 FOLD_MAX_ITER = 30
+MODAL_TOL = 1e-12        # the modal fold's: stopped at FOLD_TOL its s can sit 1e-10 off
 FOLD_FD_STEP = 1e-6
 # per-converter overlap angles (deg) and rating weights -> the searched angle
 _AGGREGATE = {
@@ -335,12 +338,12 @@ def _fold_jacobian(at, z: np.ndarray, c: np.ndarray, J: np.ndarray) -> np.ndarra
     return A
 
 
-def _solve_fold(at, x, v, p: float) -> _Fold | None:
+def _solve_fold(at, x, v, p: float, tol: float = FOLD_TOL) -> _Fold | None:
     """Newton on g(x) = 0, J v = 0, c.v = 1 in (x, v, p), with c = v / |v|^2.
 
     at(p) gives (prepared case, s, lam): a probe frees lam at a fixed scale,
-    the closing solve frees s at lam = 1.  The solve is powerflow.damped_newton.
-    Returns None when Newton fails or the fold lies outside U_BAND.
+    the closing and modal solves free s at lam = 1.  The solve is damped_newton
+    to tol.  Returns None when Newton fails or the fold lies outside U_BAND.
     """
     m = len(x)
     c = v / (v @ v)
@@ -358,7 +361,7 @@ def _solve_fold(at, x, v, p: float) -> _Fold | None:
 
     try:
         res = damped_newton(resid, lambda z, aux: _fold_jacobian(at, z, c, aux[0]),
-                            np.concatenate([x, v, [p]]), FOLD_TOL, FOLD_MAX_ITER)
+                            np.concatenate([x, v, [p]]), tol, FOLD_MAX_ITER)
     except ConverterInfeasible:  # a difference point of the Jacobian left a converter's domain
         return None
     if res.reason == "singular jacobian":
@@ -372,8 +375,24 @@ def _solve_fold(at, x, v, p: float) -> _Fold | None:
                  residual=float(res.norm), states=converter_states(prep, res.aux[1]))
 
 
+def _modal_fold(prep: PreparedCase, g1: float) -> _Fold | None:
+    """One fold Newton in s from the paper's threshold s0 = gSCR(1) / 2; None if uncertified.
+
+    x0 is the first converged flow at s0 and 0.8 or 0.5 of rated load (rated load
+    sits on the nose there), else flat at rated load; v0 is J's last right singular
+    vector at x0 and its own load, where every converter has a steady state.
+    """
+    n, scaled = prep.n, _at_scale(prep, 0.5 * g1)
+    flows = ((lam, newton_solve(scaled, lam * prep.rated_orders)) for lam in (0.8, 0.5))
+    lam, st = next(((lam, st) for lam, st in flows if isinstance(st, GridState)), (1.0, None))
+    x = np.concatenate([st.delta, st.U] if st else [np.zeros(n), np.ones(n)])
+    v = np.linalg.svd(assemble_jacobian(scaled, x[:n], x[n:], lam * prep.rated_orders))[2][-1]
+    fold = _solve_fold(lambda p: (_at_scale(prep, p), p, 1.0), x, v, 0.5 * g1, MODAL_TOL)
+    return fold if fold is not None and SCALE_LO <= fold.s <= SCALE_HI else None
+
+
 def _critical_fold(prep: PreparedCase) -> _Fold:
-    """Fold at rated load: bracket the scale with fold probes, then one fold Newton in s.
+    """Fold at rated load when _modal_fold has none: fold probes from s = 1, then a Newton in s.
 
     A probe frees lam at a fixed scale, from the last converged point of the
     continuation's stepping phase; a failed fold, one outside U_BAND or a grid
@@ -413,18 +432,21 @@ def _critical_fold(prep: PreparedCase) -> _Fold:
         lo, hi = (p, hi) if p.g > 0 else (lo, p)
 
 
-def _result(kind: str, prep: PreparedCase, s: float, residual: float, mu_rad) -> BoundaryResult:
-    """The search's answer at scale s; the index there is gSCR(1) / s."""
-    _, g = compute_gscr(extended_jacobian(prep.net.B, prep.consts.p_dn))
-    return BoundaryResult(kind=kind, value=g / s, scale_star=s, condition_residual=residual,
+def _result(kind: str, prep: PreparedCase, s: float, residual: float, mu_rad,
+            g1: float | None = None) -> BoundaryResult:
+    """The search's answer at scale s; the index there is gSCR(1) / s, g1 when known."""
+    if g1 is None:
+        g1 = compute_gscr(extended_jacobian(prep.net.B, prep.consts.p_dn))[1]
+    return BoundaryResult(kind=kind, value=g1 / s, scale_star=s, condition_residual=residual,
                           per_converter_mu=tuple(math.degrees(m) for m in mu_rad))
 
 
 def find_critical_numeric(case: CaseFile) -> BoundaryResult:
     """Scale reactances until the fold of the power flow sits at rated load."""
     prep = prepare(case)
-    fold = _critical_fold(prep)
-    return _result("CgSCR", prep, fold.s, fold.residual, [st.mu for st in fold.states])
+    g1 = compute_gscr(extended_jacobian(prep.net.B, prep.consts.p_dn))[1]
+    fold = _modal_fold(prep, g1) or _critical_fold(prep)
+    return _result("CgSCR", prep, fold.s, fold.residual, [st.mu for st in fold.states], g1)
 
 
 def find_boundary_numeric(case: CaseFile, aggregation: str = "mean") -> BoundaryResult:

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .casefile import CaseFile
-from .errors import GridStrengthError
+from .errors import CaseFormatError, GridStrengthError
 
 
 @dataclass(frozen=True)
@@ -142,13 +142,16 @@ class ReducedNetwork(NamedTuple):
 
 
 def reduce_case(case: CaseFile) -> ReducedNetwork:
-    full = build_susceptance(case)
-    f = source_vector(case, full)
+    B = build_susceptance(case)
+    f = source_vector(case, B)
     keep = set(case.converter_buses())
-    if len(keep) == full.order:     # no internal bus (bus ids are unique)
-        return ReducedNetwork(B=full, f=f)
-    red, f_red = _eliminate(full, *_split(full, keep), f)
-    return ReducedNetwork(B=red, f=f_red)
+    if len(keep) < B.order:     # internal buses to eliminate (bus ids are unique)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+            B, f = _eliminate(B, *_split(B, keep), f)
+    ok = np.isfinite(B.matrix).all(axis=1) & np.isfinite(f)
+    if not ok.all():
+        raise CaseFormatError(f"network: bus {B.bus_order[ok.argmin()]!r}: 1/reactance_pu overflows")
+    return ReducedNetwork(B=B, f=f)
 
 
 def scale_impedance(case: CaseFile, s: float) -> CaseFile:

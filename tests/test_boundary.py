@@ -2,16 +2,20 @@
 source-tuning helper."""
 
 import concurrent.futures
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gridstrength.boundary as boundary
+import gridstrength.powerflow as powerflow
 from gridstrength.boundary import (
     BoundaryResult,
     _bisect_scale,
     _critical_fold,
+    _modal_fold,
     boundary_overlap_c,
     bscr_solve,
     case_gscr,
@@ -118,20 +122,72 @@ def test_find_critical_single_infeed(crit_sidc, measured):
     assert abs(r.value - closed) / closed <= 0.03
 
 
-def test_find_critical_scale_invariance(sidc, dual, triple, quad):
-    # at 5x and 15x the continuation first stops on the U = 2 band edge, which
-    # is no fold; only an in-band fold counts as the near side of the root
+def test_find_critical_scale_invariance(sidc, dual, triple, quad, monkeypatch):
+    # the modal start at s0 = gSCR(1) / 2 moves with the scale, so every k takes
+    # the same path: no continuation and one short fold Newton
+    calls = {"mismatch": 0, "continuation_steps": 0}
+
+    def counted(name):
+        fn = getattr(powerflow, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        wrapper = counted(name)
+        monkeypatch.setattr(powerflow, name, wrapper)
+        monkeypatch.setattr(boundary, name, wrapper)
     for case in (sidc, dual, triple, quad):
         want = find_critical_numeric(case).value
-        for s in (0.5, 2.0, 5.0, 15.0):
+        for s in (0.5, 1.0, 2.0, 5.0, 15.0):
+            calls.update(mismatch=0, continuation_steps=0)
             r = find_critical_numeric(scale_impedance(case, s))
-            assert r.value == pytest.approx(want, rel=1e-8)
+            assert calls["continuation_steps"] == 0
+            assert calls["mismatch"] <= 40
+            assert r.value == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("name", ["sidc", "dual", "triple", "quad"])
-def test_critical_fold_certificate(name, request):
-    case = request.getfixturevalue(name)
-    fold = _critical_fold(prepare(case))
+def _netgen():
+    """perfbench/netgen.py, loaded read-only as the benchmark's workloads load it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "netgen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_netgen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def heterogeneous_case(j, n):
+    """A flow network with per-converter gamma, x_c, b_c and rating drawn at random, tuned to 2."""
+    rng = np.random.default_rng(7000 + 100 * j + n)
+    doc = _netgen().flow_network_doc(rng, n, "h")
+    for conv in doc["converters"]:
+        conv["gamma_deg"] = float(rng.uniform(14.0, 20.0))
+        conv["x_commutation_pu"] = float(rng.uniform(0.03, 0.09))
+        conv["b_c_pu"] = float(rng.uniform(0.35, 0.6))
+        conv["p_dn_mw"] = float(300.0 * 16.0 ** rng.uniform(0.0, 1.0))
+    return scale_to_gscr(case_from_dict(doc), 2.0)
+
+
+@pytest.mark.parametrize("j, n, k, want", [
+    # (0, 3): at s = 1 the light start sits on a filter-overvolted branch and
+    # the root lies below the bracket built from there; (2, 12): a failed fold
+    # probe at s = 1 reads as the far side and builds a false bracket
+    (0, 3, 2.0, 1.8296094964),
+    (2, 12, 0.7, 1.9838841983),
+])
+def test_critical_on_heterogeneous_converters(j, n, k, want):
+    r = find_critical_numeric(scale_impedance(heterogeneous_case(j, n), k))
+    assert r.value == pytest.approx(want, abs=1e-8)
+
+
+def test_failed_modal_start_falls_back_to_the_bracket(sidc, monkeypatch):
+    monkeypatch.setattr(boundary, "_modal_fold", lambda prep, g1: None)
+    assert find_critical_numeric(sidc).value == 1.9987510265191224
+
+
+def _check_fold_certificate(case, fold):
     # re-prepared from the scaled case file, not from the fold's own scaling
     prep = prepare(scale_impedance(case, fold.s))
     n = prep.n
@@ -145,6 +201,20 @@ def test_critical_fold_certificate(name, request):
     assert np.max(np.abs(np.concatenate([gP, gQ]))) <= 1e-10
     assert np.all((U > U_BAND[0]) & (U < U_BAND[1]))
     assert find_critical_numeric(case).condition_residual <= 1e-10
+
+
+@pytest.mark.parametrize("name", ["sidc", "dual", "triple", "quad"])
+def test_critical_fold_certificate(name, request):
+    case = request.getfixturevalue(name)
+    _check_fold_certificate(case, _critical_fold(prepare(case)))
+
+
+@pytest.mark.parametrize("name", ["sidc", "dual", "triple", "quad"])
+def test_modal_fold_certificate(name, request):
+    case = request.getfixturevalue(name)
+    fold = _modal_fold(prepare(case), case_gscr(case)[1])
+    _check_fold_certificate(case, fold)
+    assert fold.residual <= boundary.MODAL_TOL
 
 
 def test_critical_fold_matches_divergence_bisection(sidc, dual, triple, quad):
@@ -192,8 +262,8 @@ def test_closing_newton_outside_bracket_shrinks_it(sidc, monkeypatch):
 def test_closing_newton_that_never_lands_collapses_the_bracket(sidc, monkeypatch):
     solve = boundary._solve_fold
 
-    def s_free_calls_fail(at, x, v, p):
-        return None if at(2.0 * p)[1] != at(p)[1] else solve(at, x, v, p)
+    def s_free_calls_fail(at, x, v, p, *tol):
+        return None if at(2.0 * p)[1] != at(p)[1] else solve(at, x, v, p, *tol)
 
     monkeypatch.setattr(boundary, "_solve_fold", s_free_calls_fail)
     with pytest.raises(GridStrengthError, match="no fold at rated load between scales"):

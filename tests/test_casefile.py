@@ -19,6 +19,7 @@ from gridstrength.casefile import (
     with_rating,
 )
 from gridstrength.errors import CaseFormatError
+from gridstrength.netmodel import reduce_case
 
 from conftest import CONVERTER_BLOCK, script_env
 
@@ -97,6 +98,15 @@ def golden_doc():
     }
 
 
+def overflowing_dual_doc():
+    """The bundled dual case with both reactances on bus inv1 at 1e-308."""
+    doc = case_to_dict(load_bundled_case("dual"))
+    for item in doc["branches"] + doc["thevenin_links"]:
+        if "inv1" in (item.get("from"), item.get("bus")):
+            item["reactance_pu"] = 1e-308
+    return doc
+
+
 def _doc(mutate):
     """case_from_dict on golden_doc() after mutate(doc) edits it in place."""
     def call(path):
@@ -127,8 +137,9 @@ def _drop(section, i, key):
     return _doc(lambda d: d[section][i].pop(key))
 
 
-# Full text of every CaseFormatError casefile raises, one row per raise site
-# and per checked field; $PATH is the file a row loads, $CASES the bundled dir.
+# Full text of every CaseFormatError casefile and netmodel raise, one row per
+# raise site and per checked field; $PATH is the file a row loads, $CASES the
+# bundled dir.
 GOLDEN_MESSAGES = [
     (_raw([]), "top level: expected object"),
     (_doc(lambda d: d.pop("buses")), "top level: missing key 'buses'"),
@@ -245,6 +256,9 @@ GOLDEN_MESSAGES = [
     (_file(json.dumps({**golden_doc(), "thevenin_links": []}).encode()),
      "$PATH: thevenin_links: at least one link is required"),
     (lambda path: load_bundled_case("nope"), "no bundled case named 'nope.json' in $CASES"),
+    # each 1/x is finite, but the branch and the link on inv1 sum past the float range
+    (lambda path: reduce_case(case_from_dict(overflowing_dual_doc())),
+     "network: bus 'inv1': 1/reactance_pu overflows"),
 ]
 
 

@@ -17,6 +17,7 @@ from gridstrength.netmodel import scale_impedance
 from gridstrength.validate import ValidationReport, ValidationRow
 
 from conftest import hub_network_doc, script_env
+from test_casefile import overflowing_dual_doc
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +153,15 @@ def test_bad_case_number_is_input_error(capsys, tmp_path, where, value):
     code, out, err = run(capsys, ["gscr", str(path)])
     assert (code, out) == (2, "")
     assert where[-1] in err
+
+
+@pytest.mark.parametrize("cmd", ["gscr", "classify", "powerflow", "find-cgscr"])
+def test_overflowing_susceptance_is_input_error(capsys, tmp_path, cmd):
+    # Kron reduction names the bus before any eigensolve or power flow warns
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(overflowing_dual_doc()), encoding="utf-8")
+    code, out, err = run(capsys, [cmd, str(path)])
+    assert (code, out, err) == (2, "", "error: network: bus 'inv1': 1/reactance_pu overflows\n")
 
 
 def test_number_with_too_many_digits_is_input_error(capsys, tmp_path):
