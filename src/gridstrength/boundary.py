@@ -17,8 +17,8 @@ flow sits at rated load, lambda = 1.  The fold is solved for directly as a
 point of collapse (Canizares & Alvarado, IEEE TPWRS 8(1), 1993): a Newton on
 g(x) = 0, J v = 0, c.v = 1 and one free parameter, s at lambda = 1, started
 at the paper's threshold s = gSCR(1)/2; when that fold fails its certificate,
-fold probes in lambda bracket s first.  The boundary ratio bisects s on the
-aggregated overlap angle at the continuation's last convergent point = 30 deg.
+fold probes in lambda bracket s and one such Newton closes the bracket.  The
+boundary ratio bisects s on the aggregated overlap angle at the nose = 30 deg.
 """
 
 from __future__ import annotations
@@ -127,10 +127,10 @@ def bscr_solve(params: LccParams) -> float:
         P = (params.a * U * math.cos(params.gamma) - params.b * I) * I
         if P <= 0:
             return None
-        Q = -P * tphi + params.omega * params.b_c * U * U
+        Q = -P * tphi + params.b_c * U * U
         r1 = (P * Z) ** 2 + (U * U - Q * Z) ** 2 - (E * U) ** 2
         rho = P / (U * U)
-        T = 2.0 * c_B * K_B + 2.0 * params.omega * params.b_c * U * U / P
+        T = 2.0 * c_B * K_B + 2.0 * params.b_c * U * U / P
         return np.array([r1, characteristic_delta(rho, T, scr)]), None
 
     def jac(x, _):
@@ -396,47 +396,45 @@ def _critical_fold(prep: PreparedCase) -> _Fold:
 
     A probe frees lam at a fixed scale, from the last converged point of the
     continuation's stepping phase; a failed fold, one outside U_BAND or a grid
-    too weak for the light start is the far side of the root.  The closing
-    Newton frees s at lam = 1 from the bracket end nearer rated load.  As in
-    rtsafe (Numerical Recipes 9.4) a root outside the bracket is refused: a
-    probe at the midpoint, warm-started from the nearer fold, shrinks it first.
+    too weak for the light start is the far side of the root.  One Newton then
+    frees s at lam = 1, from the fold at the bracket end nearer rated load and
+    the secant estimate of s between the ends; a root outside the bracket is refused.
     """
     kind = "find_critical_numeric"
 
-    def probe(s, warm: _Fold | None = None) -> _Probe:
+    def probe(s) -> _Probe:
         scaled = _at_scale(prep, s)
-        if warm is None:
-            try:
-                points, _ = continuation_steps(scaled)
-            except ConverterInfeasible:
-                return _Probe(s=s, g=-math.inf, result=None)
-            lam, st = points[-1]
-            J = assemble_jacobian(scaled, st.delta, st.U, lam * scaled.rated_orders)
-            x, v = np.concatenate([st.delta, st.U]), np.linalg.svd(J)[2][-1]
-        else:
-            x, v, lam = warm.x, warm.v, warm.lam
+        try:
+            points, _ = continuation_steps(scaled)
+        except ConverterInfeasible:
+            return _Probe(s=s, g=-math.inf, result=None)
+        lam, st = points[-1]
+        J = assemble_jacobian(scaled, st.delta, st.U, lam * scaled.rated_orders)
+        x, v = np.concatenate([st.delta, st.U]), np.linalg.svd(J)[2][-1]
         fold = _solve_fold(lambda p: (scaled, s, p), x, v, lam)
         return _Probe(s=s, g=-math.inf if fold is None else fold.lam - 1.0, result=fold)
 
     lo, hi = _bracket(probe, kind)
-    while True:     # lo is hi when lam = 1 exactly at s = 1: the Newton stays there
-        start = (lo if abs(lo.g) <= abs(hi.g) else hi).result
-        fold = _solve_fold(lambda p: (_at_scale(prep, p), p, 1.0), start.x, start.v, start.s)
-        if fold is not None and lo.s <= fold.s <= hi.s:
-            return fold
-        if hi.s - lo.s <= FOLD_TOL * lo.s:
-            raise GridStrengthError(f"{kind}: no fold at rated load between scales "
-                                    f"{lo.s:.6g} and {hi.s:.6g}")
-        s = 0.5 * (lo.s + hi.s)
-        p = probe(s, (lo if hi.result is None or s - lo.s <= hi.s - s else hi).result)
-        lo, hi = (p, hi) if p.g > 0 else (lo, p)
+    start = (lo if abs(lo.g) <= abs(hi.g) else hi).result
+    # lo is hi when lam = 1 exactly at s = 1; a failed far end gives no secant
+    s = start.s if lo is hi or hi.result is None else lo.s + (hi.s - lo.s) * lo.g / (lo.g - hi.g)
+    fold = _solve_fold(lambda p: (_at_scale(prep, p), p, 1.0), start.x, start.v, s)
+    if fold is None or not lo.s <= fold.s <= hi.s:
+        raise GridStrengthError(f"{kind}: no fold at rated load between scales "
+                                f"{lo.s:.6g} and {hi.s:.6g}")
+    return fold
 
 
-def _result(kind: str, prep: PreparedCase, s: float, residual: float, mu_rad,
-            g1: float | None = None) -> BoundaryResult:
-    """The search's answer at scale s; the index there is gSCR(1) / s, g1 when known."""
-    if g1 is None:
-        g1 = compute_gscr(extended_jacobian(prep.net.B, prep.consts.p_dn))[1]
+def _index_at_unit_scale(prep: PreparedCase) -> float:
+    """gSCR(1), the index at the authored scale; every search's value is gSCR(1) / s."""
+    g1 = compute_gscr(extended_jacobian(prep.net.B, prep.consts.p_dn))[1]
+    if not g1 > 0:
+        raise GridStrengthError(f"threshold search: gSCR at scale 1 is {g1:.6g}, not positive")
+    return g1
+
+
+def _result(kind: str, g1: float, s: float, residual: float, mu_rad) -> BoundaryResult:
+    """The search's answer at scale s: the index there is gSCR(1) / s."""
     return BoundaryResult(kind=kind, value=g1 / s, scale_star=s, condition_residual=residual,
                           per_converter_mu=tuple(math.degrees(m) for m in mu_rad))
 
@@ -444,9 +442,9 @@ def _result(kind: str, prep: PreparedCase, s: float, residual: float, mu_rad,
 def find_critical_numeric(case: CaseFile) -> BoundaryResult:
     """Scale reactances until the fold of the power flow sits at rated load."""
     prep = prepare(case)
-    g1 = compute_gscr(extended_jacobian(prep.net.B, prep.consts.p_dn))[1]
+    g1 = _index_at_unit_scale(prep)
     fold = _modal_fold(prep, g1) or _critical_fold(prep)
-    return _result("CgSCR", prep, fold.s, fold.residual, [st.mu for st in fold.states], g1)
+    return _result("CgSCR", g1, fold.s, fold.residual, [st.mu for st in fold.states])
 
 
 def find_boundary_numeric(case: CaseFile, aggregation: str = "mean") -> BoundaryResult:
@@ -455,12 +453,13 @@ def find_boundary_numeric(case: CaseFile, aggregation: str = "mean") -> Boundary
     if aggregate is None:
         raise GridStrengthError(f"unknown aggregation rule {aggregation!r}; expected one of {AGG_RULES}")
     prep = prepare(case)
+    g1 = _index_at_unit_scale(prep)
 
     def gap(tr: ContinuationResult) -> float:
         return aggregate(np.degrees(np.array(tr.mu_at_map)), prep.consts.p_dn) - MU_TARGET_DEG
 
     best = _bisect_scale(prep, gap, BOUNDARY_TOL_DEG, "find_boundary_numeric")
-    return _result("BgSCR", prep, best.s, abs(best.g), best.result.mu_at_map)
+    return _result("BgSCR", g1, best.s, abs(best.g), best.result.mu_at_map)
 
 
 def fan_out(fn, jobs: int, *iterables) -> list:

@@ -12,8 +12,8 @@ DC current solves
 
     (b - R) I^2 - a U cos(gamma) I + P_order = 0        (low root)
 
-The reactive balance is Q = -P tan(phi) + omega B_c U^2 with
-cos(phi) = cos(gamma) - c.
+The reactive balance is Q = -P tan(phi) + B_c U^2 with cos(phi) = cos(gamma) - c;
+B_c is the filter susceptance at rated frequency.
 """
 
 from __future__ import annotations
@@ -39,9 +39,7 @@ class LccParams:
     x: float                # commutation reactance
     r: float                # DC line resistance
     b_c: float              # shunt compensation susceptance
-    omega: float = 1.0
     bus: str = ""
-    p_dn_mw: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.gamma < math.pi / 2:
@@ -67,9 +65,7 @@ class LccParams:
             x=spec.x_commutation_pu,
             r=spec.r_dc_pu,
             b_c=spec.b_c_pu,
-            omega=1.0,
             bus=spec.bus,
-            p_dn_mw=spec.p_dn_mw,
         )
 
 
@@ -151,7 +147,7 @@ def solve_state(params: LccParams, U: float, p_order: float) -> ConverterState:
         raise ConverterInfeasible("overlap angle out of range", params.bus or None)
     P = p_order - I * I * params.r
     sphi = math.sqrt(1.0 - cphi * cphi)
-    Q = -P * sphi / cphi + params.omega * params.b_c * U * U
+    Q = -P * sphi / cphi + params.b_c * U * U
     return ConverterState(
         U=U,
         I_d=I,
@@ -170,7 +166,7 @@ def state_derivatives(params: LccParams, state: ConverterState) -> StateDerivati
     U, I, c = state.U, state.I_d, state.c
     g = params.gamma
     if I == 0.0:
-        return StateDerivatives(0.0, 0.0, 0.0, 2.0 * params.omega * params.b_c * U)
+        return StateDerivatives(0.0, 0.0, 0.0, 2.0 * params.b_c * U)
     A = params.b - params.r
     denom = 2.0 * A * I - params.a * U * math.cos(g)
     # at the low root denom = -sqrt(disc) < 0; it vanishes only at the nose
@@ -180,16 +176,16 @@ def state_derivatives(params: LccParams, state: ConverterState) -> StateDerivati
     cphi = math.cos(g) - c
     sphi = math.sqrt(1.0 - cphi * cphi)
     Kc = 1.0 / (cphi * cphi * sphi)
-    dQ = -dP * sphi / cphi - state.P * Kc * dc + 2.0 * params.omega * params.b_c * U
+    dQ = -dP * sphi / cphi - state.P * Kc * dc + 2.0 * params.b_c * U
     return StateDerivatives(dI_dU=dI, dc_dU=dc, dP_dU=dP, dQ_dU=dQ)
 
 
 def sensitivity_T(state: ConverterState, params: LccParams) -> SensitivityBundle:
-    """T = 2 c K(c) + 2 omega B_c U^2 / P plus both tan(phi) voltage derivatives."""
+    """T = 2 c K(c) + 2 B_c U^2 / P plus both tan(phi) voltage derivatives."""
     if state.P <= 0.0:
         raise GridStrengthError("sensitivity_T: converter power must be positive")
     Kc = k_of_c(state.c, params.gamma)
-    T = 2.0 * state.c * Kc + 2.0 * params.omega * params.b_c * state.U**2 / state.P
+    T = 2.0 * state.c * Kc + 2.0 * params.b_c * state.U**2 / state.P
     d = state_derivatives(params, state)
     return SensitivityBundle(
         K_c=Kc,

@@ -40,7 +40,7 @@ from gridstrength.powerflow import (
     prepare,
 )
 
-from conftest import CONVERTER_BLOCK, hub_network_doc, serial_pool
+from conftest import CONVERTER_BLOCK, hub_network_doc, random_network_doc, serial_pool
 from test_converter import cigre_params
 
 
@@ -182,9 +182,51 @@ def test_critical_on_heterogeneous_converters(j, n, k, want):
     assert r.value == pytest.approx(want, abs=1e-8)
 
 
-def test_failed_modal_start_falls_back_to_the_bracket(sidc, monkeypatch):
+@pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 5.0, 15.0])
+@pytest.mark.parametrize("name", ["sidc", "dual", "triple", "quad"])
+def test_failed_modal_start_falls_back_to_the_bracket(name, k, request, monkeypatch):
+    # at k = 5 and 15 on sidc and dual a bracket on the continuation's last lambda
+    # would cross on the shunt-inflated upper-voltage branch; the fold probes do not
+    case = scale_impedance(request.getfixturevalue(name), k)
+    want = find_critical_numeric(case).value
+    solve, s_free = boundary._solve_fold, []
+
+    def counted(at, x, v, p, *tol):
+        if at(2.0 * p)[1] != at(p)[1]:
+            s_free.append(p)
+        return solve(at, x, v, p, *tol)
+
     monkeypatch.setattr(boundary, "_modal_fold", lambda prep, g1: None)
-    assert find_critical_numeric(sidc).value == 1.9987510265191224
+    monkeypatch.setattr(boundary, "_solve_fold", counted)
+    assert find_critical_numeric(case).value == pytest.approx(want, rel=1e-10, abs=0.0)
+    assert len(s_free) == 1
+
+
+def stress_case(seed, n, k):
+    """A random network with random emfs and converter constants, far from a tuned rated point."""
+    rng = np.random.default_rng(9000 + seed)
+    doc = random_network_doc(rng, n, link_prob=0.6)
+    for link in doc["thevenin_links"]:
+        link["emf_pu"] = float(rng.uniform(0.85, 1.25))
+    for conv in doc["converters"]:
+        conv["gamma_deg"] = float(rng.uniform(12.0, 25.0))
+        conv["x_commutation_pu"] = float(rng.uniform(0.02, 0.15))
+        conv["b_c_pu"] = float(rng.uniform(0.2, 0.8))
+        conv["p_dn_mw"] = float(200.0 * 20.0 ** rng.uniform(0.0, 1.0))
+    return scale_impedance(case_from_dict(doc), k)
+
+
+@pytest.mark.parametrize("seed, n, k, want", [
+    (15, 4, 1.0, 4.124871242319338),
+    (18, 1, 1.0, 6.427373125962935),
+    (10, 6, 0.5, 12.17530488314376),
+])
+def test_bracket_where_the_modal_start_fails(seed, n, k, want):
+    case = stress_case(seed, n, k)
+    prep = prepare(case)
+    assert _modal_fold(prep, case_gscr(case)[1]) is None
+    assert find_critical_numeric(case).value == pytest.approx(want, rel=1e-10, abs=0.0)
+    _check_fold_certificate(case, _critical_fold(prep))
 
 
 def _check_fold_certificate(case, fold):
@@ -232,31 +274,6 @@ def test_search_value_is_index_of_scaled_case(crit_sidc, bnd_sidc, bnd_dual, sid
     for r, case in ((crit_sidc, sidc), (bnd_sidc, sidc), (bnd_dual, dual)):
         _, want = case_gscr(scale_impedance(case, r.scale_star))
         assert r.value == pytest.approx(want, rel=1e-12, abs=0.0)
-
-
-def test_closing_newton_outside_bracket_shrinks_it(sidc, monkeypatch):
-    # the first fold Newton in s fails; a midpoint probe shrinks the bracket
-    # and the second Newton lands inside it
-    solve = boundary._solve_fold
-    calls = []      # (free parameter is s, s at the start, fold)
-
-    def first_s_free_call_fails(at, x, v, p):
-        s_free = at(2.0 * p)[1] != at(p)[1]
-        fold = None if s_free and not any(c[0] for c in calls) else solve(at, x, v, p)
-        calls.append((s_free, at(p)[1], fold))
-        return fold
-
-    monkeypatch.setattr(boundary, "_solve_fold", first_s_free_call_fails)
-    fold = _critical_fold(prepare(sidc))
-    kinds = [c[0] for c in calls]
-    assert kinds[-3:] == [True, False, True]      # failed Newton, midpoint probe, Newton
-    probes = [(s, f) for s_free, s, f in calls if not s_free]
-    lo = max(s for s, f in probes if f is not None and f.lam > 1.0)
-    hi = min(s for s, f in probes if f is None or f.lam <= 1.0)
-    assert lo <= fold.s <= hi
-    assert fold.lam == 1.0
-    _, g = case_gscr(sidc)
-    assert g / fold.s == pytest.approx(1.9987510265167951, rel=1e-10)
 
 
 def test_closing_newton_that_never_lands_collapses_the_bracket(sidc, monkeypatch):

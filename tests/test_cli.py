@@ -242,6 +242,20 @@ def test_link_off_converter_bus_exits_one(capsys, tmp_path):
     assert err == "error: tune_sources: needs exactly one source link per converter bus\n"
 
 
+@pytest.mark.parametrize("cmd", ["find-cgscr", "find-bgscr"])
+def test_search_without_positive_index_exits_one(tmp_path, cmd):
+    # a 1e-20 tie cancels gSCR(1) to 0.0, so the modal start s0 = gSCR(1)/2 would be 0;
+    # run as a child process so that any numpy warning would show on stderr
+    doc = json.loads((bundled_case_dir() / "dual.json").read_text(encoding="utf-8"))
+    doc["branches"][0]["reactance_pu"] = 1e-20
+    path = tmp_path / "tied.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    done = subprocess.run([sys.executable, "-m", "gridstrength", cmd, str(path)],
+                          capture_output=True, text=True, timeout=60, env=script_env())
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == "error: threshold search: gSCR at scale 1 is 0, not positive\n"
+
+
 def test_diverged_powerflow_exits_one(capsys, paths):
     code, out, err = run(capsys, ["powerflow", paths["weak"]])
     assert code == 1

@@ -34,7 +34,6 @@ def cigre_params(**overrides):
         x=0.0528,
         r=0.01,
         b_c=0.5093,
-        p_dn_mw=990.0,
     )
     base.update(overrides)
     return LccParams(**base)
@@ -57,7 +56,7 @@ def test_zero_order_limit():
     assert st0.mu == pytest.approx(0.0, abs=1e-12)
     assert st0.P == 0.0
     assert math.cos(st0.phi) == pytest.approx(math.cos(p.gamma), abs=1e-15)
-    assert st0.Q == pytest.approx(p.omega * p.b_c, abs=1e-15)  # U = 1
+    assert st0.Q == pytest.approx(p.b_c, abs=1e-15)  # U = 1
 
 
 def test_rated_current_against_bisection_oracle():
@@ -136,7 +135,7 @@ def test_power_factor_identity(U, frac):
     stt = solve_state(p, U, frac * p_max)
     assert math.cos(stt.phi) == pytest.approx(math.cos(p.gamma) - stt.c, abs=1e-12)
     # reactive balance rebuilt from the state's own fields
-    q = -stt.P * math.tan(stt.phi) + p.omega * p.b_c * U * U
+    q = -stt.P * math.tan(stt.phi) + p.b_c * U * U
     assert stt.Q == pytest.approx(q, abs=1e-12)
 
 
@@ -308,7 +307,7 @@ def test_zero_current_derivatives():
     st0 = solve_state(p, 1.0, 0.0)
     d = state_derivatives(p, st0)
     assert (d.dI_dU, d.dc_dU, d.dP_dU) == (0.0, 0.0, 0.0)
-    assert d.dQ_dU == pytest.approx(2.0 * p.omega * p.b_c, abs=1e-15)
+    assert d.dQ_dU == pytest.approx(2.0 * p.b_c, abs=1e-15)
 
 
 def test_state_derivatives_match_finite_differences():

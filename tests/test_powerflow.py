@@ -366,7 +366,7 @@ def test_prepared_constants_are_bitwise_the_per_bus_ones(source):
         "gamma": [p.gamma for p in convs],
         "A4": [4.0 * (p.b - p.r) for p in convs],
         "r": [p.r for p in convs],
-        "wbc": [p.omega * p.b_c for p in convs],
+        "wbc": [p.b_c for p in convs],
     }
     assert set(expected) == set(prep.consts._fields)
     for name, values in expected.items():
