@@ -50,6 +50,7 @@ from .gscr import (
     compute_gscr,
     extended_jacobian,
     factorization_check,
+    modal_transform,
     perron_check,
     perron_report,
 )
@@ -101,6 +102,7 @@ __all__ = [
     "find_critical_numeric",
     "load_bundled_case",
     "load_case",
+    "modal_transform",
     "newton_solve",
     "overlap_angle",
     "perron_check",

@@ -5,6 +5,15 @@ J_eq is diagonally similar to the symmetric S = D^{1/2} (-B) D^{1/2}
 (both scalings by sqrt of ratings), so the spectrum is real and the
 minimum eigenvalue, the gSCR, is computed from a symmetric eigensolve
 rather than a general nonsymmetric one.
+
+Only the eigenvalues and the Perron vector are computed: the eigenvalues
+of S without eigenvectors, then the Perron vector by one step of inverse
+iteration from the computed lambda_1 (Peters & Wilkinson, "Inverse
+iteration, ill-conditioned equations and Newton's method", SIAM Review
+21(3), 1979): one solve (S - sigma I) y = 1 with sigma just below
+lambda_1, mapped back to J_eq through D^{1/2}.  The full modal basis, which
+only the decoupling of the characteristic equation uses, is
+`modal_transform`.
 """
 
 from __future__ import annotations
@@ -18,6 +27,11 @@ from .netmodel import SusceptanceMatrix
 
 # relative spectral gap under which simplicity is reported as degenerate
 DEGENERATE_GAP = 1e-9
+# the Perron solve's shift below lambda_1, per bus and relative to |S|: past
+# the rounding of the eigensolve and of the elimination, about n eps |S|.
+# On random networks of n <= 8, solves came out exactly singular below
+# 0.5 n eps |S| (2 in 20,000 at 0.5, 1 in 8 at 0.25), so 4 leaves a factor 8
+PERRON_SHIFT = 4.0 * float(np.finfo(float).eps)
 
 
 class ExtendedJacobian(NamedTuple):
@@ -29,7 +43,6 @@ class ExtendedJacobian(NamedTuple):
 class EigenResult(NamedTuple):
     lambdas: np.ndarray         # ascending
     perron_vector: np.ndarray   # eigenvector of lambda_1, unit sum, positive
-    transform: np.ndarray       # columns diagonalize J_eq (W^-1 J W = diag)
 
 
 class StrengthClass(NamedTuple):
@@ -84,15 +97,22 @@ def _symmetrized(J: ExtendedJacobian) -> np.ndarray:
 
 
 def compute_gscr(J: ExtendedJacobian) -> tuple[EigenResult, float]:
-    """Spectrum of J_eq via the symmetrized form; gSCR is the smallest eigenvalue."""
+    """Spectrum of J_eq and its Perron vector; gSCR is the smallest eigenvalue."""
     S = _symmetrized(J)
     try:
-        lam, V = np.linalg.eigh(S)
+        lam = np.linalg.eigvalsh(S)
+        # S - sigma I is positive definite, n = 1 included.  The solve scales
+        # the lambda_1 component of 1, at least 1 as the Perron vector of S is
+        # positive, by 1/(lambda_1 - sigma), so the relative residual left by
+        # the others is at most sqrt(n) (lambda_1 - sigma)
+        n = len(lam)
+        sigma = lam[0] - PERRON_SHIFT * n * max(abs(lam[0]), abs(lam[-1]))
+        S.flat[:: n + 1] -= sigma      # S - sigma I, in place
+        y = np.linalg.solve(S, np.ones(n))
     except np.linalg.LinAlgError as exc:
         raise EigenSolveError(f"symmetric eigensolve failed: {exc}") from exc
-    d = 1.0 / np.sqrt(J.p_n)
-    W = d[:, None] * V            # columns are eigenvectors of J_eq
-    w1 = W[:, 0] / np.linalg.norm(W[:, 0])
+    w1 = y / np.sqrt(J.p_n)        # eigenvector of J_eq = D^{1/2} y
+    w1 /= np.linalg.norm(w1)
     resid = np.linalg.norm(J.matrix @ w1 - lam[0] * w1)
     scale = np.linalg.norm(J.matrix)
     if not resid <= 1e-10 * scale:     # false for nan as well
@@ -103,8 +123,16 @@ def compute_gscr(J: ExtendedJacobian) -> tuple[EigenResult, float]:
     s = w1.sum()
     if s != 0:
         w1 = w1 / s
-    res = EigenResult(lambdas=lam, perron_vector=w1, transform=W)
-    return res, float(lam[0])
+    return EigenResult(lambdas=lam, perron_vector=w1), float(lam[0])
+
+
+def modal_transform(J: ExtendedJacobian) -> np.ndarray:
+    """Modal basis W of J_eq: columns are eigenvectors in ascending eigenvalue order (W^-1 J W = diag)."""
+    try:
+        V = np.linalg.eigh(_symmetrized(J))[1]
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolveError(f"symmetric eigensolve failed: {exc}") from exc
+    return V / np.sqrt(J.p_n)[:, None]
 
 
 def perron_check(J: ExtendedJacobian) -> PerronReport:

@@ -15,7 +15,8 @@ et al., IEEE TPWRS 26(1), 2011): one bincount adds every entry in file
 order, branches then links, so B is bitwise what a loop over them gives.
 Kron reduction is the Schur complement of the internal block B_ee (Dörfler
 & Bullo, IEEE TCAS-I 60(1), 2013); B_ee is factored once, for the reduced
-matrix and the reduced source vector together.
+matrix and the reduced source vector together.  `reduce_case` assembles B
+and f with the converter buses first, so the blocks are slices.
 """
 
 from __future__ import annotations
@@ -47,54 +48,54 @@ class SusceptanceMatrix:
         return self.bus_order.index(bus)
 
 
-def build_susceptance(case: CaseFile) -> SusceptanceMatrix:
-    order = tuple(b.id for b in case.buses)
+def _assemble(case: CaseFile, order) -> tuple[np.ndarray, np.ndarray]:
+    """B and f with rows in the given bus order, from one pass over branches then links."""
     idx = {b: i for i, b in enumerate(order)}
-    n = len(order)
-    links = case.thevenin_links
-    # ends i, j; a Thevenin link is a branch to the ground node, index n, dropped at the end
-    ends = np.array(([idx[br.from_bus] for br in case.branches] + [idx[ln.bus] for ln in links],
-                     [idx[br.to_bus] for br in case.branches] + [n] * len(links)), dtype=np.intp)
-    y = 1.0 / np.array([br.reactance_pu for br in case.branches]
-                       + [ln.reactance_pu for ln in links], dtype=float)
+    n = len(idx)
+    # columns of the records; validation guarantees at least one link
+    fr, to, x = zip(*case.branches) if case.branches else ((), (), ())
+    at, x_link, emf = zip(*case.thevenin_links)
+    nb = len(fr)
+    ends = np.empty((2, nb + len(at)), dtype=np.intp)
+    ends[0] = np.fromiter(map(idx.__getitem__, fr + at), np.intp, ends.shape[1])
+    # a Thevenin link is a branch to the ground node, index n, dropped at the end
+    ends[1, :nb] = np.fromiter(map(idx.__getitem__, to), np.intp, nb)
+    ends[1, nb:] = n
+    y = 1.0 / np.array(x + x_link, dtype=float)
     # flat cells (i,j) (j,i) (i,i) (j,j) of each branch in file order: bincount
     # adds them in that order, as a loop over branches then links would
     m = n + 1
     cells = ends.T @ np.array([[m, 1, m + 1, 0], [1, m, 0, m + 1]])
     vals = y[:, None] * np.array([1.0, 1.0, -1.0, -1.0])
     B = np.bincount(cells.ravel(), weights=vals.ravel(), minlength=m * m).reshape(m, m)
-    return SusceptanceMatrix(matrix=B[:n, :n].copy(), bus_order=order)
+    f = np.bincount(ends[0, nb:], weights=np.array(emf) / np.array(x_link), minlength=n)
+    return B[:n, :n].copy(), f
 
 
-def _split(B: SusceptanceMatrix, keep) -> tuple[np.ndarray, int]:
-    """Bus positions, kept buses first and each group in bus order, and the kept count."""
-    keep_idx, elim_idx = [], []
-    for i, b in enumerate(B.bus_order):
-        (keep_idx if b in keep else elim_idx).append(i)
-    return np.array(keep_idx + elim_idx, dtype=np.intp), len(keep_idx)
+def build_susceptance(case: CaseFile) -> SusceptanceMatrix:
+    order = tuple(b.id for b in case.buses)
+    return SusceptanceMatrix(matrix=_assemble(case, order)[0], bus_order=order)
 
 
-def _eliminate(B: SusceptanceMatrix, perm: np.ndarray, k: int, f=None):
-    """Schur complement onto the first k buses of perm with one factorization of B_ee.
+def _schur(M: np.ndarray, order, k: int, f=None):
+    """Schur complement of M onto its first k buses with one factorization of M_ee.
 
-    B_ee X = [B_ek | f_e] is solved for all right-hand sides at once; returns
-    the reduced matrix and, when f is given, f_k - B_ke B_ee^-1 f_e.
+    M_ee X = [M_ek | f_e] is solved for all right-hand sides at once; returns
+    the reduced matrix and, when f is given, f_k - M_ke M_ee^-1 f_e.
     """
-    M = B.matrix.take(perm, 0).take(perm, 1)
     Bke = M[:k, k:]
-    rhs = Bke.T if f is None else np.column_stack((Bke.T, f.take(perm[k:])))
+    rhs = Bke.T if f is None else np.column_stack((Bke.T, f[k:]))
     try:
         X = np.linalg.solve(M[k:, k:], rhs)
     except np.linalg.LinAlgError:
-        floating = [B.bus_order[i] for i in perm[k:]]
         raise GridStrengthError(
-            f"kron_reduce: singular internal block, buses {floating} float with no path to a source"
+            f"kron_reduce: singular internal block, buses {list(order[k:])} float with no path to a source"
         ) from None
     P = Bke @ X
     red = M[:k, :k] - P[:, :k]
     red = 0.5 * (red + red.T)  # exact symmetry, elimination is symmetric in theory
-    reduced = SusceptanceMatrix(matrix=red, bus_order=tuple(B.bus_order[i] for i in perm[:k]))
-    return reduced, None if f is None else f.take(perm[:k]) - P[:, k]
+    reduced = SusceptanceMatrix(matrix=red, bus_order=tuple(order[:k]))
+    return reduced, None if f is None else f[:k] - P[:, k]
 
 
 def kron_reduce(B: SusceptanceMatrix, keep: set[str] | tuple[str, ...]) -> SusceptanceMatrix:
@@ -103,18 +104,17 @@ def kron_reduce(B: SusceptanceMatrix, keep: set[str] | tuple[str, ...]) -> Susce
     unknown = keep_set - set(B.bus_order)
     if unknown:
         raise GridStrengthError(f"kron_reduce: unknown buses {sorted(unknown)}")
-    perm, k = _split(B, keep_set)
-    if k == B.order:
+    if len(keep_set) == B.order:
         return B
-    return _eliminate(B, perm, k)[0]
+    # kept buses first, each group in bus order
+    perm = sorted(range(B.order), key=lambda i: B.bus_order[i] not in keep_set)
+    M = B.matrix.take(perm, 0).take(perm, 1)
+    return _schur(M, [B.bus_order[i] for i in perm], len(keep_set))[0]
 
 
 def source_vector(case: CaseFile, B: SusceptanceMatrix) -> np.ndarray:
-    """Per-bus equivalent source injection f_i = E_i / x_ti (0 where no link)."""
-    idx = {b: i for i, b in enumerate(B.bus_order)}
-    links = case.thevenin_links
-    at = np.array([idx[ln.bus] for ln in links], dtype=np.intp)
-    return np.bincount(at, weights=[ln.emf_pu / ln.reactance_pu for ln in links], minlength=B.order)
+    """Per-bus equivalent source injection f_i = E_i / x_ti (0 where no link), in B's bus order."""
+    return _assemble(case, B.bus_order)[1]
 
 
 class ReducedNetwork(NamedTuple):
@@ -141,17 +141,39 @@ class ReducedNetwork(NamedTuple):
         return self.B.bus_order
 
 
+# Bound on n·|B_ii| for every bus i of the reduced network.  The diagonal of
+# -B dominates its row (|B_ij| <= |B_ii|), and what follows B sums or squares
+# its entries: `gscr._symmetrized` adds S = B/p to its transpose, the
+# eigenpair check takes the Frobenius norm of J = -B/p, a sum of n² squares,
+# and the power flow sums n products B_ij U_i U_j.  With n·|B_ii| <= 2**500
+# the Frobenius sum is at most n²·max (B_ii/p)² <= 2**1000 / p², finite for
+# every rating p >= 2**-11 pu; a finite B near the float limit would make
+# these sums overflow to inf or nan instead of naming the bus.
+B_BOUND = 2.0**500
+
+
 def reduce_case(case: CaseFile) -> ReducedNetwork:
-    B = build_susceptance(case)
-    f = source_vector(case, B)
-    keep = set(case.converter_buses())
-    if len(keep) < B.order:     # internal buses to eliminate (bus ids are unique)
+    # one bus index with the converter buses first, each group in bus order:
+    # B and f come out already split for the Schur complement
+    conv = [b.id for b in case.buses if b.kind == "converter"]
+    order = conv + [b.id for b in case.buses if b.kind != "converter"]
+    B, f = _assemble(case, order)
+    k = len(conv)
+    if k < len(order):      # internal buses to eliminate (bus ids are unique)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
-            B, f = _eliminate(B, *_split(B, keep), f)
-    ok = np.isfinite(B.matrix).all(axis=1) & np.isfinite(f)
+            red, f = _schur(B, order, k, f)
+    else:
+        red = SusceptanceMatrix(matrix=B, bus_order=tuple(order))
+    ok = np.isfinite(red.matrix).all(axis=1) & np.isfinite(f)
     if not ok.all():
-        raise CaseFormatError(f"network: bus {B.bus_order[ok.argmin()]!r}: 1/reactance_pu overflows")
-    return ReducedNetwork(B=B, f=f)
+        raise CaseFormatError(f"network: bus {red.bus_order[ok.argmin()]!r}: 1/reactance_pu overflows")
+    diag = np.abs(np.diagonal(red.matrix))
+    big = diag > B_BOUND / k
+    if big.any():
+        i = big.argmax()
+        raise CaseFormatError(f"network: bus {red.bus_order[i]!r}: 1/reactance_pu sums to "
+                              f"{diag[i]:.3g}, above 2**500/n = {B_BOUND / k:.3g}")
+    return ReducedNetwork(B=red, f=f)
 
 
 def scale_impedance(case: CaseFile, s: float) -> CaseFile:

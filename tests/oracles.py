@@ -2,10 +2,13 @@
 
 Everything here works on plain lists of floats so that an agreement check
 against the library is a genuine cross-implementation comparison, not the
-same BLAS call twice.
+same BLAS call twice.  The case-file reference parse shares only the
+record types with the library.
 """
 
 import math
+
+from gridstrength.casefile import Branch, Bus, CaseFile, ConverterSpec, TheveninLink
 
 
 def solve_full_pivot(A, B):
@@ -192,3 +195,44 @@ def bisect_low_root(f, lo, hi, iters=200):
 def fd_central(f, x, h):
     """Central finite difference (f(x+h) - f(x-h)) / 2h."""
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def parse_by_keyword(doc, name=""):
+    """The CaseFile a well-formed case document describes, each record built by keyword.
+
+    No validation: the reference for what case_from_dict builds from a
+    document it accepts.
+    """
+    gamma_default = {50.0: 18.0, 60.0: 15.0}
+    frequency = float(doc["frequency_hz"])
+
+    def converter(c):
+        gamma = c.get("gamma_deg")
+        return ConverterSpec(
+            bus=str(c["bus"]),
+            p_dn_mw=float(c["p_dn_mw"]),
+            gamma_deg=gamma_default[frequency] if gamma is None else float(gamma),
+            n_bridges=int(float(c["n_bridges"])),
+            k_ratio=float(c["k_ratio"]),
+            x_commutation_pu=float(c["x_commutation_pu"]),
+            r_dc_pu=float(c["r_dc_pu"]),
+            b_c_pu=float(c["b_c_pu"]),
+            u_ac_kv=float(c["u_ac_kv"]),
+            control=str(c.get("control", "cp-cea")),
+        )
+
+    return CaseFile(
+        system_base_mva=float(doc["system_base_mva"]),
+        frequency_hz=frequency,
+        buses=tuple(Bus(id=str(b["id"]), kind=str(b.get("kind", "converter")))
+                    for b in doc["buses"]),
+        branches=tuple(Branch(from_bus=str(br["from"]), to_bus=str(br["to"]),
+                              reactance_pu=float(br["reactance_pu"]))
+                       for br in doc.get("branches", [])),
+        thevenin_links=tuple(TheveninLink(bus=str(ln["bus"]), reactance_pu=float(ln["reactance_pu"]),
+                                          emf_pu=float(ln["emf_pu"]))
+                             for ln in doc["thevenin_links"]),
+        converters=tuple(converter(c) for c in doc["converters"]),
+        name=name or str(doc.get("name", "")),
+        comment=str(doc.get("comment", "")),
+    )

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gridstrength.casefile import (
@@ -22,6 +23,8 @@ from gridstrength.errors import CaseFormatError
 from gridstrength.netmodel import reduce_case
 
 from conftest import CONVERTER_BLOCK, script_env
+from oracles import parse_by_keyword
+from test_boundary import _netgen
 
 BUNDLED = ("cigre_sidc", "dual", "triple", "quad")
 
@@ -104,6 +107,15 @@ def overflowing_dual_doc():
     for item in doc["branches"] + doc["thevenin_links"]:
         if "inv1" in (item.get("from"), item.get("bus")):
             item["reactance_pu"] = 1e-308
+    return doc
+
+
+def near_limit_dual_doc():
+    """The bundled dual case with its inv1-inv2 branch at 1e-308: B is finite, at about 1e308."""
+    doc = case_to_dict(load_bundled_case("dual"))
+    for br in doc["branches"]:
+        if {br["from"], br["to"]} == {"inv1", "inv2"}:
+            br["reactance_pu"] = 1e-308
     return doc
 
 
@@ -226,6 +238,8 @@ GOLDEN_MESSAGES = [
      "converters: converter bus 'c2' has no converter block"),
     (_doc(lambda d: d["converters"].append({**CONVERTER_BLOCK, "bus": "m"})),
      "converters: bus 'm' is not declared kind=converter"),
+    (_doc(lambda d: (d["converters"].clear(), [b.update(kind="internal") for b in d["buses"]])),
+     "converters: at least one converter is required"),
     (_set("converters", 1, control="cc"),
      "converter at c2: unsupported control mode 'cc' (only cp-cea)"),
     (_set("converters", 1, p_dn_mw=0),
@@ -259,6 +273,9 @@ GOLDEN_MESSAGES = [
     # each 1/x is finite, but the branch and the link on inv1 sum past the float range
     (lambda path: reduce_case(case_from_dict(overflowing_dual_doc())),
      "network: bus 'inv1': 1/reactance_pu overflows"),
+    # finite, but later sums of B's entries would overflow
+    (lambda path: reduce_case(case_from_dict(near_limit_dual_doc())),
+     "network: bus 'inv1': 1/reactance_pu sums to 1e+308, above 2**500/n = 1.64e+150"),
 ]
 
 
@@ -367,6 +384,21 @@ def test_bundled_cases_load(name):
     case = load_bundled_case(name)
     assert case.name == name
     assert len(case.converter_buses()) >= 1
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_parse_equals_the_keyword_reference_on_bundled_cases(name):
+    doc = json.loads((bundled_case_dir() / f"{name}.json").read_text(encoding="utf-8"))
+    assert case_from_dict(doc, name=name) == parse_by_keyword(doc, name=name)
+
+
+def test_parse_equals_the_keyword_reference_on_seeded_networks():
+    netgen = _netgen()
+    for seed in range(50):
+        rng = np.random.default_rng(4100 + seed)
+        n = int(rng.integers(1, 65))
+        for doc in (netgen.flow_network_doc(rng, n, "flow"), netgen.index_network_doc(rng, n, "index")):
+            assert case_from_dict(doc) == parse_by_keyword(doc)
 
 
 def test_make_cases_regenerates_bundled(tmp_path):

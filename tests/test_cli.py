@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from gridstrength.netmodel import scale_impedance
 from gridstrength.validate import ValidationReport, ValidationRow
 
 from conftest import hub_network_doc, script_env
-from test_casefile import overflowing_dual_doc
+from test_casefile import BUNDLED, near_limit_dual_doc, overflowing_dual_doc
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +165,18 @@ def test_overflowing_susceptance_is_input_error(capsys, tmp_path, cmd):
     assert (code, out, err) == (2, "", "error: network: bus 'inv1': 1/reactance_pu overflows\n")
 
 
+@pytest.mark.parametrize("cmd", ["gscr", "classify", "powerflow", "find-cgscr"])
+def test_susceptance_near_the_float_limit_is_input_error(capsys, tmp_path, cmd):
+    # B is finite but near 1e308: named by bus before a sum of its entries overflows
+    path = tmp_path / "near_limit.json"
+    path.write_text(json.dumps(near_limit_dual_doc()), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, [cmd, str(path)])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: network: bus 'inv1': 1/reactance_pu sums")
+
+
 def test_number_with_too_many_digits_is_input_error(capsys, tmp_path):
     # beyond Python's 4,300-digit limit json cannot read the integer, nor write it
     doc = hub_network_doc(["a", "b"])
@@ -264,6 +277,18 @@ def test_diverged_powerflow_exits_one(capsys, paths):
 
 
 # ------------------------------------------------------------------- reports
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("cmd", ["gscr", "classify", "powerflow", "find-cgscr"])
+@pytest.mark.parametrize("case", BUNDLED)
+def test_bundled_outputs_are_golden(capsys, case, cmd):
+    # the behaviour reference: stdout of each subcommand on each bundled case, byte for byte
+    code, out, err = run(capsys, [cmd, case])
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_DIR / f"{case}.{cmd}.json").read_text(encoding="utf-8")
+
 
 def test_gscr_report_and_determinism(capsys, paths):
     code, out, err = run(capsys, ["gscr", paths["sidc"]])

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from gridstrength.casefile import case_from_dict
 from gridstrength.errors import EigenSolveError, GridStrengthError
 from gridstrength.gscr import (
     ExtendedJacobian,
@@ -14,10 +15,12 @@ from gridstrength.gscr import (
     compute_gscr,
     extended_jacobian,
     factorization_check,
+    modal_transform,
     perron_check,
 )
-from gridstrength.netmodel import SusceptanceMatrix
+from gridstrength.netmodel import SusceptanceMatrix, reduce_case
 
+from conftest import internal_network_doc, random_network_doc
 from oracles import charpoly_lambda1
 
 
@@ -111,9 +114,35 @@ def test_transform_diagonalizes(rng):
     p = rng.uniform(0.4, 2.0, size=5)
     J = extended_jacobian(b, p)
     eig, _ = compute_gscr(J)
-    lhs = J.matrix @ eig.transform
-    rhs = eig.transform * eig.lambdas[None, :]
+    W = modal_transform(J)
+    lhs = J.matrix @ W
+    rhs = W * eig.lambdas[None, :]
     assert np.max(np.abs(lhs - rhs)) <= 1e-10 * np.linalg.norm(J.matrix)
+
+
+def network_jacobian(doc) -> ExtendedJacobian:
+    case = case_from_dict(doc)
+    net = reduce_case(case)
+    return extended_jacobian(net.B, [case.rating_pu(case.converter_at(b)) for b in net.bus_order])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 9, 16, 24, 40, 64])
+@pytest.mark.parametrize("make", [random_network_doc, internal_network_doc])
+def test_eigen_path_on_networks(make, n):
+    rng = np.random.default_rng(7400 + n)
+    for _ in range(3):
+        J = network_jacobian(make(rng, n))
+        eig, g = compute_gscr(J)
+        general = np.sort(np.linalg.eigvals(J.matrix).real)
+        tol = 1e-10 * np.max(np.abs(general))
+        assert g == eig.lambdas[0]
+        assert np.max(np.abs(eig.lambdas - general)) <= tol
+        if n <= 6:
+            assert abs(g - charpoly_lambda1(J.matrix.tolist())) <= tol
+        # Perron vector: an eigenvector of lambda_1, strictly positive on a connected network
+        w = eig.perron_vector / np.linalg.norm(eig.perron_vector)
+        assert np.linalg.norm(J.matrix @ w - g * w) <= 1e-10 * np.linalg.norm(J.matrix)
+        assert np.all(w > 0)
 
 
 def test_spectrum_matches_general_eigensolve(rng):
@@ -143,6 +172,8 @@ def test_perron_report_flags_decoupled_twins():
     assert rep.degenerate
     assert not rep.simple
     assert rep.gap == pytest.approx(0.0, abs=1e-14)
+    # inverse iteration from the vector of ones returns the positive combination
+    assert rep.min_component == 0.5
 
 
 # -------------------------------------------------- characteristic equation
