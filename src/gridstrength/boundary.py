@@ -2,8 +2,8 @@
 
 Single-infeed closed forms come from the characteristic relation
 rho*T + rho^2/SCR - SCR = 0: at the rated point (rho = 1) the positive
-root is (T_N + sqrt(T_N^2 + 4))/2, and at the 30-degree-overlap point the
-converter equations are closed jointly with the network relation.
+root is (T_N + sqrt(T_N^2 + 4))/2, and at the 30-degree-overlap point,
+where c = c_B fixes rho_B and T_B, it is rho_B times that root at T_B.
 
 Multi-infeed thresholds are found numerically by scaling every reactance
 by s.  Kron reduction is homogeneous in the reactances, so a search
@@ -18,7 +18,10 @@ point of collapse (Canizares & Alvarado, IEEE TPWRS 8(1), 1993): a Newton on
 g(x) = 0, J v = 0, c.v = 1 and one free parameter, s at lambda = 1, started
 at the paper's threshold s = gSCR(1)/2; when that fold fails its certificate,
 fold probes in lambda bracket s and one such Newton closes the bracket.  The
-boundary ratio bisects s on the aggregated overlap angle at the nose = 30 deg.
+fold Jacobian is exact: its second-order terms are the complex form of
+MATPOWER's d2Sbus_dV2 (Zimmerman, MATPOWER Technical Note 2, 2010) plus the
+converter terms' tangents.  The boundary ratio bisects s on the aggregated
+overlap angle at the nose = 30 deg.
 """
 
 from __future__ import annotations
@@ -30,15 +33,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .casefile import CaseFile, with_rating
-from .converter import ConverterState, LccParams, k_of_c, rated_state
+from .converter import ConverterState, LccParams, k_of_c
 from .errors import BracketError, ConverterInfeasible, GridStrengthError
-from .gscr import EigenResult, characteristic_delta, compute_gscr, extended_jacobian
+from .gscr import EigenResult, compute_gscr, extended_jacobian
 from .netmodel import reduce_case, scale_impedance
 from .powerflow import (
     U_BAND,
     ContinuationResult,
     GridState,
     PreparedCase,
+    _converter_slopes,
+    _mismatch_array,
     assemble_jacobian,
     continuation_steps,
     converter_states,
@@ -56,8 +61,7 @@ BOUNDARY_TOL_DEG = 0.05  # on |mu_agg - 30 deg|
 MU_TARGET_DEG = 30.0
 FOLD_TOL = 1e-10         # on the fold system's residual
 FOLD_MAX_ITER = 30
-MODAL_TOL = 1e-12        # the modal fold's: stopped at FOLD_TOL its s can sit 1e-10 off
-FOLD_FD_STEP = 1e-6
+MODAL_TOL = 1e-12        # the modal fold's: stopped at FOLD_TOL its s can sit 7e-10 off
 # per-converter overlap angles (deg) and rating weights -> the searched angle
 _AGGREGATE = {
     "mean": lambda mu, w: float(np.dot(w, mu) / np.sum(w)),
@@ -101,54 +105,21 @@ def boundary_overlap_c(gamma: float) -> float:
 
 
 def bscr_solve(params: LccParams) -> float:
-    """SCR at which the 30-degree-overlap point sits on the characteristic.
+    """SCR at which the 30-degree-overlap point sits on the characteristic, in closed form.
 
-    Unknowns are (U_B, SCR).  At fixed c = c_B the converter equations give
-    I, P, Q as functions of U_B alone; the source emf is pinned by the rated
-    tune at the same SCR, which closes the network relation.  The second
-    residual is the characteristic itself at (rho_B, T_B).
+    At c = c_B the converter equations give I = (a/b) c_B U, so the delivered
+    power P = (a^2/b) c_B (cos(gamma) - c_B) U^2 and Q = -P tan(phi) + b_c U^2
+    are both proportional to U^2.  rho_B = P / U^2 and T_B = 2 c_B K(c_B) +
+    2 b_c / rho_B then depend on neither U_B nor the source emf, and the
+    characteristic rho T + rho^2/SCR - SCR = 0 gives SCR = rho_B CSCR(T_B);
+    the network relation only pins U_B.
     """
     c_B = boundary_overlap_c(params.gamma)
     cphi = math.cos(params.gamma) - c_B
     if not 0.0 < cphi < 1.0:
         raise GridStrengthError("bscr_solve: 30 degree overlap is outside the model domain")
-    tphi = math.sqrt(1.0 - cphi * cphi) / cphi
-    K_B = k_of_c(c_B, params.gamma)
-    rs = rated_state(params)
-    P_N, Q_N = rs.P, rs.Q
-
-    def resid(x):
-        U, scr = x
-        if U <= 0 or scr <= 0:
-            return None
-        Z = 1.0 / scr
-        E = math.hypot(1.0 - Z * Q_N, Z * P_N)
-        I = (params.a / params.b) * c_B * U
-        P = (params.a * U * math.cos(params.gamma) - params.b * I) * I
-        if P <= 0:
-            return None
-        Q = -P * tphi + params.b_c * U * U
-        r1 = (P * Z) ** 2 + (U * U - Q * Z) ** 2 - (E * U) ** 2
-        rho = P / (U * U)
-        T = 2.0 * c_B * K_B + 2.0 * params.b_c * U * U / P
-        return np.array([r1, characteristic_delta(rho, T, scr)]), None
-
-    def jac(x, _):
-        J = np.zeros((2, 2))
-        h = 1e-7
-        for k in range(2):
-            step = np.zeros(2)
-            step[k] = h
-            rp, rm = resid(x + step), resid(x - step)
-            if rp is None or rm is None:
-                raise GridStrengthError("bscr_solve: residual left its domain")
-            J[:, k] = (rp[0] - rm[0]) / (2.0 * h)
-        return J
-
-    res = damped_newton(resid, jac, np.array([0.9, 3.0]), 1e-9, 60)
-    if res.reason:
-        raise GridStrengthError(f"bscr_solve: {res.reason}")
-    return float(res.x[1])
+    rho = params.a * params.a / params.b * c_B * cphi
+    return rho * cscr_closed_form(2.0 * c_B * k_of_c(c_B, params.gamma) + 2.0 * params.b_c / rho)
 
 
 def case_gscr(case: CaseFile) -> tuple[EigenResult, float]:
@@ -179,32 +150,23 @@ def tune_sources(case: CaseFile) -> CaseFile:
     U = np.ones(n)
     orders = prep.rated_orders
 
-    # seed from the single-infeed closed form applied link by link
-    emfs = np.zeros(n)
-    delta = np.zeros(n)
-    for i, par in enumerate(prep.converters):
-        st = rated_state(par)
-        Z = x_link[i]
-        p_sys = st.P * par.p_dn
-        q_sys = st.Q * par.p_dn
-        emfs[i] = math.hypot(1.0 - Z * q_sys, Z * p_sys)
-        delta[i] = math.atan2(Z * p_sys, 1.0 - Z * q_sys)
+    # at U = 1 and rated orders the converter states do not move with (d, E):
+    # one solve seeds the emfs, link by link, and serves every residual
+    conv = mismatch(prep, np.zeros(n), U, orders)[2]
+    p_sys, q_sys = np.array([(c.P, c.Q) for c in converter_states(prep, conv)]).T * prep.consts.p_dn
+    emfs = np.hypot(1.0 - x_link * q_sys, x_link * p_sys)
+    delta = np.arctan2(x_link * p_sys, 1.0 - x_link * q_sys)
 
     def with_emfs(e):
         return replace(prep, net=prep.net._replace(f=e / x_link))
 
-    # at U = 1 and rated orders the converter states do not move with (d, E):
-    # the first residual solves them and every later one reuses them
-    conv = None
-
     def resid(x):
-        nonlocal conv
-        gP, gQ, conv = mismatch(with_emfs(x[n:]), x[:n], U, orders, conv)
-        return np.concatenate([gP, gQ]), conv
+        gP, gQ, point = mismatch(with_emfs(x[n:]), x[:n], U, orders, conv)
+        return np.concatenate([gP, gQ]), point
 
-    def jac(x, conv):
+    def jac(x, point):
         d = x[:n]
-        J = assemble_jacobian(with_emfs(x[n:]), d, U, orders, conv)
+        J = assemble_jacobian(with_emfs(x[n:]), d, U, orders, point)
         J[:, n:] = np.vstack([np.diag(np.sin(d) / x_link), -np.diag(np.cos(d) / x_link)])
         return J
 
@@ -237,29 +199,15 @@ def _bracket(probe, kind: str) -> tuple[_Probe, _Probe]:
     Returns (lo, hi) with lo.g > 0 >= hi.g and lo.s < hi.s, or (p, p) when
     the gap at s = 1 is exactly 0.  The gap is assumed to fall with s.
     """
-    grow = 1.5
-    p = probe(1.0)
-    lo = hi = p
-    if p.g > 0:
-        while True:
-            s_next = lo.s * grow
-            if s_next > SCALE_HI:
-                raise BracketError(f"{kind}: no sign change up to scale {SCALE_HI}")
-            hi = probe(s_next)
-            if hi.g > 0:
-                lo = hi
-            else:
-                break
-    elif p.g < 0:
-        while True:
-            s_next = hi.s / grow
-            if s_next < SCALE_LO:
-                raise BracketError(f"{kind}: no sign change down to scale {SCALE_LO}")
-            lo = probe(s_next)
-            if lo.g < 0:
-                hi = lo
-            else:
-                break
+    lo = hi = probe(1.0)
+    up = lo.g > 0
+    while hi.g > 0 if up else lo.g < 0:
+        s_next = hi.s * 1.5 if up else lo.s / 1.5
+        if not SCALE_LO <= s_next <= SCALE_HI:
+            raise BracketError(f"{kind}: no sign change " + (f"up to scale {SCALE_HI}" if up
+                                                            else f"down to scale {SCALE_LO}"))
+        p = probe(s_next)
+        lo, hi = (hi, p) if up else (p, lo)
     return lo, hi
 
 
@@ -309,70 +257,104 @@ def _at_scale(prep: PreparedCase, s: float) -> PreparedCase:
                                           f=net.f / s))
 
 
-def _fold_point(at, p: float, x: np.ndarray):
-    """g, J and the converter terms at x, with (prepared case, s, lam) = at(p)."""
-    prep, _, lam = at(p)
+def _fold_point(prep: PreparedCase, lam: float, x: np.ndarray):
+    """The array kernel's point and J at x and lam times the rated orders, at any bus count."""
     n, orders = prep.n, lam * prep.rated_orders
-    gP, gQ, conv = mismatch(prep, x[:n], x[n:], orders)
-    return np.concatenate([gP, gQ]), assemble_jacobian(prep, x[:n], x[n:], orders, conv), conv
+    t = _mismatch_array(prep, x[:n], x[n:], orders)[2]
+    return t, assemble_jacobian(prep, x[:n], x[n:], orders, t)
 
 
-def _fold_jacobian(at, z: np.ndarray, c: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """Jacobian of the fold system in z = (x, v, p), by central differences.
+def _converter_tangent(k, t, dU, dp) -> tuple:
+    """Derivative along (dU, dp) of the converter terms of g and of J's dU diagonals at t.
 
-    d(J v)/dx equals the derivative of J along v, because the second
-    derivatives of g are symmetric, so one difference pair gives that block.
+    dp is in converter pu.  The quadratic gives dI = (dp - a cos(gamma) I dU) / root,
+    so dI/dp = 1 / root; the rest follows by the chain rule, as in _converter_slopes.
+    """
+    U, I, P, mQ, cphi, sphi, root = t.U, t.I, t.P, t.mQ, t.cphi, t.sphi, t.root
+    ndI, ndc, dP, ndQ = _converter_slopes(k, t)
+    tan, K = sphi / cphi, 1.0 / (cphi * cphi * sphi)    # d tan = K dc
+    d_root = (k.acg * k.acg * U * dU - 0.5 * k.A4 * dp) / root
+    d_I = (dp - k.acg * I * dU) / root
+    d_c = k.b_over_a * (d_I - I * dU / U) / U
+    d_P = dp - 2.0 * k.r * I * d_I
+    d_mQ = d_P * tan + P * K * d_c - 2.0 * k.wbc * U * dU
+    d_K = K * d_c * (2.0 / cphi - cphi / (sphi * sphi))
+    d_ndI = k.acg * (d_I - I * d_root / root) / root
+    d_ndc = k.b_over_a * (d_ndI + (d_I - 2.0 * I * dU / U) / U - ndI * dU / U) / U
+    d_dP = 2.0 * k.r * (d_I * ndI + I * d_ndI)
+    d_ndQ = (d_dP * tan + dP * K * d_c - K * (d_P * ndc + P * d_ndc) - P * ndc * d_K
+             - 2.0 * k.wbc * dU)
+    p_U, U2 = k.p_dn / U, U * U
+    return (-p_U * (d_P - P * dU / U), p_U * (d_mQ - mQ * dU / U),
+            k.p_dn * (d_P - dU * dP - U * d_dP - 2.0 * (P - U * dP) * dU / U) / U2,
+            k.p_dn * (dU * ndQ + U * d_ndQ - d_mQ - 2.0 * (U * ndQ - mQ) * dU / U) / U2)
+
+
+def _fold_jacobian(prep: PreparedCase, z: np.ndarray, c: np.ndarray, J: np.ndarray, t,
+                   s_free: bool) -> np.ndarray:
+    """Exact Jacobian of the fold system in z = (x, v, p), p the scale s or the load lam.
+
+    d(J v)/dx is the derivative of J along v = (dd, du), as the second
+    derivatives of g are symmetric: W moves by j (dd_i - dd_j) W and inj by
+    j dd inj - j W (dd U) + W du, laid out as assemble_jacobian lays out W and
+    inj, and each converter diagonal by its tangent along du.  B and f scale
+    as 1/s, so the s column is the network part of g and of J v over -s; the
+    lam column is the converter terms' tangent along the rated orders.
     """
     m = len(c)
-    x, v, p = z[:m], z[m:2 * m], z[-1]
-    h = FOLD_FD_STEP
-    g_up, J_up, _ = _fold_point(at, p + h, x)
-    g_dn, J_dn, _ = _fold_point(at, p - h, x)
-    A = np.zeros((2 * m + 1, 2 * m + 1))
-    A[:m, :m] = A[m:2 * m, m:2 * m] = J
-    A[m:2 * m, :m] = (_fold_point(at, p, x + h * v)[1]
-                      - _fold_point(at, p, x - h * v)[1]) / (2.0 * h)
-    A[2 * m, m:2 * m] = c
-    A[:m, 2 * m] = (g_up - g_dn) / (2.0 * h)
-    A[m:2 * m, 2 * m] = (J_up - J_dn) @ v / (2.0 * h)
-    return A
+    n, k = m // 2, prep.consts
+    dd, du = z[m:m + n], z[m + n:2 * m]
+    W, inj = t.W, t.inj
+    dW = 1j * np.subtract.outer(dd, dd) * W
+    dM = dW * t.U + W * du              # the derivative of W_ij U_j
+    d_inj = 1j * (dd * inj - W.dot(dd * t.U)) + W.dot(du)
+    _, _, dJ_PU, dJ_QU = _converter_tangent(k, t, du, 0.0)
+    D = np.block([[np.diag(d_inj.real) - dM.real, np.diag(dJ_PU) + dW.imag],
+                  [np.diag(d_inj.imag) - dM.imag, np.diag(dJ_QU) - dW.real]])
+    if s_free:
+        col = np.concatenate([inj.imag, -inj.real, d_inj.imag, -d_inj.real]) / -z[-1]
+    else:
+        dgP, dgQ, dJ_PU, dJ_QU = _converter_tangent(k, t, 0.0, prep.rated_orders / k.p_dn)
+        col = np.concatenate([dgP, dgQ, dJ_PU * du, dJ_QU * du])
+    O = np.zeros((m, m))
+    return np.block([[J, O, col[:m, None]], [D, J, col[m:, None]], [O[:1], c[None], 0.0]])
 
 
-def _solve_fold(at, x, v, p: float, tol: float = FOLD_TOL) -> _Fold | None:
-    """Newton on g(x) = 0, J v = 0, c.v = 1 in (x, v, p), with c = v / |v|^2.
+def _solve_fold(prep: PreparedCase, x, v, s: float, lam: float | None = None,
+                tol: float = FOLD_TOL) -> _Fold | None:
+    """Newton on g(x) = 0, J v = 0, c.v = 1 with c = v / |v|^2, started at (x, v).
 
-    at(p) gives (prepared case, s, lam): a probe frees lam at a fixed scale,
-    the closing and modal solves free s at lam = 1.  The solve is damped_newton
-    to tol.  Returns None when Newton fails or the fold lies outside U_BAND.
+    Without lam the unknowns are (x, v, s) at rated load, lam = 1; with lam
+    they are (x, v, lam), started at lam, at the fixed scale s.  The solve is
+    damped_newton to tol on the exact Jacobian.  Returns None when Newton
+    fails or the fold lies outside U_BAND.
     """
     m = len(x)
     c = v / (v @ v)
+    fixed = None if lam is None else _at_scale(prep, s)
 
     def resid(z):
         # None where a bus voltage is not positive or a converter has no steady state
         if np.any(z[m // 2:m] <= 0.0):
             return None
+        at, load = (_at_scale(prep, z[-1]), 1.0) if fixed is None else (fixed, z[-1])
         try:
-            g, J, conv = _fold_point(at, z[-1], z[:m])
+            t, J = _fold_point(at, load, z[:m])
         except ConverterInfeasible:
             return None
         vv = z[m:2 * m]
-        return np.concatenate([g, J @ vv, [c @ vv - 1.0]]), (J, conv)
+        return np.concatenate([t.r, J @ vv, [c @ vv - 1.0]]), (at, J, t)
 
-    try:
-        res = damped_newton(resid, lambda z, aux: _fold_jacobian(at, z, c, aux[0]),
-                            np.concatenate([x, v, [p]]), tol, FOLD_MAX_ITER)
-    except ConverterInfeasible:  # a difference point of the Jacobian left a converter's domain
-        return None
+    res = damped_newton(resid, lambda z, a: _fold_jacobian(a[0], z, c, *a[1:], fixed is None),
+                        np.concatenate([x, v, [s if lam is None else lam]]), tol, FOLD_MAX_ITER)
     if res.reason == "singular jacobian":
         raise GridStrengthError("find_critical_numeric: singular fold system")
-    z = res.x
-    U = z[m // 2:m]
+    z, U = res.x, res.x[m // 2:m]
     if res.reason or np.any(U <= U_BAND[0]) or np.any(U >= U_BAND[1]):
         return None
-    prep, s, lam = at(z[-1])
-    return _Fold(s=float(s), lam=float(lam), x=z[:m], v=z[m:2 * m],
-                 residual=float(res.norm), states=converter_states(prep, res.aux[1]))
+    s, lam = (z[-1], 1.0) if fixed is None else (s, z[-1])
+    return _Fold(float(s), float(lam), z[:m], z[m:2 * m], float(res.norm),
+                 converter_states(res.aux[0], res.aux[2]))
 
 
 def _modal_fold(prep: PreparedCase, g1: float) -> _Fold | None:
@@ -386,8 +368,8 @@ def _modal_fold(prep: PreparedCase, g1: float) -> _Fold | None:
     flows = ((lam, newton_solve(scaled, lam * prep.rated_orders)) for lam in (0.8, 0.5))
     lam, st = next(((lam, st) for lam, st in flows if isinstance(st, GridState)), (1.0, None))
     x = np.concatenate([st.delta, st.U] if st else [np.zeros(n), np.ones(n)])
-    v = np.linalg.svd(assemble_jacobian(scaled, x[:n], x[n:], lam * prep.rated_orders))[2][-1]
-    fold = _solve_fold(lambda p: (_at_scale(prep, p), p, 1.0), x, v, 0.5 * g1, MODAL_TOL)
+    v = np.linalg.svd(_fold_point(scaled, lam, x)[1])[2][-1]
+    fold = _solve_fold(prep, x, v, 0.5 * g1, tol=MODAL_TOL)
     return fold if fold is not None and SCALE_LO <= fold.s <= SCALE_HI else None
 
 
@@ -409,16 +391,16 @@ def _critical_fold(prep: PreparedCase) -> _Fold:
         except ConverterInfeasible:
             return _Probe(s=s, g=-math.inf, result=None)
         lam, st = points[-1]
-        J = assemble_jacobian(scaled, st.delta, st.U, lam * scaled.rated_orders)
-        x, v = np.concatenate([st.delta, st.U]), np.linalg.svd(J)[2][-1]
-        fold = _solve_fold(lambda p: (scaled, s, p), x, v, lam)
+        x = np.concatenate([st.delta, st.U])
+        v = np.linalg.svd(_fold_point(scaled, lam, x)[1])[2][-1]
+        fold = _solve_fold(prep, x, v, s, lam)
         return _Probe(s=s, g=-math.inf if fold is None else fold.lam - 1.0, result=fold)
 
     lo, hi = _bracket(probe, kind)
     start = (lo if abs(lo.g) <= abs(hi.g) else hi).result
     # lo is hi when lam = 1 exactly at s = 1; a failed far end gives no secant
     s = start.s if lo is hi or hi.result is None else lo.s + (hi.s - lo.s) * lo.g / (lo.g - hi.g)
-    fold = _solve_fold(lambda p: (_at_scale(prep, p), p, 1.0), start.x, start.v, s)
+    fold = _solve_fold(prep, start.x, start.v, s)
     if fold is None or not lo.s <= fold.s <= hi.s:
         raise GridStrengthError(f"{kind}: no fold at rated load between scales "
                                 f"{lo.s:.6g} and {hi.s:.6g}")

@@ -148,7 +148,11 @@ class ReducedNetwork(NamedTuple):
 # and the power flow sums n products B_ij U_i U_j.  With n·|B_ii| <= 2**500
 # the Frobenius sum is at most n²·max (B_ii/p)² <= 2**1000 / p², finite for
 # every rating p >= 2**-11 pu; a finite B near the float limit would make
-# these sums overflow to inf or nan instead of naming the bus.
+# these sums overflow to inf or nan instead of naming the bus.  The reduced
+# source term f_i takes the same bound on n·|f_i|: f_i e^{j d_i} is one more
+# term of each sum f_i e^{j d_i} + sum_j B_ij U_j e^{j (d_i - d_j)} that gives
+# the mismatch, the Jacobian's angle diagonals and the fold system's J v, so
+# those stay within (1/n + max_j U_j)·2**500, and their squares finite.
 B_BOUND = 2.0**500
 
 
@@ -167,12 +171,12 @@ def reduce_case(case: CaseFile) -> ReducedNetwork:
     ok = np.isfinite(red.matrix).all(axis=1) & np.isfinite(f)
     if not ok.all():
         raise CaseFormatError(f"network: bus {red.bus_order[ok.argmin()]!r}: 1/reactance_pu overflows")
-    diag = np.abs(np.diagonal(red.matrix))
-    big = diag > B_BOUND / k
-    if big.any():
-        i = big.argmax()
-        raise CaseFormatError(f"network: bus {red.bus_order[i]!r}: 1/reactance_pu sums to "
-                              f"{diag[i]:.3g}, above 2**500/n = {B_BOUND / k:.3g}")
+    for what, size in (("1/reactance_pu", np.abs(np.diagonal(red.matrix))),
+                       ("emf_pu/reactance_pu", np.abs(f))):
+        i = (size > B_BOUND / k).argmax()
+        if size[i] > B_BOUND / k:
+            raise CaseFormatError(f"network: bus {red.bus_order[i]!r}: {what} sums to "
+                                  f"{size[i]:.3g}, above 2**500/n = {B_BOUND / k:.3g}")
     return ReducedNetwork(B=red, f=f)
 
 

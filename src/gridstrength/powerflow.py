@@ -23,14 +23,16 @@ per point: the low root for every converter, one exp(j d), one
 W = B o e^{j (d_i - d_j)} and one W U, whose sum with f e^{j d} gives the
 residual as one vector and, with the converter terms, the 2n x 2n
 Jacobian.  At SMALL_N buses or fewer numpy's fixed cost per call outweighs
-the O(n^2) work, so the kernel runs per-bus loops over solve_state and
-state_derivatives instead.  mismatch returns the terms of its point for
-assemble_jacobian there, for mismatch at the same U and orders (which
-reuses the converter solution alone) and for converter_states (output).
+the O(n^2) work, so mismatch runs per-bus loops over solve_state and
+state_derivatives instead; the fold solve, whose second-order terms read
+the array point, calls the array form _mismatch_array at every n.  mismatch
+returns the terms of its point for assemble_jacobian there, for mismatch at
+the same U and orders (which reuses the converter solution alone) and for
+converter_states (output).
 
 damped_newton is the one Newton loop in the package: the power flow here,
-and source tuning, the fold solve and the closed-form BSCR in boundary,
-each pass it a residual and a Jacobian.  They share one line search (the
+and source tuning and the fold solve in boundary, each pass it a residual
+and its exact Jacobian.  They share one line search (the
 step is halved until the residual's max-norm falls, within a caller-given
 slack, for the NEWTON_STEPS lengths) and one set of stop reasons.  The
 step lengths are a constant tuple and the norm one max over |r|, so at
@@ -266,9 +268,15 @@ def mismatch(prep: PreparedCase, delta: np.ndarray, U: np.ndarray,
     solution is solved here unless conv, what an earlier call returned at the
     same U and orders, lends its own.  The terms serve assemble_jacobian here.
     """
-    n = len(U)
-    if n <= SMALL_N:
+    if len(U) <= SMALL_N:
         return _mismatch_loop(prep, delta, U, p_orders, conv)
+    return _mismatch_array(prep, delta, U, p_orders, conv)
+
+
+def _mismatch_array(prep: PreparedCase, delta: np.ndarray, U: np.ndarray,
+                    p_orders, conv=None):
+    """mismatch on whole arrays at any bus count; its terms are a _Point."""
+    n = len(U)
     if conv is None:
         o = p_orders if type(p_orders) is _Orders else _order_terms(prep, p_orders, U)
         conv = _solve_converters(prep, U, o)
@@ -311,25 +319,21 @@ def assemble_jacobian(prep: PreparedCase, delta: np.ndarray, U: np.ndarray,
                       p_orders, conv=None) -> np.ndarray:
     """Exact Jacobian of (gP, gQ) in (delta, U), as [[dgP/dd, dgP/dU], [dgQ/dd, dgQ/dU]].
 
-    conv is what mismatch returned at the same point, or None to compute it here.
+    conv is what mismatch or _mismatch_array returned at the same point, or
+    None to compute it here; a _Point takes the array form, the per-bus
+    states the loops.
     """
-    n = len(U)
-    if n <= SMALL_N:
-        return _jacobian_loop(prep, delta, U, p_orders, conv)
     t = mismatch(prep, delta, U, p_orders)[2] if conv is None else conv
-    k = prep.consts
+    if type(t) is not _Point:
+        return _jacobian_loop(prep, delta, U, t)
+    n, k = len(U), prep.consts
     C, S, mU = t.W.real, t.W.imag, -U
     J = np.empty((2 * n, 2 * n))
     np.multiply(C, mU, out=J[:n, :n])
     np.multiply(S, mU, out=J[n:, :n])
     J[:n, n:] = S
     np.negative(C, out=J[n:, n:])
-    # converter slopes at fixed order, with 2 (b - r) I - a U cos(gamma) = -root
-    # at the low root; ndI, ndc and ndQ are -dI/dU, -dc/dU and -dQ/dU
-    ndI = k.acg * t.I / t.root
-    ndc = k.b_over_a * (ndI + t.I / U) / U
-    dP = 2.0 * t.I * ndI * k.r
-    ndQ = dP * t.sphi / t.cphi - t.P * ndc / (t.cphi * t.cphi * t.sphi) - 2.0 * k.wbc * U
+    _, _, dP, ndQ = _converter_slopes(k, t)
     # block diagonals as strided views of the flat J; the products above left
     # -C_ii U_i on the angle diagonals, and inj sums W_ij U_j over every j
     flat, s, m, U2 = J.reshape(-1), 2 * n + 1, 2 * n * n, U * U
@@ -340,12 +344,20 @@ def assemble_jacobian(prep: PreparedCase, delta: np.ndarray, U: np.ndarray,
     return J
 
 
-def _jacobian_loop(prep, delta, U, p_orders, states):
-    if states is None:
-        states = _solve_converters_loop(prep, U, p_orders)
-    B = prep.net.B.matrix
-    f = prep.net.f
-    n = prep.n
+def _converter_slopes(k: _ConverterArrays, t: _Point) -> tuple:
+    """-dI/dU, -dc/dU, dP/dU and -dQ/dU at fixed order at the point t.
+
+    At the low root 2 (b - r) I - a U cos(gamma) = -root.
+    """
+    ndI = k.acg * t.I / t.root
+    ndc = k.b_over_a * (ndI + t.I / t.U) / t.U
+    dP = 2.0 * t.I * ndI * k.r
+    ndQ = dP * t.sphi / t.cphi - t.P * ndc / (t.cphi * t.cphi * t.sphi) - 2.0 * k.wbc * t.U
+    return ndI, ndc, dP, ndQ
+
+
+def _jacobian_loop(prep, delta, U, states):
+    B, f, n = prep.net.B.matrix, prep.net.f, prep.n
     J = np.zeros((2 * n, 2 * n))
     for i in range(n):
         par = prep.converters[i]

@@ -3,7 +3,9 @@
 Everything here works on plain lists of floats so that an agreement check
 against the library is a genuine cross-implementation comparison, not the
 same BLAS call twice.  The case-file reference parse shares only the
-record types with the library.
+record types with the library; the central-difference Jacobian
+differentiates whatever function it is given, the library's own kernel
+included.
 """
 
 import math
@@ -195,6 +197,66 @@ def bisect_low_root(f, lo, hi, iters=200):
 def fd_central(f, x, h):
     """Central finite difference (f(x+h) - f(x-h)) / 2h."""
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def central_jacobian(F, z, rel_step=1e-6):
+    """Jacobian of F at z by central differences, one coordinate at a time.
+
+    z is a list of floats and F maps such a list to a sequence of floats;
+    coordinate k steps by rel_step * max(1, |z_k|).  The reference the fold
+    system's exact Jacobian is checked against, block by block.
+    """
+    cols = []
+    for k in range(len(z)):
+        h = rel_step * max(1.0, abs(z[k]))
+        up, dn = list(z), list(z)
+        up[k] += h
+        dn[k] -= h
+        cols.append([(a - b) / (up[k] - dn[k]) for a, b in zip(F(up), F(dn))])
+    return [list(row) for row in zip(*cols)]
+
+
+def bscr_newton(a, b, b_c, gamma, P_N, Q_N, tol=1e-9, max_iter=60):
+    """SCR of the 30-degree-overlap point by a damped Newton in (U, SCR) on central differences.
+
+    The coupled form the closed-form BSCR replaced: the network relation at
+    the rated tune E = hypot(1 - Q_N/SCR, P_N/SCR) and the characteristic
+    rho T + rho^2/SCR - SCR = 0, both at c = c_B, from (U, SCR) = (0.9, 3).
+    Returns None when the Newton stops without converging.
+    """
+    c_B = 0.5 * (math.cos(gamma) - math.cos(gamma + math.pi / 6.0))
+    cphi = math.cos(gamma) - c_B
+    tphi = math.sqrt(1.0 - cphi * cphi) / cphi
+    K = 1.0 / (cphi * cphi * math.sqrt(1.0 - cphi * cphi))
+
+    def resid(x):
+        U, scr = x
+        if U <= 0 or scr <= 0:
+            return None
+        Z = 1.0 / scr
+        E = math.hypot(1.0 - Z * Q_N, Z * P_N)
+        I = a / b * c_B * U
+        P = (a * U * math.cos(gamma) - b * I) * I
+        Q = -P * tphi + b_c * U * U
+        rho, T = P / (U * U), 2.0 * c_B * K + 2.0 * b_c * U * U / P
+        return [(P * Z) ** 2 + (U * U - Q * Z) ** 2 - (E * U) ** 2, rho * T + rho * rho / scr - scr]
+
+    x, r = [0.9, 3.0], resid([0.9, 3.0])
+    for _ in range(max_iter):
+        if max(map(abs, r)) <= tol:
+            return x[1]
+        (j11, j12), (j21, j22) = central_jacobian(resid, x, 1e-7)
+        det = j11 * j22 - j12 * j21
+        dx = [(-r[0] * j22 + r[1] * j12) / det, (-r[1] * j11 + r[0] * j21) / det]
+        for alpha in (0.5 ** k for k in range(7)):
+            trial = [x[0] + alpha * dx[0], x[1] + alpha * dx[1]]
+            r_try = resid(trial)
+            if r_try is not None and max(map(abs, r_try)) < max(map(abs, r)):
+                x, r = trial, r_try
+                break
+        else:
+            return None
+    return None
 
 
 def parse_by_keyword(doc, name=""):

@@ -28,7 +28,7 @@ from gridstrength.boundary import (
     tune_sources,
 )
 from gridstrength.casefile import case_from_dict
-from gridstrength.converter import rated_state, sensitivity_T
+from gridstrength.converter import LccParams, rated_state, sensitivity_T
 from gridstrength.errors import GridStrengthError
 from gridstrength.netmodel import scale_impedance
 from gridstrength.powerflow import (
@@ -41,6 +41,7 @@ from gridstrength.powerflow import (
 )
 
 from conftest import CONVERTER_BLOCK, hub_network_doc, random_network_doc, serial_pool
+from oracles import bscr_newton, central_jacobian
 from test_converter import cigre_params
 
 
@@ -81,6 +82,27 @@ def test_boundary_overlap_c_values():
 
 def test_bscr_regression_frozen():
     assert bscr_solve(cigre_params()) == pytest.approx(2.663191, abs=1e-5)
+
+
+def test_bscr_closed_form_matches_the_coupled_newton():
+    # the closed form against the (U, SCR) Newton it replaced, on random converters
+    # that deliver rated power; where that Newton stalls there is nothing to compare
+    rng = np.random.default_rng(25)
+    compared = 0
+    for _ in range(1200):
+        p = LccParams(p_dn=float(rng.uniform(0.2, 2.0)),
+                      gamma=math.radians(rng.uniform(10.0, 25.0)), n=int(rng.integers(1, 5)),
+                      k=float(rng.uniform(0.3, 0.6)), x=float(rng.uniform(0.02, 0.15)),
+                      r=float(rng.uniform(0.0, 0.05)), b_c=float(rng.uniform(0.2, 0.8)))
+        try:
+            rated = rated_state(p)
+        except GridStrengthError:
+            continue
+        want = bscr_newton(p.a, p.b, p.b_c, p.gamma, rated.P, rated.Q)
+        if want is not None:
+            compared += 1
+            assert bscr_solve(p) == pytest.approx(want, rel=1e-9, abs=0.0)
+    assert compared >= 1000
 
 
 def test_bscr_gamma_shift_golden():
@@ -124,8 +146,9 @@ def test_find_critical_single_infeed(crit_sidc, measured):
 
 def test_find_critical_scale_invariance(sidc, dual, triple, quad, monkeypatch):
     # the modal start at s0 = gSCR(1) / 2 moves with the scale, so every k takes
-    # the same path: no continuation and one short fold Newton
-    calls = {"mismatch": 0, "continuation_steps": 0}
+    # the same path: no continuation and one short fold Newton on the exact
+    # Jacobian, one kernel point per fold residual
+    calls = {"mismatch": 0, "_mismatch_array": 0, "continuation_steps": 0}
 
     def counted(name):
         fn = getattr(powerflow, name)
@@ -137,15 +160,18 @@ def test_find_critical_scale_invariance(sidc, dual, triple, quad, monkeypatch):
 
     for name in calls:
         wrapper = counted(name)
-        monkeypatch.setattr(powerflow, name, wrapper)
+        # mismatch's own call into the array form is not a second kernel point
+        if name != "_mismatch_array":
+            monkeypatch.setattr(powerflow, name, wrapper)
         monkeypatch.setattr(boundary, name, wrapper)
     for case in (sidc, dual, triple, quad):
         want = find_critical_numeric(case).value
         for s in (0.5, 1.0, 2.0, 5.0, 15.0):
-            calls.update(mismatch=0, continuation_steps=0)
+            calls.update(mismatch=0, _mismatch_array=0, continuation_steps=0)
             r = find_critical_numeric(scale_impedance(case, s))
             assert calls["continuation_steps"] == 0
-            assert calls["mismatch"] <= 40
+            assert calls["_mismatch_array"] > 0
+            assert calls["mismatch"] + calls["_mismatch_array"] <= 22
             assert r.value == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
@@ -191,10 +217,10 @@ def test_failed_modal_start_falls_back_to_the_bracket(name, k, request, monkeypa
     want = find_critical_numeric(case).value
     solve, s_free = boundary._solve_fold, []
 
-    def counted(at, x, v, p, *tol):
-        if at(2.0 * p)[1] != at(p)[1]:
-            s_free.append(p)
-        return solve(at, x, v, p, *tol)
+    def counted(prep, x, v, s, lam=None, **tol):
+        if lam is None:
+            s_free.append(s)
+        return solve(prep, x, v, s, lam, **tol)
 
     monkeypatch.setattr(boundary, "_modal_fold", lambda prep, g1: None)
     monkeypatch.setattr(boundary, "_solve_fold", counted)
@@ -259,6 +285,62 @@ def test_modal_fold_certificate(name, request):
     assert fold.residual <= boundary.MODAL_TOL
 
 
+def _fold_residual(prep, c, s_free, s):
+    """The fold system's residual as a function of z = (x, v, p) in a list, p = s or lam."""
+    m = len(c)
+
+    def F(z):
+        z = np.array(z)
+        scale, lam = (z[-1], 1.0) if s_free else (s, z[-1])
+        t, J = boundary._fold_point(boundary._at_scale(prep, scale), lam, z[:m])
+        return [*t.r, *(J @ z[m:2 * m]), c @ z[m:2 * m] - 1.0]
+    return F
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_fold_jacobian_matches_central_differences(n):
+    # s free at lam = 1 and lam free at a fixed s, at a fold (J singular) and away
+    # from it (the rated flow with a random v, and 0.9 of rated load for lam)
+    rng = np.random.default_rng(4000 + n)
+    case = scale_to_gscr(case_from_dict(random_network_doc(rng, n, link_prob=1.0)), 2.0)
+    prep = prepare(case)
+    fold = _modal_fold(prep, case_gscr(case)[1]) or _critical_fold(prep)
+    rated = newton_solve(prep, prep.rated_orders)
+    assert isinstance(rated, GridState)
+    m = 2 * n
+    for x, v, s, lam in ((fold.x, fold.v, fold.s, 1.0),
+                         (np.concatenate([rated.delta, rated.U]), rng.normal(size=m), 1.0, 0.9)):
+        c = v / (v @ v)
+        for s_free in (True, False):
+            z = np.concatenate([x, v, [s if s_free else lam]])
+            at = boundary._at_scale(prep, s)
+            t, J = boundary._fold_point(at, 1.0 if s_free else lam, x)
+            exact = boundary._fold_jacobian(at, z, c, J, t, s_free)
+            fd = np.array(central_jacobian(_fold_residual(prep, c, s_free, s), z.tolist()))
+            for rows, cols in ((slice(0, m), slice(0, m)), (slice(m, 2 * m), slice(0, m)),
+                               (slice(m, 2 * m), slice(m, 2 * m)), (slice(0, 2 * m), -1),
+                               (2 * m, slice(m, 2 * m))):
+                scale = np.abs(fd[rows, cols]).max()
+                assert np.abs(exact[rows, cols] - fd[rows, cols]).max() <= 1e-6 * scale
+            assert not exact[:m, m:2 * m].any() and not exact[2 * m, :m].any()
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_fold_certificate_on_random_networks(n):
+    # the fold the search returns is a certified saddle-node, and its voltage
+    # mode is the Perron vector of J_eq up to a few degrees
+    case = scale_to_gscr(case_from_dict(random_network_doc(np.random.default_rng(6000 + n), n,
+                                                           link_prob=1.0)), 2.0)
+    prep = prepare(case)
+    eig, g1 = case_gscr(case)
+    fold = _modal_fold(prep, g1) or _critical_fold(prep)
+    assert find_critical_numeric(case).value == g1 / fold.s
+    _check_fold_certificate(case, fold)
+    mode, w = fold.v[n:], eig.perron_vector
+    cos = abs(mode @ w) / (np.linalg.norm(mode) * np.linalg.norm(w))
+    assert math.degrees(math.acos(min(cos, 1.0))) <= 5.0
+
+
 def test_critical_fold_matches_divergence_bisection(sidc, dual, triple, quad):
     # slow reference: bisect the scale on the continuation's last convergent lambda
     critical_tol = 1e-3  # on |lambda_max - 1|
@@ -279,8 +361,8 @@ def test_search_value_is_index_of_scaled_case(crit_sidc, bnd_sidc, bnd_dual, sid
 def test_closing_newton_that_never_lands_collapses_the_bracket(sidc, monkeypatch):
     solve = boundary._solve_fold
 
-    def s_free_calls_fail(at, x, v, p, *tol):
-        return None if at(2.0 * p)[1] != at(p)[1] else solve(at, x, v, p, *tol)
+    def s_free_calls_fail(prep, x, v, s, lam=None, **tol):
+        return None if lam is None else solve(prep, x, v, s, lam, **tol)
 
     monkeypatch.setattr(boundary, "_solve_fold", s_free_calls_fail)
     with pytest.raises(GridStrengthError, match="no fold at rated load between scales"):

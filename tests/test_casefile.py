@@ -119,6 +119,13 @@ def near_limit_dual_doc():
     return doc
 
 
+def huge_emf_dual_doc():
+    """The bundled dual case with the emf of its first link at 1e300: E/x is finite, near 2e300."""
+    doc = case_to_dict(load_bundled_case("dual"))
+    doc["thevenin_links"][0]["emf_pu"] = 1e300
+    return doc
+
+
 def _doc(mutate):
     """case_from_dict on golden_doc() after mutate(doc) edits it in place."""
     def call(path):
@@ -276,6 +283,9 @@ GOLDEN_MESSAGES = [
     # finite, but later sums of B's entries would overflow
     (lambda path: reduce_case(case_from_dict(near_limit_dual_doc())),
      "network: bus 'inv1': 1/reactance_pu sums to 1e+308, above 2**500/n = 1.64e+150"),
+    # finite, but the mismatch and the fold system sum f with B's terms
+    (lambda path: reduce_case(case_from_dict(huge_emf_dual_doc())),
+     "network: bus 'inv1': emf_pu/reactance_pu sums to 1.92e+300, above 2**500/n = 1.64e+150"),
 ]
 
 

@@ -18,7 +18,7 @@ from gridstrength.netmodel import scale_impedance
 from gridstrength.validate import ValidationReport, ValidationRow
 
 from conftest import hub_network_doc, script_env
-from test_casefile import BUNDLED, near_limit_dual_doc, overflowing_dual_doc
+from test_casefile import BUNDLED, huge_emf_dual_doc, near_limit_dual_doc, overflowing_dual_doc
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +175,19 @@ def test_susceptance_near_the_float_limit_is_input_error(capsys, tmp_path, cmd):
         code, out, err = run(capsys, [cmd, str(path)])
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and err.startswith("error: network: bus 'inv1': 1/reactance_pu sums")
+
+
+@pytest.mark.parametrize("cmd", ["gscr", "powerflow", "find-cgscr", "find-bgscr"])
+def test_source_term_near_the_float_limit_is_input_error(capsys, tmp_path, cmd):
+    # emf/x is finite but near 1e300: named by bus before the kernel sums it with B's terms
+    path = tmp_path / "huge_emf.json"
+    path.write_text(json.dumps(huge_emf_dual_doc()), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, [cmd, str(path)])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert err.startswith("error: network: bus 'inv1': emf_pu/reactance_pu sums")
 
 
 def test_number_with_too_many_digits_is_input_error(capsys, tmp_path):
