@@ -17,8 +17,9 @@ flow sits at rated load, lambda = 1.  The fold is solved for directly as a
 point of collapse (Canizares & Alvarado, IEEE TPWRS 8(1), 1993): a Newton on
 g(x) = 0, J v = 0, c.v = 1 and one free parameter, s at lambda = 1, started
 at the paper's threshold s = gSCR(1)/2; when that fold fails its certificate,
-fold probes in lambda bracket s and one such Newton closes the bracket.  The
-fold Jacobian is exact: its second-order terms are the complex form of
+lambda-free folds walk the fold curve lambda_fold(s) from there to lambda = 1
+(Govaerts, Numerical Methods for Bifurcations of Dynamical Equilibria, 2000).
+The fold Jacobian is exact: its second-order terms are the complex form of
 MATPOWER's d2Sbus_dV2 (Zimmerman, MATPOWER Technical Note 2, 2010) plus the
 converter terms' tangents.  The boundary ratio bisects s on the aggregated
 overlap angle at the nose = 30 deg.
@@ -45,7 +46,6 @@ from .powerflow import (
     _converter_slopes,
     _mismatch_array,
     assemble_jacobian,
-    continuation_steps,
     converter_states,
     damped_newton,
     mismatch,
@@ -62,6 +62,9 @@ MU_TARGET_DEG = 30.0
 FOLD_TOL = 1e-10         # on the fold system's residual
 FOLD_MAX_ITER = 30
 MODAL_TOL = 1e-12        # the modal fold's: stopped at FOLD_TOL its s can sit 7e-10 off
+WALK_STEP = math.log(1.1)       # the fold walk's first step in ln s,
+WALK_STEP_MAX = math.log(1.5)   # its largest,
+WALK_STEP_MIN = 1e-3            # and the step below which the walk has lost the fold curve
 # per-converter overlap angles (deg) and rating weights -> the searched angle
 _AGGREGATE = {
     "mean": lambda mu, w: float(np.dot(w, mu) / np.sum(w)),
@@ -190,10 +193,10 @@ def scale_to_gscr(case: CaseFile, target: float) -> CaseFile:
 class _Probe(NamedTuple):
     s: float
     g: float
-    result: ContinuationResult | _Fold | None
+    result: ContinuationResult | None
 
 
-def _bracket(probe, kind: str) -> tuple[_Probe, _Probe]:
+def _bracket(probe) -> tuple[_Probe, _Probe]:
     """Probe s = 1, then multiply or divide s by 1.5 until the gap changes sign.
 
     Returns (lo, hi) with lo.g > 0 >= hi.g and lo.s < hi.s, or (p, p) when
@@ -204,14 +207,14 @@ def _bracket(probe, kind: str) -> tuple[_Probe, _Probe]:
     while hi.g > 0 if up else lo.g < 0:
         s_next = hi.s * 1.5 if up else lo.s / 1.5
         if not SCALE_LO <= s_next <= SCALE_HI:
-            raise BracketError(f"{kind}: no sign change " + (f"up to scale {SCALE_HI}" if up
-                                                            else f"down to scale {SCALE_LO}"))
+            raise BracketError("find_boundary_numeric: no sign change "
+                               + (f"up to scale {SCALE_HI}" if up else f"down to scale {SCALE_LO}"))
         p = probe(s_next)
         lo, hi = (hi, p) if up else (p, lo)
     return lo, hi
 
 
-def _bisect_scale(prep: PreparedCase, gap_of, cond_tol: float, kind: str) -> _Probe:
+def _bisect_scale(prep: PreparedCase, gap_of, cond_tol: float) -> _Probe:
     """Find s with gap(s) = 0, gap decreasing in s; geometric probe then bisect."""
 
     def probe(s):
@@ -222,7 +225,7 @@ def _bisect_scale(prep: PreparedCase, gap_of, cond_tol: float, kind: str) -> _Pr
             return _Probe(s=s, g=-math.inf, result=None)
         return _Probe(s=s, g=gap_of(tr), result=tr)
 
-    lo, hi = _bracket(probe, kind)
+    lo, hi = _bracket(probe)
     if lo is hi:
         return lo
     best = lo if abs(lo.g) <= abs(hi.g) else hi
@@ -235,7 +238,7 @@ def _bisect_scale(prep: PreparedCase, gap_of, cond_tol: float, kind: str) -> _Pr
         else:
             hi = mid
     if best.result is None or abs(best.g) > cond_tol:
-        raise GridStrengthError(f"{kind}: bisection stalled with residual {best.g:.3g}")
+        raise GridStrengthError(f"find_boundary_numeric: bisection stalled with residual {best.g:.3g}")
     return best
 
 
@@ -326,16 +329,17 @@ def _solve_fold(prep: PreparedCase, x, v, s: float, lam: float | None = None,
 
     Without lam the unknowns are (x, v, s) at rated load, lam = 1; with lam
     they are (x, v, lam), started at lam, at the fixed scale s.  The solve is
-    damped_newton to tol on the exact Jacobian.  Returns None when Newton
-    fails or the fold lies outside U_BAND.
+    damped_newton to tol on the exact Jacobian; one that stalls within
+    FOLD_TOL has met the residual's rounding floor and counts as converged.
+    Returns None when Newton fails or the fold lies outside U_BAND.
     """
     m = len(x)
     c = v / (v @ v)
     fixed = None if lam is None else _at_scale(prep, s)
 
     def resid(z):
-        # None where a bus voltage is not positive or a converter has no steady state
-        if np.any(z[m // 2:m] <= 0.0):
+        # None where a bus voltage, s or lam is not positive or a converter has no steady state
+        if np.any(z[m // 2:m] <= 0.0) or z[-1] <= 0.0:
             return None
         at, load = (_at_scale(prep, z[-1]), 1.0) if fixed is None else (fixed, z[-1])
         try:
@@ -350,61 +354,84 @@ def _solve_fold(prep: PreparedCase, x, v, s: float, lam: float | None = None,
     if res.reason == "singular jacobian":
         raise GridStrengthError("find_critical_numeric: singular fold system")
     z, U = res.x, res.x[m // 2:m]
-    if res.reason or np.any(U <= U_BAND[0]) or np.any(U >= U_BAND[1]):
+    stalled = res.reason == "no acceptable step" and res.norm <= FOLD_TOL
+    if res.reason and not stalled or np.any(U <= U_BAND[0]) or np.any(U >= U_BAND[1]):
         return None
     s, lam = (z[-1], 1.0) if fixed is None else (s, z[-1])
     return _Fold(float(s), float(lam), z[:m], z[m:2 * m], float(res.norm),
                  converter_states(res.aux[0], res.aux[2]))
 
 
-def _modal_fold(prep: PreparedCase, g1: float) -> _Fold | None:
-    """One fold Newton in s from the paper's threshold s0 = gSCR(1) / 2; None if uncertified.
+def _modal_start(prep: PreparedCase, s: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """(lam, x, v) to start a fold Newton at scale s.
 
-    x0 is the first converged flow at s0 and 0.8 or 0.5 of rated load (rated load
-    sits on the nose there), else flat at rated load; v0 is J's last right singular
-    vector at x0 and its own load, where every converter has a steady state.
+    x is the first converged flow at 0.8 or 0.5 of rated load (rated load sits on
+    the nose at s = gSCR(1) / 2), else flat at rated load; v is J's last right
+    singular vector at x and lam, where every converter has a steady state.
     """
-    n, scaled = prep.n, _at_scale(prep, 0.5 * g1)
+    n, scaled = prep.n, _at_scale(prep, s)
     flows = ((lam, newton_solve(scaled, lam * prep.rated_orders)) for lam in (0.8, 0.5))
     lam, st = next(((lam, st) for lam, st in flows if isinstance(st, GridState)), (1.0, None))
     x = np.concatenate([st.delta, st.U] if st else [np.zeros(n), np.ones(n)])
-    v = np.linalg.svd(_fold_point(scaled, lam, x)[1])[2][-1]
+    return lam, x, np.linalg.svd(_fold_point(scaled, lam, x)[1])[2][-1]
+
+
+def _modal_fold(prep: PreparedCase, g1: float) -> _Fold | None:
+    """One fold Newton in s from the paper's threshold s0 = gSCR(1) / 2; None if uncertified."""
+    _, x, v = _modal_start(prep, 0.5 * g1)
     fold = _solve_fold(prep, x, v, 0.5 * g1, tol=MODAL_TOL)
     return fold if fold is not None and SCALE_LO <= fold.s <= SCALE_HI else None
 
 
-def _critical_fold(prep: PreparedCase) -> _Fold:
-    """Fold at rated load when _modal_fold has none: fold probes from s = 1, then a Newton in s.
+def _critical_fold(prep: PreparedCase, g1: float) -> _Fold:
+    """Fold at rated load when _modal_fold has none: walk the fold curve lam_fold(s) to lam = 1.
 
-    A probe frees lam at a fixed scale, from the last converged point of the
-    continuation's stepping phase; a failed fold, one outside U_BAND or a grid
-    too weak for the light start is the far side of the root.  One Newton then
-    frees s at lam = 1, from the fold at the bracket end nearer rated load and
-    the secant estimate of s between the ends; a root outside the bracket is refused.
+    Every fold frees lam at a fixed s, the first from the modal start at s0 =
+    gSCR(1) / 2, else at s0 / 1.5.  The walk steps ln s by h toward lam = 1
+    (lam_fold falls with s) from the last fold; h starts at WALK_STEP, grows
+    x1.5 after a success up to WALK_STEP_MAX and halves after a failure.
+    Illinois regula falsi in s then closes on lam = 1 to MODAL_TOL, each probe
+    solved to MODAL_TOL from the bracket end nearer lam = 1 and replaced by the
+    midpoint when it fails or leaves the ends' range of lam.  A bracket one
+    rounding step wide ends at its nearer end if that is within FOLD_TOL.
     """
     kind = "find_critical_numeric"
+    starts = ((s, *_modal_start(prep, s)) for s in (0.5 * g1, g1 / 3.0))
+    fold = next(filter(None, (_solve_fold(prep, x, v, s, lam) for s, lam, x, v in starts)), None)
+    if fold is None:
+        raise GridStrengthError(f"{kind}: no fold from the modal start at scales "
+                                f"{0.5 * g1:.6g} and {g1 / 3.0:.6g}")
+    up, h, last = fold.lam > 1.0, WALK_STEP, fold
+    while (fold.lam > 1.0) == up:
+        nxt = _solve_fold(prep, fold.x, fold.v, fold.s * math.exp(h if up else -h), fold.lam)
+        if nxt is not None:
+            last, fold, h = fold, nxt, min(1.5 * h, WALK_STEP_MAX)
+        elif (h := 0.5 * h) < WALK_STEP_MIN:
+            raise GridStrengthError(f"{kind}: lost the fold curve at scale {fold.s:.6g} "
+                                    f"(lam {fold.lam:.6g})")
 
-    def probe(s) -> _Probe:
-        scaled = _at_scale(prep, s)
-        try:
-            points, _ = continuation_steps(scaled)
-        except ConverterInfeasible:
-            return _Probe(s=s, g=-math.inf, result=None)
-        lam, st = points[-1]
-        x = np.concatenate([st.delta, st.U])
-        v = np.linalg.svd(_fold_point(scaled, lam, x)[1])[2][-1]
-        fold = _solve_fold(prep, x, v, s, lam)
-        return _Probe(s=s, g=-math.inf if fold is None else fold.lam - 1.0, result=fold)
-
-    lo, hi = _bracket(probe, kind)
-    start = (lo if abs(lo.g) <= abs(hi.g) else hi).result
-    # lo is hi when lam = 1 exactly at s = 1; a failed far end gives no secant
-    s = start.s if lo is hi or hi.result is None else lo.s + (hi.s - lo.s) * lo.g / (lo.g - hi.g)
-    fold = _solve_fold(prep, start.x, start.v, s)
-    if fold is None or not lo.s <= fold.s <= hi.s:
-        raise GridStrengthError(f"{kind}: no fold at rated load between scales "
-                                f"{lo.s:.6g} and {hi.s:.6g}")
-    return fold
+    a, b, ga = last, fold, last.lam - 1.0
+    while abs(b.lam - 1.0) > MODAL_TOL:
+        gb, (lo, hi) = b.lam - 1.0, sorted((a.s, b.s))
+        near = a if abs(a.lam - 1.0) < abs(gb) else b
+        mid, s, probe = 0.5 * (lo + hi), (a.s * gb - b.s * ga) / (gb - ga), None
+        if lo < mid < hi:
+            if lo < s < hi:
+                probe = _solve_fold(prep, near.x, near.v, s, near.lam, MODAL_TOL)
+            if probe is None or not min(a.lam, b.lam) <= probe.lam <= max(a.lam, b.lam):
+                probe = _solve_fold(prep, near.x, near.v, mid, near.lam, MODAL_TOL)
+        elif abs(near.lam - 1.0) <= FOLD_TOL:
+            return near
+        if probe is None:
+            raise GridStrengthError(f"{kind}: no fold at rated load between scales "
+                                    f"{lo:.6g} and {hi:.6g}")
+        # Illinois: the end kept a second time in a row has its lam - 1 halved
+        if (probe.lam > 1.0) != (b.lam > 1.0):
+            a, ga = b, gb
+        else:
+            ga *= 0.5
+        b = probe
+    return b
 
 
 def _index_at_unit_scale(prep: PreparedCase) -> float:
@@ -425,8 +452,9 @@ def find_critical_numeric(case: CaseFile) -> BoundaryResult:
     """Scale reactances until the fold of the power flow sits at rated load."""
     prep = prepare(case)
     g1 = _index_at_unit_scale(prep)
-    fold = _modal_fold(prep, g1) or _critical_fold(prep)
-    return _result("CgSCR", g1, fold.s, fold.residual, [st.mu for st in fold.states])
+    fold = _modal_fold(prep, g1) or _critical_fold(prep, g1)
+    return _result("CgSCR", g1, fold.s, max(fold.residual, abs(fold.lam - 1.0)),
+                   [st.mu for st in fold.states])
 
 
 def find_boundary_numeric(case: CaseFile, aggregation: str = "mean") -> BoundaryResult:
@@ -440,7 +468,7 @@ def find_boundary_numeric(case: CaseFile, aggregation: str = "mean") -> Boundary
     def gap(tr: ContinuationResult) -> float:
         return aggregate(np.degrees(np.array(tr.mu_at_map)), prep.consts.p_dn) - MU_TARGET_DEG
 
-    best = _bisect_scale(prep, gap, BOUNDARY_TOL_DEG, "find_boundary_numeric")
+    best = _bisect_scale(prep, gap, BOUNDARY_TOL_DEG)
     return _result("BgSCR", g1, best.s, abs(best.g), best.result.mu_at_map)
 
 

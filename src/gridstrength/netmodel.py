@@ -72,49 +72,23 @@ def _assemble(case: CaseFile, order) -> tuple[np.ndarray, np.ndarray]:
     return B[:n, :n].copy(), f
 
 
-def build_susceptance(case: CaseFile) -> SusceptanceMatrix:
-    order = tuple(b.id for b in case.buses)
-    return SusceptanceMatrix(matrix=_assemble(case, order)[0], bus_order=order)
-
-
-def _schur(M: np.ndarray, order, k: int, f=None):
+def _schur(M: np.ndarray, order, k: int, f: np.ndarray):
     """Schur complement of M onto its first k buses with one factorization of M_ee.
 
-    M_ee X = [M_ek | f_e] is solved for all right-hand sides at once; returns
-    the reduced matrix and, when f is given, f_k - M_ke M_ee^-1 f_e.
+    M_ee X = [M_ek | f_e] is solved for both right-hand sides at once; returns
+    the reduced matrix and f_k - M_ke M_ee^-1 f_e.
     """
     Bke = M[:k, k:]
-    rhs = Bke.T if f is None else np.column_stack((Bke.T, f[k:]))
     try:
-        X = np.linalg.solve(M[k:, k:], rhs)
+        X = np.linalg.solve(M[k:, k:], np.column_stack((Bke.T, f[k:])))
     except np.linalg.LinAlgError:
         raise GridStrengthError(
-            f"kron_reduce: singular internal block, buses {list(order[k:])} float with no path to a source"
+            f"reduce_case: singular internal block, buses {list(order[k:])} float with no path to a source"
         ) from None
     P = Bke @ X
     red = M[:k, :k] - P[:, :k]
     red = 0.5 * (red + red.T)  # exact symmetry, elimination is symmetric in theory
-    reduced = SusceptanceMatrix(matrix=red, bus_order=tuple(order[:k]))
-    return reduced, None if f is None else f[:k] - P[:, k]
-
-
-def kron_reduce(B: SusceptanceMatrix, keep: set[str] | tuple[str, ...]) -> SusceptanceMatrix:
-    """Eliminate all buses outside ``keep``: B_kk - B_ke B_ee^-1 B_ek."""
-    keep_set = set(keep)
-    unknown = keep_set - set(B.bus_order)
-    if unknown:
-        raise GridStrengthError(f"kron_reduce: unknown buses {sorted(unknown)}")
-    if len(keep_set) == B.order:
-        return B
-    # kept buses first, each group in bus order
-    perm = sorted(range(B.order), key=lambda i: B.bus_order[i] not in keep_set)
-    M = B.matrix.take(perm, 0).take(perm, 1)
-    return _schur(M, [B.bus_order[i] for i in perm], len(keep_set))[0]
-
-
-def source_vector(case: CaseFile, B: SusceptanceMatrix) -> np.ndarray:
-    """Per-bus equivalent source injection f_i = E_i / x_ti (0 where no link), in B's bus order."""
-    return _assemble(case, B.bus_order)[1]
+    return SusceptanceMatrix(matrix=red, bus_order=tuple(order[:k])), f[:k] - P[:, k]
 
 
 class ReducedNetwork(NamedTuple):

@@ -476,47 +476,17 @@ def sigma_min(prep: PreparedCase, point: MapPoint) -> float:
     return float(np.linalg.svd(J, compute_uv=False)[-1])
 
 
-def continuation_steps(prep: PreparedCase) -> tuple[list[tuple[float, GridState]], float]:
-    """Stepping phase of the continuation: LAM_STEP steps in lambda until Newton diverges.
-
-    Orders are lambda times the rated-order vector (loading proportional to
-    ratings); each solve warm-starts from the previous accepted state.  When
-    the light start itself has no in-band solution (weak grids: the filter
-    shunts overvolt an unloaded bus) the start doubles, up to three times,
-    before the case is declared infeasible (ConverterInfeasible).  Returns
-    the converged (lambda, state) points in order and the first lambda at
-    which Newton diverged.
-    """
-
-    def solve_at(lam, warm):
-        return newton_solve(prep, lam * prep.rated_orders, warm=warm)
-
-    lam0 = LAM0
-    state = solve_at(lam0, None)
-    while isinstance(state, Diverged) and lam0 * 2.0 < 1.0:
-        lam0 *= 2.0
-        state = solve_at(lam0, None)
-    if isinstance(state, Diverged):
-        raise ConverterInfeasible(
-            f"trace_map: base case infeasible at lambda = {lam0} ({state.reason})"
-        )
-    points = [(lam0, state)]
-    while True:
-        good_lam, good_state = points[-1]
-        lam_try = good_lam + LAM_STEP
-        if lam_try > LAM_LIMIT:
-            raise GridStrengthError(f"trace_map: no divergence below lambda = {LAM_LIMIT}")
-        nxt = solve_at(lam_try, good_state)
-        if isinstance(nxt, Diverged):
-            return points, lam_try
-        points.append((lam_try, nxt))
-
-
 def trace_map(case: CaseFile | PreparedCase) -> ContinuationResult:
     """Raise the loading factor until the power flow diverges; bisect the nose.
 
-    The stepping phase is continuation_steps; the nose is then bisected
-    between the last converged and the first divergent lambda.
+    Orders are lambda times the rated-order vector (loading proportional to
+    ratings).  The stepping phase takes LAM_STEP steps in lambda, each solve
+    warm-started from the previous accepted state, until Newton diverges;
+    the nose is then bisected between the last converged and the first
+    divergent lambda.  When the light start itself has no in-band solution
+    (weak grids: the filter shunts overvolt an unloaded bus) the start
+    doubles, up to three times, before the case is declared infeasible
+    (ConverterInfeasible).
     """
     prep = case if isinstance(case, PreparedCase) else prepare(case)
     p_dn = prep.consts.p_dn.tolist()
@@ -534,19 +504,27 @@ def trace_map(case: CaseFile | PreparedCase) -> ContinuationResult:
             )
         )
 
-    points, bad_lam = continuation_steps(prep)
-    for lam, st in points:
-        record(lam, st)
-    good_lam, good_state = points[-1]
-
+    good_lam = LAM0
+    good_state = newton_solve(prep, good_lam * prep.rated_orders)
+    while isinstance(good_state, Diverged) and good_lam * 2.0 < 1.0:
+        good_lam *= 2.0
+        good_state = newton_solve(prep, good_lam * prep.rated_orders)
+    if isinstance(good_state, Diverged):
+        raise ConverterInfeasible(
+            f"trace_map: base case infeasible at lambda = {good_lam} ({good_state.reason})"
+        )
+    record(good_lam, good_state)
+    bad_lam = math.inf     # until the first divergence: LAM_STEP steps, then bisection
     while bad_lam - good_lam > LAM_BISECT_TOL:
-        mid = 0.5 * (good_lam + bad_lam)
-        nxt = newton_solve(prep, mid * prep.rated_orders, warm=good_state)
+        lam = good_lam + LAM_STEP if bad_lam == math.inf else 0.5 * (good_lam + bad_lam)
+        if lam > LAM_LIMIT:
+            raise GridStrengthError(f"trace_map: no divergence below lambda = {LAM_LIMIT}")
+        nxt = newton_solve(prep, lam * prep.rated_orders, warm=good_state)
         if isinstance(nxt, Diverged):
-            bad_lam = mid
+            bad_lam = lam
         else:
-            good_lam, good_state = mid, nxt
-            record(good_lam, good_state)
+            good_lam, good_state = lam, nxt
+            record(lam, nxt)
 
     return ContinuationResult(
         lambda_max=good_lam,

@@ -1,5 +1,6 @@
 """Shared fixtures, random case builders and the acceptance summary hook."""
 
+import importlib.util
 import os
 import re
 from pathlib import Path
@@ -9,7 +10,9 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import gridstrength
+from gridstrength.boundary import scale_to_gscr
 from gridstrength.casefile import case_from_dict, load_bundled_case
+from gridstrength.netmodel import scale_impedance
 
 settings.register_profile(
     "suite",
@@ -173,6 +176,41 @@ def hub_network_doc(link_buses):
                            for k, b in enumerate(link_buses)],
         "converters": [{**CONVERTER_BLOCK, "bus": "a"}, {**CONVERTER_BLOCK, "bus": "b"}],
     }
+
+
+def load_netgen():
+    """perfbench/netgen.py, loaded read-only as the benchmark's workloads load it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "netgen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_netgen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def heterogeneous_case(j, n):
+    """A flow network with per-converter gamma, x_c, b_c and rating drawn at random, tuned to 2."""
+    rng = np.random.default_rng(7000 + 100 * j + n)
+    doc = load_netgen().flow_network_doc(rng, n, "h")
+    for conv in doc["converters"]:
+        conv["gamma_deg"] = float(rng.uniform(14.0, 20.0))
+        conv["x_commutation_pu"] = float(rng.uniform(0.03, 0.09))
+        conv["b_c_pu"] = float(rng.uniform(0.35, 0.6))
+        conv["p_dn_mw"] = float(300.0 * 16.0 ** rng.uniform(0.0, 1.0))
+    return scale_to_gscr(case_from_dict(doc), 2.0)
+
+
+def stress_case(seed, n, k):
+    """A random network with random emfs and converter constants, far from a tuned rated point."""
+    rng = np.random.default_rng(9000 + seed)
+    doc = random_network_doc(rng, n, link_prob=0.6)
+    for link in doc["thevenin_links"]:
+        link["emf_pu"] = float(rng.uniform(0.85, 1.25))
+    for conv in doc["converters"]:
+        conv["gamma_deg"] = float(rng.uniform(12.0, 25.0))
+        conv["x_commutation_pu"] = float(rng.uniform(0.02, 0.15))
+        conv["b_c_pu"] = float(rng.uniform(0.2, 0.8))
+        conv["p_dn_mw"] = float(200.0 * 20.0 ** rng.uniform(0.0, 1.0))
+    return scale_impedance(case_from_dict(doc), k)
 
 
 @pytest.fixture

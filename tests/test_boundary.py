@@ -2,9 +2,7 @@
 source-tuning helper."""
 
 import concurrent.futures
-import importlib.util
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,7 +38,14 @@ from gridstrength.powerflow import (
     prepare,
 )
 
-from conftest import CONVERTER_BLOCK, hub_network_doc, random_network_doc, serial_pool
+from conftest import (
+    CONVERTER_BLOCK,
+    heterogeneous_case,
+    hub_network_doc,
+    random_network_doc,
+    serial_pool,
+    stress_case,
+)
 from oracles import bscr_newton, central_jacobian
 from test_converter import cigre_params
 
@@ -148,7 +153,7 @@ def test_find_critical_scale_invariance(sidc, dual, triple, quad, monkeypatch):
     # the modal start at s0 = gSCR(1) / 2 moves with the scale, so every k takes
     # the same path: no continuation and one short fold Newton on the exact
     # Jacobian, one kernel point per fold residual
-    calls = {"mismatch": 0, "_mismatch_array": 0, "continuation_steps": 0}
+    calls = {"mismatch": 0, "_mismatch_array": 0, "trace_map": 0}
 
     def counted(name):
         fn = getattr(powerflow, name)
@@ -167,79 +172,77 @@ def test_find_critical_scale_invariance(sidc, dual, triple, quad, monkeypatch):
     for case in (sidc, dual, triple, quad):
         want = find_critical_numeric(case).value
         for s in (0.5, 1.0, 2.0, 5.0, 15.0):
-            calls.update(mismatch=0, _mismatch_array=0, continuation_steps=0)
+            calls.update(mismatch=0, _mismatch_array=0, trace_map=0)
             r = find_critical_numeric(scale_impedance(case, s))
-            assert calls["continuation_steps"] == 0
+            assert calls["trace_map"] == 0
             assert calls["_mismatch_array"] > 0
             assert calls["mismatch"] + calls["_mismatch_array"] <= 22
             assert r.value == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-def _netgen():
-    """perfbench/netgen.py, loaded read-only as the benchmark's workloads load it."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "netgen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_netgen", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def heterogeneous_case(j, n):
-    """A flow network with per-converter gamma, x_c, b_c and rating drawn at random, tuned to 2."""
-    rng = np.random.default_rng(7000 + 100 * j + n)
-    doc = _netgen().flow_network_doc(rng, n, "h")
-    for conv in doc["converters"]:
-        conv["gamma_deg"] = float(rng.uniform(14.0, 20.0))
-        conv["x_commutation_pu"] = float(rng.uniform(0.03, 0.09))
-        conv["b_c_pu"] = float(rng.uniform(0.35, 0.6))
-        conv["p_dn_mw"] = float(300.0 * 16.0 ** rng.uniform(0.0, 1.0))
-    return scale_to_gscr(case_from_dict(doc), 2.0)
-
-
 @pytest.mark.parametrize("j, n, k, want", [
-    # (0, 3): at s = 1 the light start sits on a filter-overvolted branch and
-    # the root lies below the bracket built from there; (2, 12): a failed fold
-    # probe at s = 1 reads as the far side and builds a false bracket
+    # each once broke a bracket of fold probes in s from s = 1, which the modal
+    # start and the walk from it both avoid: (0, 3), whose light start at s = 1
+    # sits on a filter-overvolted branch with the root below the bracket built
+    # from there, and (2, 12), whose failed fold probe at s = 1 read as the far
+    # side and built a false bracket
     (0, 3, 2.0, 1.8296094964),
     (2, 12, 0.7, 1.9838841983),
 ])
-def test_critical_on_heterogeneous_converters(j, n, k, want):
-    r = find_critical_numeric(scale_impedance(heterogeneous_case(j, n), k))
-    assert r.value == pytest.approx(want, abs=1e-8)
+def test_critical_on_heterogeneous_converters(j, n, k, want, monkeypatch):
+    case = scale_impedance(heterogeneous_case(j, n), k)
+    assert find_critical_numeric(case).value == pytest.approx(want, abs=1e-8)
+    monkeypatch.setattr(boundary, "_modal_fold", lambda prep, g1: None)
+    assert find_critical_numeric(case).value == pytest.approx(want, abs=1e-8)
 
 
 @pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 5.0, 15.0])
 @pytest.mark.parametrize("name", ["sidc", "dual", "triple", "quad"])
 def test_failed_modal_start_falls_back_to_the_bracket(name, k, request, monkeypatch):
-    # at k = 5 and 15 on sidc and dual a bracket on the continuation's last lambda
-    # would cross on the shunt-inflated upper-voltage branch; the fold probes do not
+    # the walk along the fold curve lands on the modal fold at every scale, with
+    # lam-free folds alone: no s-free fold and no continuation
     case = scale_impedance(request.getfixturevalue(name), k)
     want = find_critical_numeric(case).value
-    solve, s_free = boundary._solve_fold, []
+    solve, s_free, traced = boundary._solve_fold, [], []
 
-    def counted(prep, x, v, s, lam=None, **tol):
+    def counted(prep, x, v, s, lam=None, tol=boundary.FOLD_TOL):
         if lam is None:
             s_free.append(s)
-        return solve(prep, x, v, s, lam, **tol)
+        return solve(prep, x, v, s, lam, tol)
 
     monkeypatch.setattr(boundary, "_modal_fold", lambda prep, g1: None)
     monkeypatch.setattr(boundary, "_solve_fold", counted)
+    for module in (boundary, powerflow):
+        monkeypatch.setattr(module, "trace_map", lambda *args: traced.append(args))
     assert find_critical_numeric(case).value == pytest.approx(want, rel=1e-10, abs=0.0)
-    assert len(s_free) == 1
+    assert s_free == [] and traced == []
 
 
-def stress_case(seed, n, k):
-    """A random network with random emfs and converter constants, far from a tuned rated point."""
-    rng = np.random.default_rng(9000 + seed)
-    doc = random_network_doc(rng, n, link_prob=0.6)
-    for link in doc["thevenin_links"]:
-        link["emf_pu"] = float(rng.uniform(0.85, 1.25))
-    for conv in doc["converters"]:
-        conv["gamma_deg"] = float(rng.uniform(12.0, 25.0))
-        conv["x_commutation_pu"] = float(rng.uniform(0.02, 0.15))
-        conv["b_c_pu"] = float(rng.uniform(0.2, 0.8))
-        conv["p_dn_mw"] = float(200.0 * 20.0 ** rng.uniform(0.0, 1.0))
-    return scale_impedance(case_from_dict(doc), k)
+# stress inputs at the parent's bracket solved at one k only: its window of
+# absolute scales [0.05, 20] cut off the root at the other
+ONE_K_PAIRS = [(0, 6), (0, 9), (3, 1), (6, 4), (10, 6), (11, 9), (18, 4), (18, 9), (21, 1),
+               (23, 6), (24, 4), (29, 4)]
+
+
+@pytest.mark.parametrize("seed, n", ONE_K_PAIRS)
+def test_fallback_is_scale_invariant(seed, n):
+    half, unit = (find_critical_numeric(stress_case(seed, n, k)).value for k in (0.5, 1.0))
+    assert half == pytest.approx(unit, rel=1e-12, abs=0.0)
+
+
+def test_lam_free_fold_stays_in_the_model_domain():
+    # a lam-free Newton step once walked lam below 0, and solve_state's order
+    # precondition escaped as the search's answer on these four inputs
+    messages = []
+    for seed, n, k in ((42, 1, 0.5), (48, 4, 0.5), (74, 6, 0.5), (110, 6, 1.0)):
+        try:
+            find_critical_numeric(stress_case(seed, n, k))
+        except GridStrengthError as exc:
+            messages.append(str(exc))
+    assert messages and not any("solve_state" in m for m in messages)
+    for k in (0.5, 1.0):
+        assert find_critical_numeric(stress_case(110, 6, k)).value == pytest.approx(
+            8.6358129742, abs=1e-10)
 
 
 @pytest.mark.parametrize("seed, n, k, want", [
@@ -252,7 +255,7 @@ def test_bracket_where_the_modal_start_fails(seed, n, k, want):
     prep = prepare(case)
     assert _modal_fold(prep, case_gscr(case)[1]) is None
     assert find_critical_numeric(case).value == pytest.approx(want, rel=1e-10, abs=0.0)
-    _check_fold_certificate(case, _critical_fold(prep))
+    _check_fold_certificate(case, _critical_fold(prep, case_gscr(case)[1]))
 
 
 def _check_fold_certificate(case, fold):
@@ -263,7 +266,7 @@ def _check_fold_certificate(case, fold):
     orders = fold.lam * prep.rated_orders
     sv = np.linalg.svd(assemble_jacobian(prep, delta, U, orders), compute_uv=False)
     assert sv[-1] <= 1e-8 * sv[0]
-    assert fold.lam == 1.0
+    assert abs(fold.lam - 1.0) <= boundary.MODAL_TOL
     assert fold.residual <= 1e-10
     gP, gQ, _ = mismatch(prep, delta, U, orders)
     assert np.max(np.abs(np.concatenate([gP, gQ]))) <= 1e-10
@@ -274,7 +277,7 @@ def _check_fold_certificate(case, fold):
 @pytest.mark.parametrize("name", ["sidc", "dual", "triple", "quad"])
 def test_critical_fold_certificate(name, request):
     case = request.getfixturevalue(name)
-    _check_fold_certificate(case, _critical_fold(prepare(case)))
+    _check_fold_certificate(case, _critical_fold(prepare(case), case_gscr(case)[1]))
 
 
 @pytest.mark.parametrize("name", ["sidc", "dual", "triple", "quad"])
@@ -304,7 +307,8 @@ def test_fold_jacobian_matches_central_differences(n):
     rng = np.random.default_rng(4000 + n)
     case = scale_to_gscr(case_from_dict(random_network_doc(rng, n, link_prob=1.0)), 2.0)
     prep = prepare(case)
-    fold = _modal_fold(prep, case_gscr(case)[1]) or _critical_fold(prep)
+    g1 = case_gscr(case)[1]
+    fold = _modal_fold(prep, g1) or _critical_fold(prep, g1)
     rated = newton_solve(prep, prep.rated_orders)
     assert isinstance(rated, GridState)
     m = 2 * n
@@ -333,7 +337,7 @@ def test_fold_certificate_on_random_networks(n):
                                                            link_prob=1.0)), 2.0)
     prep = prepare(case)
     eig, g1 = case_gscr(case)
-    fold = _modal_fold(prep, g1) or _critical_fold(prep)
+    fold = _modal_fold(prep, g1) or _critical_fold(prep, g1)
     assert find_critical_numeric(case).value == g1 / fold.s
     _check_fold_certificate(case, fold)
     mode, w = fold.v[n:], eig.perron_vector
@@ -345,8 +349,7 @@ def test_critical_fold_matches_divergence_bisection(sidc, dual, triple, quad):
     # slow reference: bisect the scale on the continuation's last convergent lambda
     critical_tol = 1e-3  # on |lambda_max - 1|
     for case in (sidc, dual, triple, quad):
-        best = _bisect_scale(prepare(case), lambda tr: tr.lambda_max - 1.0, critical_tol,
-                             "reference")
+        best = _bisect_scale(prepare(case), lambda tr: tr.lambda_max - 1.0, critical_tol)
         _, want = case_gscr(scale_impedance(case, best.s))
         assert find_critical_numeric(case).value == pytest.approx(want, rel=1e-4)
 
@@ -358,14 +361,24 @@ def test_search_value_is_index_of_scaled_case(crit_sidc, bnd_sidc, bnd_dual, sid
         assert r.value == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-def test_closing_newton_that_never_lands_collapses_the_bracket(sidc, monkeypatch):
-    solve = boundary._solve_fold
+@pytest.mark.parametrize("lands, message", [
+    (0, r"no fold from the modal start at scales 1 and 0\.666667$"),
+    (1, r"lost the fold curve at scale 1 \(lam 1\.00025\)$"),
+], ids=["start", "walk"])
+def test_walk_that_loses_the_fold_curve_fails_by_name(sidc, lands, message, monkeypatch):
+    # only the first `lands` lam-free folds converge, so the walk cannot start
+    # or its step halves below WALK_STEP_MIN at the scale it last reached
+    solve, landed = boundary._solve_fold, []
 
-    def s_free_calls_fail(prep, x, v, s, lam=None, **tol):
-        return None if lam is None else solve(prep, x, v, s, lam, **tol)
+    def first_folds_only(prep, x, v, s, lam=None, tol=boundary.FOLD_TOL):
+        if len(landed) == lands:
+            return None
+        landed.append(s)
+        return solve(prep, x, v, s, lam, tol)
 
-    monkeypatch.setattr(boundary, "_solve_fold", s_free_calls_fail)
-    with pytest.raises(GridStrengthError, match="no fold at rated load between scales"):
+    monkeypatch.setattr(boundary, "_modal_fold", lambda prep, g1: None)
+    monkeypatch.setattr(boundary, "_solve_fold", first_folds_only)
+    with pytest.raises(GridStrengthError, match=message):
         find_critical_numeric(sidc)
 
 

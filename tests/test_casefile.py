@@ -22,9 +22,8 @@ from gridstrength.casefile import (
 from gridstrength.errors import CaseFormatError
 from gridstrength.netmodel import reduce_case
 
-from conftest import CONVERTER_BLOCK, script_env
+from conftest import CONVERTER_BLOCK, load_netgen, script_env
 from oracles import parse_by_keyword
-from test_boundary import _netgen
 
 BUNDLED = ("cigre_sidc", "dual", "triple", "quad")
 
@@ -403,7 +402,7 @@ def test_parse_equals_the_keyword_reference_on_bundled_cases(name):
 
 
 def test_parse_equals_the_keyword_reference_on_seeded_networks():
-    netgen = _netgen()
+    netgen = load_netgen()
     for seed in range(50):
         rng = np.random.default_rng(4100 + seed)
         n = int(rng.integers(1, 65))

@@ -8,14 +8,7 @@ from hypothesis import strategies as st
 
 from gridstrength.casefile import case_from_dict
 from gridstrength.errors import GridStrengthError
-from gridstrength.netmodel import (
-    SusceptanceMatrix,
-    build_susceptance,
-    kron_reduce,
-    reduce_case,
-    scale_impedance,
-    source_vector,
-)
+from gridstrength.netmodel import _schur, reduce_case, scale_impedance
 
 from conftest import CONVERTER_BLOCK, internal_network_doc, random_case, random_network_doc
 from oracles import kron_oracle, susceptance_loop
@@ -39,17 +32,25 @@ def doc_of(buses, branches, links, converter_buses):
     }
 
 
+def all_converters(doc):
+    """The document with every bus a converter bus, so that reduce_case keeps B and f whole."""
+    block = doc["converters"][0]
+    held = {c["bus"] for c in doc["converters"]}
+    return {**doc, "buses": [{**b, "kind": "converter"} for b in doc["buses"]],
+            "converters": doc["converters"] + [{**block, "bus": b["id"]} for b in doc["buses"]
+                                               if b["id"] not in held]}
+
+
 def test_single_shunt_assembly():
     case = case_from_dict(doc_of(["a"], [], [("a", 0.5)], ["a"]))
-    B = build_susceptance(case)
-    assert B.matrix.tolist() == [[-2.0]]
+    assert reduce_case(case).B.matrix.tolist() == [[-2.0]]
 
 
 def test_two_bus_hand_assembly():
     case = case_from_dict(
-        doc_of(["n1", "n2"], [("n1", "n2", 0.5)], [("n2", 0.25)], ["n1"])
+        doc_of(["n1", "n2"], [("n1", "n2", 0.5)], [("n2", 0.25)], ["n1", "n2"])
     )
-    B = build_susceptance(case)
+    B = reduce_case(case).B
     assert B.bus_order == ("n1", "n2")
     assert B.matrix.tolist() == [[-2.0, 2.0], [2.0, -6.0]]
 
@@ -58,14 +59,12 @@ def test_identical_pair_assembly():
     case = case_from_dict(
         doc_of(["a", "b"], [("a", "b", 1.0)], [("a", 0.5), ("b", 0.5)], ["a", "b"])
     )
-    B = build_susceptance(case)
-    assert B.matrix.tolist() == [[-3.0, 1.0], [1.0, -3.0]]
+    assert reduce_case(case).B.matrix.tolist() == [[-3.0, 1.0], [1.0, -3.0]]
 
 
 def test_assembly_symmetry_is_exact(rng):
     for n in (3, 5, 8):
-        case = random_case(rng, n)
-        M = build_susceptance(case).matrix
+        M = reduce_case(random_case(rng, n)).B.matrix
         assert np.array_equal(M, M.T)
 
 
@@ -74,19 +73,9 @@ def test_series_reduction():
     case = case_from_dict(
         doc_of(["c", "m"], [("c", "m", 0.5)], [("m", 0.5)], ["c"])
     )
-    B = build_susceptance(case)
-    red = kron_reduce(B, {"c"})
+    red = reduce_case(case).B
     assert red.bus_order == ("c",)
     assert red.matrix[0, 0] == pytest.approx(-1.0, abs=1e-14)
-
-
-def test_keep_all_is_identity():
-    case = case_from_dict(
-        doc_of(["a", "b"], [("a", "b", 1.0)], [("a", 0.5), ("b", 0.5)], ["a", "b"])
-    )
-    B = build_susceptance(case)
-    red = kron_reduce(B, {"a", "b"})
-    assert np.array_equal(red.matrix, B.matrix)
 
 
 def test_reduction_matches_elimination_oracle(rng):
@@ -97,10 +86,10 @@ def test_reduction_matches_elimination_oracle(rng):
             b["kind"] = "internal"
         doc["converters"] = doc["converters"][:3]
         case = case_from_dict(doc)
-        B = build_susceptance(case)
-        red = kron_reduce(B, set(case.converter_buses()))
-        keep_idx = [B.bus_order.index(b) for b in red.bus_order]
-        expect = np.array(kron_oracle(B.matrix.tolist(), keep_idx))
+        red = reduce_case(case).B
+        order = [b.id for b in case.buses]
+        keep_idx = [order.index(b) for b in red.bus_order]
+        expect = np.array(kron_oracle(susceptance_loop(case)[0], keep_idx))
         assert np.max(np.abs(red.matrix - expect)) <= 1e-12
 
 
@@ -111,11 +100,12 @@ INTERNAL_SIZES = (2, 3, 5, 8, 13, 24, 40, 64)
 def test_assembly_is_bitwise_the_loop_assembly(n):
     rng = np.random.default_rng(7100 + n)
     for _ in range(3):
-        case = case_from_dict(internal_network_doc(rng, n))
-        B = build_susceptance(case)
+        case = case_from_dict(all_converters(internal_network_doc(rng, n)))
+        net = reduce_case(case)
         B_loop, f_loop = susceptance_loop(case)
-        assert B.matrix.tolist() == B_loop
-        assert source_vector(case, B).tolist() == f_loop
+        assert net.bus_order == tuple(b.id for b in case.buses)
+        assert net.B.matrix.tolist() == B_loop
+        assert net.f.tolist() == f_loop
 
 
 @pytest.mark.parametrize("n", INTERNAL_SIZES)
@@ -133,17 +123,6 @@ def test_reduced_network_matches_elimination_oracle(n):
     assert np.max(np.abs(net.f - expect[:k, k])) <= 1e-12 * np.max(np.abs(expect[:k, k]))
 
 
-def test_reduction_composes(rng):
-    doc = random_network_doc(rng, 6)
-    case = case_from_dict(doc)
-    B = build_susceptance(case)
-    k1 = set(B.bus_order[:2])
-    k12 = set(B.bus_order[:4])
-    once = kron_reduce(B, k1)
-    twice = kron_reduce(kron_reduce(B, k12), k1)
-    assert np.max(np.abs(once.matrix - twice.matrix)) <= 1e-10
-
-
 def test_reduced_negative_is_positive_definite(rng):
     for n in (2, 4, 7):
         net = reduce_case(random_case(rng, n))
@@ -151,19 +130,12 @@ def test_reduced_negative_is_positive_definite(rng):
         assert np.all(eigs > 0)
 
 
-def test_kron_unknown_bus():
-    case = case_from_dict(doc_of(["a"], [], [("a", 0.5)], ["a"]))
-    B = build_susceptance(case)
-    with pytest.raises(GridStrengthError, match="unknown"):
-        kron_reduce(B, {"zz"})
-
-
 def test_kron_singular_internal_block_names_buses():
     # internal pair connected only to each other: floating, not eliminable
+    # (case validation rejects such a network before reduce_case sees it)
     M = np.array([[-2.0, 0.0, 0.0], [0.0, -1.0, 1.0], [0.0, 1.0, -1.0]])
-    B = SusceptanceMatrix(matrix=M, bus_order=("keep", "f1", "f2"))
     with pytest.raises(GridStrengthError) as err:
-        kron_reduce(B, {"keep"})
+        _schur(M, ("keep", "f1", "f2"), 1, np.zeros(3))
     assert "f1" in str(err.value) and "f2" in str(err.value)
 
 
@@ -172,7 +144,7 @@ def test_scale_identity_and_simple_case():
     same = scale_impedance(case, 1.0)
     assert same.thevenin_links[0].reactance_pu == 0.5
     doubled = scale_impedance(case, 2.0)
-    assert build_susceptance(doubled).matrix.tolist() == [[-1.0]]
+    assert reduce_case(doubled).B.matrix.tolist() == [[-1.0]]
     # nothing but reactances changes
     assert doubled.thevenin_links[0].emf_pu == case.thevenin_links[0].emf_pu
     assert doubled.converters == case.converters
