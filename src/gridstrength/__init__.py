@@ -54,7 +54,7 @@ from .gscr import (
     perron_check,
     perron_report,
 )
-from .netmodel import ReducedNetwork, SusceptanceMatrix, reduce_case, scale_impedance
+from .netmodel import ReducedNetwork, reduce_case, scale_impedance
 from .powerflow import (
     ContinuationResult,
     Diverged,
@@ -86,7 +86,6 @@ __all__ = [
     "PerronReport",
     "ReducedNetwork",
     "StrengthClass",
-    "SusceptanceMatrix",
     "SweepRow",
     "ValidationReport",
     "ValidationRow",

@@ -177,7 +177,7 @@ def tune_sources(case: CaseFile) -> CaseFile:
     # 40 iterations that end within 1e-10 are accepted
     if res.reason and not (res.reason == "iteration limit" and res.norm <= 1e-10):
         raise GridStrengthError(f"tune_sources: {res.reason}")
-    new_links = tuple(ln._replace(emf_pu=float(res.x[n + prep.net.B.index_of(ln.bus)]))
+    new_links = tuple(ln._replace(emf_pu=float(res.x[n + prep.net.bus_order.index(ln.bus)]))
                       for ln in links)
     return replace(case, thevenin_links=new_links)
 
@@ -255,9 +255,7 @@ class _Fold(NamedTuple):
 
 def _at_scale(prep: PreparedCase, s: float) -> PreparedCase:
     """The prepared case with every reactance times s: reduced B and f divide by s."""
-    net = prep.net
-    return replace(prep, net=net._replace(B=replace(net.B, matrix=net.B.matrix / s),
-                                          f=net.f / s))
+    return replace(prep, net=prep.net._replace(B=prep.net.B / s, f=prep.net.f / s))
 
 
 def _fold_point(prep: PreparedCase, lam: float, x: np.ndarray):

@@ -30,8 +30,7 @@ from .boundary import (
 )
 from .casefile import CaseFile, bundled_case_dir, load_bundled_case, load_case
 from .errors import CaseFormatError, GridStrengthError
-from .gscr import classify, compute_gscr, extended_jacobian, perron_report
-from .netmodel import reduce_case
+from .gscr import classify, perron_report
 from .powerflow import NEWTON_TOL, Diverged, newton_solve, prepare, sigma_min, trace_map
 from .validate import SWEEP_RATIOS, validate_suite
 
@@ -81,15 +80,13 @@ def _load(arg: str) -> CaseFile:
 
 def _cmd_gscr(args: argparse.Namespace) -> tuple[str, int]:
     case = _load(args.case)
-    net = reduce_case(case)
-    J = extended_jacobian(net.B, [case.rating_pu(case.converter_at(b)) for b in net.bus_order])
-    eig, g = compute_gscr(J)
+    eig, g = case_gscr(case)
     per = perron_report(eig)
     cls = classify(g, cg=args.cg, bg=args.bg)
     doc = {
         "command": "gscr",
         "case": _case_name(case, args.case),
-        "bus_order": list(net.bus_order),
+        "bus_order": list(case.converter_buses()),
         "eigenvalues": [_sig6(v) for v in eig.lambdas],
         "gscr": _sig6(g),
         "classification": {"label": cls.label, "cg": _sig6(cls.cg), "bg": _sig6(cls.bg)},
@@ -199,7 +196,7 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_validate(args: argparse.Namespace) -> tuple[str, int]:
-    report = validate_suite(jobs=args.jobs, aggregation=args.agg)
+    report = validate_suite(aggregation=args.agg)
     rows = []
     for r in report.rows:
         rows.append({
@@ -291,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--ratios", type=_ratios, default=SWEEP_RATIOS, metavar="R,R,...",
                     help="second-to-first converter rating ratios")
     sub.add_parser("validate", help="built-in benchmark suite on bundled cases",
-                   parents=[out, agg, jobs]).set_defaults(run=_cmd_validate)
+                   parents=[out, agg]).set_defaults(run=_cmd_validate)
     return parser
 
 

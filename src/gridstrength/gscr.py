@@ -23,7 +23,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EigenSolveError, GridStrengthError
-from .netmodel import SusceptanceMatrix
 
 # relative spectral gap under which simplicity is reported as degenerate
 DEGENERATE_GAP = 1e-9
@@ -37,7 +36,6 @@ PERRON_SHIFT = 4.0 * float(np.finfo(float).eps)
 class ExtendedJacobian(NamedTuple):
     matrix: np.ndarray      # -diag(1/P_N) B_red
     p_n: np.ndarray         # ratings, system-base pu
-    bus_order: tuple[str, ...]
 
 
 class EigenResult(NamedTuple):
@@ -73,19 +71,16 @@ class PerronReport(NamedTuple):
         return self.min_component > 0
 
 
-def extended_jacobian(B_red: SusceptanceMatrix, p_n) -> ExtendedJacobian:
+def extended_jacobian(B: np.ndarray, p_n) -> ExtendedJacobian:
+    """J_eq = -diag(1/P_N) B from the n x n reduced susceptance matrix and n ratings."""
     p = np.asarray(p_n, dtype=float)
-    if p.shape != (B_red.order,):
+    if p.ndim != 1 or B.shape != (p.size, p.size):
         raise GridStrengthError(
-            f"extended_jacobian: {p.size} ratings for {B_red.order} buses"
+            f"extended_jacobian: {p.size} ratings for a {'x'.join(map(str, B.shape))} matrix"
         )
     if np.any(p <= 0):
         raise GridStrengthError("extended_jacobian: ratings must be positive")
-    return ExtendedJacobian(
-        matrix=-B_red.matrix / p[:, None],
-        p_n=p,
-        bus_order=B_red.bus_order,
-    )
+    return ExtendedJacobian(matrix=-B / p[:, None], p_n=p)
 
 
 def _symmetrized(J: ExtendedJacobian) -> np.ndarray:

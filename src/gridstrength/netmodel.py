@@ -21,31 +21,13 @@ and f with the converter buses first, so the blocks are slices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .casefile import CaseFile
 from .errors import CaseFormatError, GridStrengthError
-
-
-@dataclass(frozen=True)
-class SusceptanceMatrix:
-    matrix: np.ndarray          # n x n, pu
-    bus_order: tuple[str, ...]  # row i corresponds to bus_order[i]
-
-    def __post_init__(self):
-        m = self.matrix
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != len(self.bus_order):
-            raise GridStrengthError("susceptance matrix shape does not match bus order")
-
-    @property
-    def order(self) -> int:
-        return self.matrix.shape[0]
-
-    def index_of(self, bus: str) -> int:
-        return self.bus_order.index(bus)
 
 
 def _assemble(case: CaseFile, order) -> tuple[np.ndarray, np.ndarray]:
@@ -88,7 +70,7 @@ def _schur(M: np.ndarray, order, k: int, f: np.ndarray):
     P = Bke @ X
     red = M[:k, :k] - P[:, :k]
     red = 0.5 * (red + red.T)  # exact symmetry, elimination is symmetric in theory
-    return SusceptanceMatrix(matrix=red, bus_order=tuple(order[:k])), f[:k] - P[:, k]
+    return red, f[:k] - P[:, k]
 
 
 class ReducedNetwork(NamedTuple):
@@ -103,16 +85,9 @@ class ReducedNetwork(NamedTuple):
     with angles measured against the common source phase.
     """
 
-    B: SusceptanceMatrix
+    B: np.ndarray               # n x n reduced susceptance matrix, pu
     f: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return self.B.order
-
-    @property
-    def bus_order(self) -> tuple[str, ...]:
-        return self.B.bus_order
+    bus_order: tuple[str, ...]  # row i of B and entry i of f belong to bus_order[i]
 
 
 # Bound on n·|B_ii| for every bus i of the reduced network.  The diagonal of
@@ -139,19 +114,17 @@ def reduce_case(case: CaseFile) -> ReducedNetwork:
     k = len(conv)
     if k < len(order):      # internal buses to eliminate (bus ids are unique)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
-            red, f = _schur(B, order, k, f)
-    else:
-        red = SusceptanceMatrix(matrix=B, bus_order=tuple(order))
-    ok = np.isfinite(red.matrix).all(axis=1) & np.isfinite(f)
+            B, f = _schur(B, order, k, f)
+    ok = np.isfinite(B).all(axis=1) & np.isfinite(f)
     if not ok.all():
-        raise CaseFormatError(f"network: bus {red.bus_order[ok.argmin()]!r}: 1/reactance_pu overflows")
-    for what, size in (("1/reactance_pu", np.abs(np.diagonal(red.matrix))),
+        raise CaseFormatError(f"network: bus {order[ok.argmin()]!r}: 1/reactance_pu overflows")
+    for what, size in (("1/reactance_pu", np.abs(np.diagonal(B))),
                        ("emf_pu/reactance_pu", np.abs(f))):
         i = (size > B_BOUND / k).argmax()
         if size[i] > B_BOUND / k:
-            raise CaseFormatError(f"network: bus {red.bus_order[i]!r}: {what} sums to "
+            raise CaseFormatError(f"network: bus {order[i]!r}: {what} sums to "
                                   f"{size[i]:.3g}, above 2**500/n = {B_BOUND / k:.3g}")
-    return ReducedNetwork(B=red, f=f)
+    return ReducedNetwork(B=B, f=f, bus_order=tuple(conv))
 
 
 def scale_impedance(case: CaseFile, s: float) -> CaseFile:

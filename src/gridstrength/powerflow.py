@@ -159,12 +159,12 @@ class PreparedCase:
     B_diag: np.ndarray = field(init=False)  # its diagonal: both follow net, replace() included
 
     def __post_init__(self):
-        object.__setattr__(self, "B_c", self.net.B.matrix.astype(complex))
-        object.__setattr__(self, "B_diag", self.net.B.matrix.diagonal().copy())
+        object.__setattr__(self, "B_c", self.net.B.astype(complex))
+        object.__setattr__(self, "B_diag", self.net.B.diagonal().copy())
 
     @property
     def n(self) -> int:
-        return self.net.order
+        return len(self.net.bus_order)
 
     @cached_property
     def converters(self) -> tuple[LccParams, ...]:
@@ -294,7 +294,7 @@ def _mismatch_array(prep: PreparedCase, delta: np.ndarray, U: np.ndarray,
 def _mismatch_loop(prep, delta, U, p_orders, states):
     if states is None:
         states = _solve_converters_loop(prep, U, p_orders)
-    B = prep.net.B.matrix
+    B = prep.net.B
     f = prep.net.f
     n = prep.n
     gP = np.zeros(n)
@@ -357,7 +357,7 @@ def _converter_slopes(k: _ConverterArrays, t: _Point) -> tuple:
 
 
 def _jacobian_loop(prep, delta, U, states):
-    B, f, n = prep.net.B.matrix, prep.net.f, prep.n
+    B, f, n = prep.net.B, prep.net.f, prep.n
     J = np.zeros((2 * n, 2 * n))
     for i in range(n):
         par = prep.converters[i]

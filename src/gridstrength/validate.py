@@ -14,7 +14,7 @@ import math
 from dataclasses import replace
 from typing import NamedTuple
 
-from .boundary import fan_out, scale_to_gscr, sweep_dual_infeed
+from .boundary import scale_to_gscr, sweep_dual_infeed
 from .casefile import CaseFile, load_bundled_case
 from .errors import GridStrengthError
 from .powerflow import trace_map
@@ -175,8 +175,7 @@ def run_scenario(scenario: str, aggregation: str = "mean") -> list[ValidationRow
         )]
 
 
-def validate_suite(jobs: int = 1, aggregation: str = "mean") -> ValidationReport:
-    """Run every scenario; rows ordered by scenario id whatever the fan-out."""
-    chunks = fan_out(run_scenario, jobs, SCENARIOS, [aggregation] * len(SCENARIOS))
-    rows = [row for chunk in chunks for row in chunk]
+def validate_suite(aggregation: str = "mean") -> ValidationReport:
+    """Run every scenario; rows ordered by scenario id."""
+    rows = [row for scenario in SCENARIOS for row in run_scenario(scenario, aggregation)]
     return ValidationReport(rows=tuple(rows))

@@ -475,7 +475,7 @@ def rated_from_link_seed(case):
     prep = prepare(case)
     delta = np.zeros(prep.n)
     for ln in case.thevenin_links:
-        i = prep.net.B.index_of(ln.bus)
+        i = prep.net.bus_order.index(ln.bus)
         st = rated_state(prep.converters[i])
         p_sys = st.P * prep.converters[i].p_dn
         q_sys = st.Q * prep.converters[i].p_dn

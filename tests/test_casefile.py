@@ -1,6 +1,8 @@
 """Case schema: parsing, validation, defaults, bundled data."""
 
+import contextlib
 import copy
+import io
 import json
 import subprocess
 import sys
@@ -8,7 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import gridstrength.cli as cli
+from gridstrength.boundary import case_gscr
 from gridstrength.casefile import (
     CASE_DIR_ENV,
     bundled_case_dir,
@@ -19,7 +25,7 @@ from gridstrength.casefile import (
     save_case,
     with_rating,
 )
-from gridstrength.errors import CaseFormatError
+from gridstrength.errors import CaseFormatError, GridStrengthError
 from gridstrength.netmodel import reduce_case
 
 from conftest import CONVERTER_BLOCK, load_netgen, script_env
@@ -464,3 +470,61 @@ def test_case_files_are_json_with_trailing_newline(tmp_path):
     text = path.read_text()
     assert text.endswith("}\n")
     json.loads(text)
+
+
+# any JSON value: the numbers include ints past float range and nan and +-inf,
+# which json writes as NaN and Infinity and reads back
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**400, 10**400) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+def _mutate_at_random_path(data, doc):
+    """Walk down from doc to one entry, then delete it or replace it by a random JSON value."""
+    node = doc
+    while node:
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        if isinstance(node[key], (dict, list)) and node[key] and data.draw(st.booleans()):
+            node = node[key]
+        elif data.draw(st.booleans()):
+            del node[key]
+            return
+        else:
+            node[key] = data.draw(JSON_VALUES)
+            return
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "mutated.json"
+
+
+@given(name=st.sampled_from(BUNDLED), edits=st.integers(1, 3), data=st.data())
+def test_mutated_documents_fail_only_with_named_errors(fuzz_path, name, edits, data):
+    doc = case_to_dict(load_bundled_case(name))
+    for _ in range(edits):
+        _mutate_at_random_path(data, doc)
+    try:
+        case = case_from_dict(doc)
+    except CaseFormatError:
+        pass
+    else:
+        try:
+            case_gscr(case)
+        except GridStrengthError:
+            pass
+    fuzz_path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["gscr", str(fuzz_path)])
+    if code == 0:
+        assert err.getvalue() == ""
+        json.loads(out.getvalue())
+    else:
+        line = err.getvalue()
+        assert code in (1, 2) and out.getvalue() == ""
+        assert line.startswith("error: ") and line.count("\n") == 1
+        # reduce_case's bounds are checked after the file is read, and name the bus only
+        assert code == 1 or str(fuzz_path) in line or line.startswith("error: network: bus ")

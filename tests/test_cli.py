@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import gridstrength.cli as cli
-from gridstrength import gscr
+from gridstrength import boundary, gscr
 from gridstrength.boundary import SweepRow
 from gridstrength.casefile import bundled_case_dir, case_from_dict, load_bundled_case, save_case
 from gridstrength.netmodel import scale_impedance
@@ -105,6 +105,7 @@ def test_bus_named_like_the_ground_is_input_error(capsys, tmp_path):
 def test_usage_errors_exit_two(capsys):
     assert run(capsys, [])[0] == 2
     assert run(capsys, ["bogus"])[0] == 2
+    assert run(capsys, ["validate", "--jobs", "2"])[0] == 2
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -325,9 +326,9 @@ def test_gscr_runs_one_eigensolve(capsys, paths, monkeypatch):
         calls.append(J)
         return real(J)
 
-    # the CLI holds its own binding of the name; count calls through either
+    # boundary.case_gscr holds its own binding of the name; count calls through either
     monkeypatch.setattr(gscr, "compute_gscr", counted)
-    monkeypatch.setattr(cli, "compute_gscr", counted)
+    monkeypatch.setattr(boundary, "compute_gscr", counted)
     code, out, _ = run(capsys, ["gscr", paths["sidc"]])
     assert code == 0 and json.loads(out)["spectrum_check"]["lambda_1_positive"] is True
     assert len(calls) == 1
@@ -440,24 +441,42 @@ def fake_row(passed, expected=1.0):
                          tolerance=1.0, passed=passed, source="benchmark: fake")
 
 
-@pytest.mark.parametrize("script", ["make_cases.py"])
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.mark.parametrize("script", ["make_cases.py", "cgscr_study.py"])
 def test_scripts_parse_and_show_help(script):
-    path = Path(__file__).resolve().parent.parent / "scripts" / script
-    done = subprocess.run([sys.executable, str(path), "--help"],
-                         capture_output=True, text=True, timeout=60, env=script_env())
+    done = subprocess.run([sys.executable, str(SCRIPTS / script), "--help"],
+                          capture_output=True, text=True, timeout=60, env=script_env())
     assert done.returncode == 0
     assert "usage" in done.stdout.lower()
 
 
+def test_cgscr_study_runs_and_diffs_a_subset(tmp_path):
+    def study(*argv):
+        done = subprocess.run([sys.executable, str(SCRIPTS / "cgscr_study.py"), *argv],
+                              capture_output=True, text=True, timeout=120, env=script_env())
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    out = tmp_path / "stress.jsonl"
+    study("run", str(out), "--only", "stress/seed=0/")
+    lines = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    assert len(lines) == 8
+    assert all(r["path"] in ("modal", "fallback") and r["value"] > 0 for r in lines)
+    assert study("diff", str(out), str(out)).startswith(
+        "8 inputs in both files: 8 equal, 0 moved, 0 lost, 0 gained")
+
+
 def test_validate_exit_mapping(capsys, monkeypatch):
     monkeypatch.setattr(cli, "validate_suite",
-                        lambda jobs=1, aggregation="mean": ValidationReport(rows=(fake_row(True),)))
+                        lambda aggregation="mean": ValidationReport(rows=(fake_row(True),)))
     code, out, _ = run(capsys, ["validate"])
     assert code == 0
     assert json.loads(out)["overall"] is True
 
     monkeypatch.setattr(cli, "validate_suite",
-                        lambda jobs=1, aggregation="mean": ValidationReport(
+                        lambda aggregation="mean": ValidationReport(
                             rows=(fake_row(False, expected=math.nan),)))
     code, out, _ = run(capsys, ["validate"])
     assert code == 1

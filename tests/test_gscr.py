@@ -18,16 +18,14 @@ from gridstrength.gscr import (
     modal_transform,
     perron_check,
 )
-from gridstrength.netmodel import SusceptanceMatrix, reduce_case
+from gridstrength.netmodel import reduce_case
 
 from conftest import internal_network_doc, random_network_doc
 from oracles import charpoly_lambda1
 
 
-def sus(rows, names=None):
-    m = np.array(rows, dtype=float)
-    names = names or tuple(f"c{i}" for i in range(m.shape[0]))
-    return SusceptanceMatrix(matrix=m, bus_order=tuple(names))
+def sus(rows):
+    return np.array(rows, dtype=float)
 
 
 def random_negb(rng, n):
@@ -89,12 +87,15 @@ def test_rating_vector_validation():
         extended_jacobian(b, [1.0, 0.0])
     with pytest.raises(GridStrengthError):
         extended_jacobian(b, [1.0, -2.0])
+    # the matrix must be n x n for n ratings
+    for B in (b[:1], b[0], np.ones((3, 3))):
+        with pytest.raises(GridStrengthError):
+            extended_jacobian(B, [1.0, 1.0])
 
 
 def test_nonfinite_matrix_is_eigensolve_error():
     # the eigenpair residual is nan here, which a plain "resid > tol" lets through
-    J = ExtendedJacobian(matrix=np.array([[math.nan, 0.0], [0.0, 1.0]]), p_n=np.ones(2),
-                         bus_order=("a", "b"))
+    J = ExtendedJacobian(matrix=np.array([[math.nan, 0.0], [0.0, 1.0]]), p_n=np.ones(2))
     with pytest.raises(EigenSolveError):
         compute_gscr(J)
 
@@ -238,7 +239,7 @@ def test_extra_tie_never_weakens(rng):
         _, before = compute_gscr(extended_jacobian(b, p))
         i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
         y = float(rng.uniform(0.2, 2.0))
-        m = b.matrix.copy()
+        m = b.copy()
         m[i, j] += y
         m[j, i] += y
         m[i, i] -= y

@@ -171,7 +171,7 @@ def test_flat_unloaded_jacobian_structure():
         assert state.U == pytest.approx([1.0] * n, abs=1e-12)
         assert state.delta == pytest.approx([0.0] * n, abs=1e-12)
         J = assemble_jacobian(prep, state.delta, state.U, orders)
-        negB = -prep.net.B.matrix
+        negB = -prep.net.B
         assert np.allclose(J[:n, :n], negB, atol=1e-12)
         assert np.allclose(J[n:, n:], negB, atol=1e-12)
         assert np.allclose(J[n:, :n], 0.0, atol=1e-12)

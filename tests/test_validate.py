@@ -1,6 +1,5 @@
 """The packaged validation suite end to end, once, plus its error paths."""
 
-import concurrent.futures
 import math
 
 import pytest
@@ -16,12 +15,10 @@ from gridstrength.validate import (
     validate_suite,
 )
 
-from conftest import serial_pool
-
 
 @pytest.fixture(scope="module")
 def report():
-    return validate_suite(jobs=1)
+    return validate_suite()
 
 
 def test_overall_passes(report, measured):
@@ -82,12 +79,3 @@ def test_unknown_scenario_is_a_failed_row():
     assert len(rows) == 1
     assert not rows[0].passed
     assert "unknown scenario" in rows[0].quantity
-
-
-@pytest.mark.parametrize("jobs, workers", [(3, 3), (5000, len(SCENARIOS))])
-def test_pool_never_exceeds_scenario_count(monkeypatch, jobs, workers):
-    seen = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", serial_pool(seen))
-    monkeypatch.setattr(validate, "run_scenario", lambda scenario, aggregation: [])
-    assert validate_suite(jobs=jobs).rows == ()
-    assert seen == [workers]
