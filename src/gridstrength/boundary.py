@@ -17,8 +17,10 @@ flow sits at rated load, lambda = 1.  The fold is solved for directly as a
 point of collapse (Canizares & Alvarado, IEEE TPWRS 8(1), 1993): a Newton on
 g(x) = 0, J v = 0, c.v = 1 and one free parameter, s at lambda = 1, started
 at the paper's threshold s = gSCR(1)/2; when that fold fails its certificate,
-lambda-free folds walk the fold curve lambda_fold(s) from there to lambda = 1
-(Govaerts, Numerical Methods for Bifurcations of Dynamical Equilibria, 2000).
+lambda-free folds walk the fold curve lambda_fold(s) from there across
+lambda = 1 (Govaerts, Numerical Methods for Bifurcations of Dynamical
+Equilibria, 2000), and the same s-free Newton closes on rated load from the
+walk's end above it.
 The fold Jacobian is exact: its second-order terms are the complex form of
 MATPOWER's d2Sbus_dV2 (Zimmerman, MATPOWER Technical Note 2, 2010) plus the
 converter terms' tangents.  The boundary ratio bisects s on the aggregated
@@ -321,13 +323,12 @@ def _fold_jacobian(prep: PreparedCase, z: np.ndarray, c: np.ndarray, J: np.ndarr
     return np.block([[J, O, col[:m, None]], [D, J, col[m:, None]], [O[:1], c[None], 0.0]])
 
 
-def _solve_fold(prep: PreparedCase, x, v, s: float, lam: float | None = None,
-                tol: float = FOLD_TOL) -> _Fold | None:
+def _solve_fold(prep: PreparedCase, x, v, s: float, lam: float | None = None) -> _Fold | None:
     """Newton on g(x) = 0, J v = 0, c.v = 1 with c = v / |v|^2, started at (x, v).
 
-    Without lam the unknowns are (x, v, s) at rated load, lam = 1; with lam
-    they are (x, v, lam), started at lam, at the fixed scale s.  The solve is
-    damped_newton to tol on the exact Jacobian; one that stalls within
+    Without lam the unknowns are (x, v, s) at rated load, lam = 1, to MODAL_TOL;
+    with lam they are (x, v, lam), started at lam, at the fixed scale s, to
+    FOLD_TOL.  Newton runs on the exact Jacobian; one that stalls within
     FOLD_TOL has met the residual's rounding floor and counts as converged.
     Returns None when Newton fails or the fold lies outside U_BAND.
     """
@@ -348,7 +349,8 @@ def _solve_fold(prep: PreparedCase, x, v, s: float, lam: float | None = None,
         return np.concatenate([t.r, J @ vv, [c @ vv - 1.0]]), (at, J, t)
 
     res = damped_newton(resid, lambda z, a: _fold_jacobian(a[0], z, c, *a[1:], fixed is None),
-                        np.concatenate([x, v, [s if lam is None else lam]]), tol, FOLD_MAX_ITER)
+                        np.concatenate([x, v, [s if lam is None else lam]]),
+                        MODAL_TOL if fixed is None else FOLD_TOL, FOLD_MAX_ITER)
     if res.reason == "singular jacobian":
         raise GridStrengthError("find_critical_numeric: singular fold system")
     z, U = res.x, res.x[m // 2:m]
@@ -377,7 +379,7 @@ def _modal_start(prep: PreparedCase, s: float) -> tuple[float, np.ndarray, np.nd
 def _modal_fold(prep: PreparedCase, g1: float) -> _Fold | None:
     """One fold Newton in s from the paper's threshold s0 = gSCR(1) / 2; None if uncertified."""
     _, x, v = _modal_start(prep, 0.5 * g1)
-    fold = _solve_fold(prep, x, v, 0.5 * g1, tol=MODAL_TOL)
+    fold = _solve_fold(prep, x, v, 0.5 * g1)
     return fold if fold is not None and SCALE_LO <= fold.s <= SCALE_HI else None
 
 
@@ -388,10 +390,9 @@ def _critical_fold(prep: PreparedCase, g1: float) -> _Fold:
     gSCR(1) / 2, else at s0 / 1.5.  The walk steps ln s by h toward lam = 1
     (lam_fold falls with s) from the last fold; h starts at WALK_STEP, grows
     x1.5 after a success up to WALK_STEP_MAX and halves after a failure.
-    Illinois regula falsi in s then closes on lam = 1 to MODAL_TOL, each probe
-    solved to MODAL_TOL from the bracket end nearer lam = 1 and replaced by the
-    midpoint when it fails or leaves the ends' range of lam.  A bracket one
-    rounding step wide ends at its nearer end if that is within FOLD_TOL.
+    Once the walk crosses lam = 1, the s-free fold Newton of _modal_fold
+    closes on rated load from the walk's end above it, where every converter
+    still has a steady state at lam = 1; its s must lie between the ends.
     """
     kind = "find_critical_numeric"
     starts = ((s, *_modal_start(prep, s)) for s in (0.5 * g1, g1 / 3.0))
@@ -408,28 +409,13 @@ def _critical_fold(prep: PreparedCase, g1: float) -> _Fold:
             raise GridStrengthError(f"{kind}: lost the fold curve at scale {fold.s:.6g} "
                                     f"(lam {fold.lam:.6g})")
 
-    a, b, ga = last, fold, last.lam - 1.0
-    while abs(b.lam - 1.0) > MODAL_TOL:
-        gb, (lo, hi) = b.lam - 1.0, sorted((a.s, b.s))
-        near = a if abs(a.lam - 1.0) < abs(gb) else b
-        mid, s, probe = 0.5 * (lo + hi), (a.s * gb - b.s * ga) / (gb - ga), None
-        if lo < mid < hi:
-            if lo < s < hi:
-                probe = _solve_fold(prep, near.x, near.v, s, near.lam, MODAL_TOL)
-            if probe is None or not min(a.lam, b.lam) <= probe.lam <= max(a.lam, b.lam):
-                probe = _solve_fold(prep, near.x, near.v, mid, near.lam, MODAL_TOL)
-        elif abs(near.lam - 1.0) <= FOLD_TOL:
-            return near
-        if probe is None:
-            raise GridStrengthError(f"{kind}: no fold at rated load between scales "
-                                    f"{lo:.6g} and {hi:.6g}")
-        # Illinois: the end kept a second time in a row has its lam - 1 halved
-        if (probe.lam > 1.0) != (b.lam > 1.0):
-            a, ga = b, gb
-        else:
-            ga *= 0.5
-        b = probe
-    return b
+    close = last if last.lam > 1.0 else fold
+    lo, hi = sorted((last.s, fold.s))
+    rated = _solve_fold(prep, close.x, close.v, close.s)
+    if rated is None or not lo <= rated.s <= hi:
+        raise GridStrengthError(f"{kind}: no fold at rated load between scales "
+                                f"{lo:.6g} and {hi:.6g}")
+    return rated
 
 
 def _index_at_unit_scale(prep: PreparedCase) -> float:
@@ -451,8 +437,7 @@ def find_critical_numeric(case: CaseFile) -> BoundaryResult:
     prep = prepare(case)
     g1 = _index_at_unit_scale(prep)
     fold = _modal_fold(prep, g1) or _critical_fold(prep, g1)
-    return _result("CgSCR", g1, fold.s, max(fold.residual, abs(fold.lam - 1.0)),
-                   [st.mu for st in fold.states])
+    return _result("CgSCR", g1, fold.s, fold.residual, [st.mu for st in fold.states])
 
 
 def find_boundary_numeric(case: CaseFile, aggregation: str = "mean") -> BoundaryResult:

@@ -28,7 +28,7 @@ from .boundary import (
     find_critical_numeric,
     sweep_dual_infeed,
 )
-from .casefile import CaseFile, bundled_case_dir, load_bundled_case, load_case
+from .casefile import CaseFile, bundled_case_dir, load_case
 from .errors import CaseFormatError, GridStrengthError
 from .gscr import classify, perron_report
 from .powerflow import NEWTON_TOL, Diverged, newton_solve, prepare, sigma_min, trace_map
@@ -64,28 +64,23 @@ def _csv(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _case_name(case: CaseFile, path: str) -> str:
-    return case.name or Path(path).stem
-
-
-def _load(arg: str) -> CaseFile:
-    """The case file at arg, or the bundled case named arg when no such path exists."""
-    if (not os.path.exists(arg) and Path(arg).name == arg
-            and (bundled_case_dir() / f"{arg}.json").is_file()):
-        return load_bundled_case(arg)
-    return load_case(arg)
+def _case_path(arg: str) -> Path:
+    """The path arg, or the bundled case named arg when no such path exists."""
+    bundled = bundled_case_dir() / f"{arg}.json"
+    if not os.path.exists(arg) and Path(arg).name == arg and bundled.is_file():
+        return bundled
+    return Path(arg)
 
 
 # ---------------------------------------------------------------- subcommands
 
-def _cmd_gscr(args: argparse.Namespace) -> tuple[str, int]:
-    case = _load(args.case)
+def _cmd_gscr(args: argparse.Namespace, case: CaseFile) -> tuple[str, int]:
     eig, g = case_gscr(case)
     per = perron_report(eig)
     cls = classify(g, cg=args.cg, bg=args.bg)
     doc = {
         "command": "gscr",
-        "case": _case_name(case, args.case),
+        "case": case.name,
         "bus_order": list(case.converter_buses()),
         "eigenvalues": [_sig6(v) for v in eig.lambdas],
         "gscr": _sig6(g),
@@ -100,13 +95,12 @@ def _cmd_gscr(args: argparse.Namespace) -> tuple[str, int]:
     return _json_doc(doc), EXIT_OK
 
 
-def _cmd_classify(args: argparse.Namespace) -> tuple[str, int]:
-    case = _load(args.case)
+def _cmd_classify(args: argparse.Namespace, case: CaseFile) -> tuple[str, int]:
     _, g = case_gscr(case)
     cls = classify(g, cg=args.cg, bg=args.bg)
     doc = {
         "command": "classify",
-        "case": _case_name(case, args.case),
+        "case": case.name,
         "gscr": _sig6(g),
         "label": cls.label,
         "cg": _sig6(cls.cg),
@@ -115,8 +109,7 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[str, int]:
     return _json_doc(doc), EXIT_OK
 
 
-def _cmd_powerflow(args: argparse.Namespace) -> tuple[str, int]:
-    case = _load(args.case)
+def _cmd_powerflow(args: argparse.Namespace, case: CaseFile) -> tuple[str, int]:
     prep = prepare(case)
     res = newton_solve(prep, prep.rated_orders, tol=args.tol_newton)
     if isinstance(res, Diverged):
@@ -136,7 +129,7 @@ def _cmd_powerflow(args: argparse.Namespace) -> tuple[str, int]:
         })
     doc = {
         "command": "powerflow",
-        "case": _case_name(case, args.case),
+        "case": case.name,
         "converged": True,
         "buses": buses,
         "total_P_MW": _sig6(sum(b["P_MW"] for b in buses)),
@@ -144,8 +137,7 @@ def _cmd_powerflow(args: argparse.Namespace) -> tuple[str, int]:
     return _json_doc(doc), EXIT_OK
 
 
-def _cmd_map(args: argparse.Namespace) -> tuple[str, int]:
-    case = _load(args.case)
+def _cmd_map(args: argparse.Namespace, case: CaseFile) -> tuple[str, int]:
     prep = prepare(case)
     res = trace_map(prep)
     order = prep.net.bus_order
@@ -167,16 +159,15 @@ def _cmd_map(args: argparse.Namespace) -> tuple[str, int]:
     return _csv(header, rows), EXIT_OK
 
 
-def _cmd_find(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_find(args: argparse.Namespace, case: CaseFile) -> tuple[str, int]:
     which = args.subcommand
-    case = _load(args.case)
     if which == "find-cgscr":
         res = find_critical_numeric(case)
     else:
         res = find_boundary_numeric(case, aggregation=args.agg)
     doc = {
         "command": which,
-        "case": _case_name(case, args.case),
+        "case": case.name,
         "kind": res.kind,
         "value": _sig6(res.value),
         "scale_star": _sig6(res.scale_star),
@@ -188,14 +179,13 @@ def _cmd_find(args: argparse.Namespace) -> tuple[str, int]:
     return _json_doc(doc), EXIT_OK
 
 
-def _cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
-    case = _load(args.case)
+def _cmd_sweep(args: argparse.Namespace, case: CaseFile) -> tuple[str, int]:
     table = sweep_dual_infeed(case, args.ratios, aggregation=args.agg, jobs=args.jobs)
     rows = [[f"{r.ratio:.6g}", f"{r.cgscr:.6g}", f"{r.bgscr:.6g}"] for r in table]
     return _csv(["ratio", "CgSCR", "BgSCR"], rows), EXIT_OK
 
 
-def _cmd_validate(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_validate(args: argparse.Namespace, _case: None) -> tuple[str, int]:
     report = validate_suite(aggregation=args.agg)
     rows = []
     for r in report.rows:
@@ -305,10 +295,15 @@ def main(argv=None) -> int:
     if reason:
         print(f"error: cannot write {args.out}: {reason}", file=sys.stderr)
         return EXIT_INPUT
+    path, case = _case_path(args.case) if "case" in args else None, None
     try:
-        text, code = args.run(args)
+        if path is not None:
+            case = load_case(path)
+        text, code = args.run(args, case)
     except (CaseFormatError, FileNotFoundError, IsADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # load_case's messages carry the path; the network checks after it name it here
+        where = f"{path}: " if case is not None and isinstance(exc, CaseFormatError) else ""
+        print(f"error: {where}{exc}", file=sys.stderr)
         return EXIT_INPUT
     except GridStrengthError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,6 +18,7 @@ only the decoupling of the characteristic equation uses, is
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -92,8 +93,16 @@ def _symmetrized(J: ExtendedJacobian) -> np.ndarray:
 
 
 def compute_gscr(J: ExtendedJacobian) -> tuple[EigenResult, float]:
-    """Spectrum of J_eq and its Perron vector; gSCR is the smallest eigenvalue."""
+    """Spectrum of J_eq and its Perron vector; gSCR is the smallest eigenvalue.
+
+    The work runs on S and J_eq times 2**-e, e the even exponent that brings
+    max |S| into [1/2, 2).  An even power of two scales every rounding exactly,
+    square roots included: a finite S of any magnitude neither overflows nor
+    underflows in the solves, and elsewhere the answer is bitwise the unscaled one.
+    """
     S = _symmetrized(J)
+    e = math.frexp(np.abs(S).max())[1] // 2 * 2
+    S = np.ldexp(S, -e)
     try:
         lam = np.linalg.eigvalsh(S)
         # S - sigma I is positive definite, n = 1 included.  The solve scales
@@ -108,8 +117,9 @@ def compute_gscr(J: ExtendedJacobian) -> tuple[EigenResult, float]:
         raise EigenSolveError(f"symmetric eigensolve failed: {exc}") from exc
     w1 = y / np.sqrt(J.p_n)        # eigenvector of J_eq = D^{1/2} y
     w1 /= np.linalg.norm(w1)
-    resid = np.linalg.norm(J.matrix @ w1 - lam[0] * w1)
-    scale = np.linalg.norm(J.matrix)
+    Jm = np.ldexp(J.matrix, -e)
+    resid = np.linalg.norm(Jm @ w1 - lam[0] * w1)
+    scale = np.linalg.norm(Jm)
     if not resid <= 1e-10 * scale:     # false for nan as well
         raise EigenSolveError(f"eigenpair residual {resid:.3e} exceeds tolerance")
     # fix sign by the largest-magnitude component, then normalize to unit sum
@@ -118,6 +128,7 @@ def compute_gscr(J: ExtendedJacobian) -> tuple[EigenResult, float]:
     s = w1.sum()
     if s != 0:
         w1 = w1 / s
+    lam = np.ldexp(lam, e)
     return EigenResult(lambdas=lam, perron_vector=w1), float(lam[0])
 
 

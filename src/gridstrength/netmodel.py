@@ -91,13 +91,14 @@ class ReducedNetwork(NamedTuple):
 
 
 # Bound on n·|B_ii| for every bus i of the reduced network.  The diagonal of
-# -B dominates its row (|B_ij| <= |B_ii|), and what follows B sums or squares
-# its entries: `gscr._symmetrized` adds S = B/p to its transpose, the
-# eigenpair check takes the Frobenius norm of J = -B/p, a sum of n² squares,
-# and the power flow sums n products B_ij U_i U_j.  With n·|B_ii| <= 2**500
-# the Frobenius sum is at most n²·max (B_ii/p)² <= 2**1000 / p², finite for
-# every rating p >= 2**-11 pu; a finite B near the float limit would make
-# these sums overflow to inf or nan instead of naming the bus.  The reduced
+# -B dominates its row (|B_ij| <= |B_ii|), and what follows B sums its
+# entries: the power flow sums n products B_ij U_i U_j, and
+# `gscr._symmetrized` adds S = D^{1/2} (-B) D^{1/2} to its transpose, within
+# 2**501 / p for the smallest rating p.  A finite B near the float limit would
+# make these sums overflow to inf or nan instead of naming the bus.  The
+# eigensolve and the eigenpair check's norms need no bound of their own:
+# `gscr.compute_gscr` scales S and J = -B/p by a power of two that brings
+# max |S|, and with it every |J_ij| <= |S_ii|, near 1 first.  The reduced
 # source term f_i takes the same bound on n·|f_i|: f_i e^{j d_i} is one more
 # term of each sum f_i e^{j d_i} + sum_j B_ij U_j e^{j (d_i - d_j)} that gives
 # the mismatch, the Jacobian's angle diagonals and the fold system's J v, so

@@ -199,23 +199,23 @@ def test_critical_on_heterogeneous_converters(j, n, k, want, monkeypatch):
 @pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 5.0, 15.0])
 @pytest.mark.parametrize("name", ["sidc", "dual", "triple", "quad"])
 def test_failed_modal_start_falls_back_to_the_bracket(name, k, request, monkeypatch):
-    # the walk along the fold curve lands on the modal fold at every scale, with
-    # lam-free folds alone: no s-free fold and no continuation
+    # the walk along the fold curve with lam-free folds, closed by one s-free
+    # fold at rated load, lands on the modal fold at every scale; no continuation
     case = scale_impedance(request.getfixturevalue(name), k)
     want = find_critical_numeric(case).value
     solve, s_free, traced = boundary._solve_fold, [], []
 
-    def counted(prep, x, v, s, lam=None, tol=boundary.FOLD_TOL):
+    def counted(prep, x, v, s, lam=None):
         if lam is None:
             s_free.append(s)
-        return solve(prep, x, v, s, lam, tol)
+        return solve(prep, x, v, s, lam)
 
     monkeypatch.setattr(boundary, "_modal_fold", lambda prep, g1: None)
     monkeypatch.setattr(boundary, "_solve_fold", counted)
     for module in (boundary, powerflow):
         monkeypatch.setattr(module, "trace_map", lambda *args: traced.append(args))
     assert find_critical_numeric(case).value == pytest.approx(want, rel=1e-10, abs=0.0)
-    assert s_free == [] and traced == []
+    assert len(s_free) == 1 and traced == []
 
 
 # stress inputs at the parent's bracket solved at one k only: its window of
@@ -266,7 +266,7 @@ def _check_fold_certificate(case, fold):
     orders = fold.lam * prep.rated_orders
     sv = np.linalg.svd(assemble_jacobian(prep, delta, U, orders), compute_uv=False)
     assert sv[-1] <= 1e-8 * sv[0]
-    assert abs(fold.lam - 1.0) <= boundary.MODAL_TOL
+    assert fold.lam == 1.0
     assert fold.residual <= 1e-10
     gP, gQ, _ = mismatch(prep, delta, U, orders)
     assert np.max(np.abs(np.concatenate([gP, gQ]))) <= 1e-10
@@ -370,15 +370,30 @@ def test_walk_that_loses_the_fold_curve_fails_by_name(sidc, lands, message, monk
     # or its step halves below WALK_STEP_MIN at the scale it last reached
     solve, landed = boundary._solve_fold, []
 
-    def first_folds_only(prep, x, v, s, lam=None, tol=boundary.FOLD_TOL):
+    def first_folds_only(prep, x, v, s, lam=None):
         if len(landed) == lands:
             return None
         landed.append(s)
-        return solve(prep, x, v, s, lam, tol)
+        return solve(prep, x, v, s, lam)
 
     monkeypatch.setattr(boundary, "_modal_fold", lambda prep, g1: None)
     monkeypatch.setattr(boundary, "_solve_fold", first_folds_only)
     with pytest.raises(GridStrengthError, match=message):
+        find_critical_numeric(sidc)
+
+
+def test_close_outside_the_walk_bracket_fails_by_name(sidc, monkeypatch):
+    # the s-free close must land between the walk's last two scales; a stand-in
+    # that moves its fold to twice the scale is refused, not returned
+    solve = boundary._solve_fold
+
+    def far_close(prep, x, v, s, lam=None):
+        fold = solve(prep, x, v, s, lam)
+        return fold if lam is not None else fold._replace(s=2.0 * fold.s)
+
+    monkeypatch.setattr(boundary, "_modal_fold", lambda prep, g1: None)
+    monkeypatch.setattr(boundary, "_solve_fold", far_close)
+    with pytest.raises(GridStrengthError, match=r"no fold at rated load between scales 1 and 1\.1$"):
         find_critical_numeric(sidc)
 
 

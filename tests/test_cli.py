@@ -13,7 +13,13 @@ import pytest
 import gridstrength.cli as cli
 from gridstrength import boundary, gscr
 from gridstrength.boundary import SweepRow
-from gridstrength.casefile import bundled_case_dir, case_from_dict, load_bundled_case, save_case
+from gridstrength.casefile import (
+    bundled_case_dir,
+    case_from_dict,
+    case_to_dict,
+    load_bundled_case,
+    save_case,
+)
 from gridstrength.netmodel import scale_impedance
 from gridstrength.validate import ValidationReport, ValidationRow
 
@@ -159,11 +165,12 @@ def test_bad_case_number_is_input_error(capsys, tmp_path, where, value):
 
 @pytest.mark.parametrize("cmd", ["gscr", "classify", "powerflow", "find-cgscr"])
 def test_overflowing_susceptance_is_input_error(capsys, tmp_path, cmd):
-    # Kron reduction names the bus before any eigensolve or power flow warns
+    # Kron reduction names the bus before any eigensolve or power flow warns,
+    # and the CLI names the file as it does for every other case error
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(overflowing_dual_doc()), encoding="utf-8")
     code, out, err = run(capsys, [cmd, str(path)])
-    assert (code, out, err) == (2, "", "error: network: bus 'inv1': 1/reactance_pu overflows\n")
+    assert (code, out, err) == (2, "", f"error: {path}: network: bus 'inv1': 1/reactance_pu overflows\n")
 
 
 @pytest.mark.parametrize("cmd", ["gscr", "classify", "powerflow", "find-cgscr"])
@@ -175,7 +182,8 @@ def test_susceptance_near_the_float_limit_is_input_error(capsys, tmp_path, cmd):
         warnings.simplefilter("error")
         code, out, err = run(capsys, [cmd, str(path)])
     assert (code, out) == (2, "")
-    assert err.count("\n") == 1 and err.startswith("error: network: bus 'inv1': 1/reactance_pu sums")
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {path}: network: bus 'inv1': 1/reactance_pu sums")
 
 
 @pytest.mark.parametrize("cmd", ["gscr", "powerflow", "find-cgscr", "find-bgscr"])
@@ -188,7 +196,47 @@ def test_source_term_near_the_float_limit_is_input_error(capsys, tmp_path, cmd):
         code, out, err = run(capsys, [cmd, str(path)])
     assert (code, out) == (2, "")
     assert err.count("\n") == 1
-    assert err.startswith("error: network: bus 'inv1': emf_pu/reactance_pu sums")
+    assert err.startswith(f"error: {path}: network: bus 'inv1': emf_pu/reactance_pu sums")
+
+
+def _sidc_with(tmp_path, edit):
+    """The bundled single-infeed case, written after edit(doc) changes its document."""
+    doc = case_to_dict(load_bundled_case("cigre_sidc"))
+    edit(doc)
+    path = tmp_path / "sidc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def _reactance(x):
+    return lambda doc: doc["thevenin_links"][0].update(reactance_pu=x)
+
+
+@pytest.mark.parametrize("edit, want", [
+    # reduced B about 7e-294: unscaled, the Perron solve overflows to a nan residual
+    pytest.param(_reactance(1.419264220113578e+293), 7.0459e-294, id="tiny-B"),  # 1/x
+    # rating p = 1.5e-154 pu: unscaled, the eigenpair check's norm of J overflows
+    pytest.param(lambda doc: doc.update(system_base_mva=6.6368649253215856e+156),
+                 1.34078e+154, id="tiny-rating"),  # 2/p
+])
+def test_index_does_not_depend_on_the_magnitude_of_B_or_the_ratings(capsys, tmp_path, edit,
+                                                                     want):
+    path = _sidc_with(tmp_path, edit)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["gscr", str(path)])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["gscr"] == want
+
+
+def test_network_bound_error_names_the_case_file(capsys, tmp_path):
+    path = _sidc_with(tmp_path, _reactance(1e-200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["gscr", str(path)])
+    assert (code, out) == (2, "")
+    assert err == (f"error: {path}: network: bus 'inv1': 1/reactance_pu sums to 1e+200, "
+                   "above 2**500/n = 3.27e+150\n")
 
 
 def test_number_with_too_many_digits_is_input_error(capsys, tmp_path):
