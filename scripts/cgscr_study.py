@@ -23,7 +23,8 @@ tests/conftest.py and perfbench/netgen.py:
 Run the same script against two source trees (PYTHONPATH=<tree>/src) and
 `diff` the two files: it lists the inputs lost (solved only in OLD), gained
 (solved only in NEW) and moved (solved in both, values not bitwise equal),
-and failures whose message changed.
+and failures whose message changed.  Like diff(1), it exits 1 when any input
+is lost, gained or moved or a failure message changed, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ def _load(path: Path) -> dict:
     return {r["label"]: r for r in map(json.loads, path.read_text(encoding="utf-8").splitlines())}
 
 
-def diff(old_path: Path, new_path: Path) -> None:
+def diff(old_path: Path, new_path: Path) -> int:
     old, new = _load(old_path), _load(new_path)
     lost, gained, moved, messages = [], [], [], []
     equal = both_fail = 0
@@ -184,9 +185,10 @@ def diff(old_path: Path, new_path: Path) -> None:
     print("changed messages:")
     for label, a, b in sorted(messages):
         print(f"  {label}: {a['error']} -> {b['error']}")
+    return int(bool(lost or gained or moved or messages))
 
 
-def main(argv=None) -> None:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="cmd", required=True)
     r = sub.add_parser("run", help="run every input and write JSON lines")
@@ -198,9 +200,9 @@ def main(argv=None) -> None:
     args = ap.parse_args(argv)
     if args.cmd == "run":
         run(args.out, args.only)
-    else:
-        diff(args.old, args.new)
+        return 0
+    return diff(args.old, args.new)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

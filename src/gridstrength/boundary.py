@@ -13,18 +13,12 @@ as gSCR(1)/s without reducing the scaled case again.  Sources keep their
 authored emfs during a search; scaling touches reactances only.
 
 The critical ratio is the scale at which the saddle-node (fold) of the power
-flow sits at rated load, lambda = 1.  The fold is solved for directly as a
-point of collapse (Canizares & Alvarado, IEEE TPWRS 8(1), 1993): a Newton on
-g(x) = 0, J v = 0, c.v = 1 and one free parameter, s at lambda = 1, started
-at the paper's threshold s = gSCR(1)/2; when that fold fails its certificate,
-lambda-free folds walk the fold curve lambda_fold(s) from there across
-lambda = 1 (Govaerts, Numerical Methods for Bifurcations of Dynamical
-Equilibria, 2000), and the same s-free Newton closes on rated load from the
-walk's end above it.
-The fold Jacobian is exact: its second-order terms are the complex form of
-MATPOWER's d2Sbus_dV2 (Zimmerman, MATPOWER Technical Note 2, 2010) plus the
-converter terms' tangents.  The boundary ratio bisects s on the aggregated
-overlap angle at the nose = 30 deg.
+flow sits at rated load, lambda = 1: powerflow's s-free fold solve from the
+paper's threshold s = gSCR(1)/2, or, when that fold fails its certificate,
+lambda-free folds that walk the fold curve lambda_fold(s) across lambda = 1
+(Govaerts, Numerical Methods for Bifurcations of Dynamical Equilibria, 2000)
+and the same s-free solve, closing on rated load from the walk's end above
+it.  The boundary ratio bisects s on the aggregated overlap angle at 30 deg.
 """
 
 from __future__ import annotations
@@ -36,22 +30,21 @@ from typing import NamedTuple
 import numpy as np
 
 from .casefile import CaseFile, with_rating
-from .converter import ConverterState, LccParams, k_of_c
-from .errors import BracketError, ConverterInfeasible, GridStrengthError
+from .converter import LccParams, k_of_c
+from .errors import BracketError, CaseFormatError, ConverterInfeasible, GridStrengthError
 from .gscr import EigenResult, compute_gscr, extended_jacobian
 from .netmodel import reduce_case, scale_impedance
 from .powerflow import (
-    U_BAND,
     ContinuationResult,
-    GridState,
     PreparedCase,
-    _converter_slopes,
-    _mismatch_array,
+    _at_scale,
+    _Fold,
+    _modal_start,
+    _solve_fold,
     assemble_jacobian,
     converter_states,
     damped_newton,
     mismatch,
-    newton_solve,
     prepare,
     trace_map,
 )
@@ -61,9 +54,6 @@ SCALE_HI = 20.0
 SCALE_REL_TOL = 1e-4
 BOUNDARY_TOL_DEG = 0.05  # on |mu_agg - 30 deg|
 MU_TARGET_DEG = 30.0
-FOLD_TOL = 1e-10         # on the fold system's residual
-FOLD_MAX_ITER = 30
-MODAL_TOL = 1e-12        # the modal fold's: stopped at FOLD_TOL its s can sit 7e-10 off
 WALK_STEP = math.log(1.1)       # the fold walk's first step in ln s,
 WALK_STEP_MAX = math.log(1.5)   # its largest,
 WALK_STEP_MIN = 1e-3            # and the step below which the walk has lost the fold curve
@@ -127,11 +117,23 @@ def bscr_solve(params: LccParams) -> float:
     return rho * cscr_closed_form(2.0 * c_B * k_of_c(c_B, params.gamma) + 2.0 * params.b_c / rho)
 
 
+def _index(B: np.ndarray, p_n: np.ndarray, buses) -> tuple[EigenResult, float]:
+    """compute_gscr of J_eq = -diag(1/p_n) B; CaseFormatError names a bus whose row overflows."""
+    with np.errstate(over="ignore"):    # an overflow is named below
+        J = extended_jacobian(B, p_n)
+    ok = np.isfinite(J.matrix).all(axis=1)
+    if not ok.all():
+        i = ok.argmin()
+        raise CaseFormatError(f"network: bus {buses[i]!r}: max |B_ij| / rating = "
+                              f"{np.abs(B[i]).max():.3g} / {p_n[i]:.3g} overflows")
+    return compute_gscr(J)
+
+
 def case_gscr(case: CaseFile) -> tuple[EigenResult, float]:
     """Grid-strength index of a case: smallest eigenvalue of the extended Jacobian."""
     net = reduce_case(case)
     p_n = np.array([case.rating_pu(case.converter_at(b)) for b in net.bus_order])
-    return compute_gscr(extended_jacobian(net.B, p_n))
+    return _index(net.B, p_n, net.bus_order)
 
 
 def tune_sources(case: CaseFile) -> CaseFile:
@@ -244,138 +246,6 @@ def _bisect_scale(prep: PreparedCase, gap_of, cond_tol: float) -> _Probe:
     return best
 
 
-class _Fold(NamedTuple):
-    """Saddle-node of the power flow at impedance scale s and loading lam."""
-
-    s: float
-    lam: float
-    x: np.ndarray       # (delta, U) at the reduced converter buses
-    v: np.ndarray       # right null vector of the power-flow Jacobian, c.v = 1
-    residual: float     # max-norm of the fold system's residual
-    states: tuple[ConverterState, ...]
-
-
-def _at_scale(prep: PreparedCase, s: float) -> PreparedCase:
-    """The prepared case with every reactance times s: reduced B and f divide by s."""
-    return replace(prep, net=prep.net._replace(B=prep.net.B / s, f=prep.net.f / s))
-
-
-def _fold_point(prep: PreparedCase, lam: float, x: np.ndarray):
-    """The array kernel's point and J at x and lam times the rated orders, at any bus count."""
-    n, orders = prep.n, lam * prep.rated_orders
-    t = _mismatch_array(prep, x[:n], x[n:], orders)[2]
-    return t, assemble_jacobian(prep, x[:n], x[n:], orders, t)
-
-
-def _converter_tangent(k, t, dU, dp) -> tuple:
-    """Derivative along (dU, dp) of the converter terms of g and of J's dU diagonals at t.
-
-    dp is in converter pu.  The quadratic gives dI = (dp - a cos(gamma) I dU) / root,
-    so dI/dp = 1 / root; the rest follows by the chain rule, as in _converter_slopes.
-    """
-    U, I, P, mQ, cphi, sphi, root = t.U, t.I, t.P, t.mQ, t.cphi, t.sphi, t.root
-    ndI, ndc, dP, ndQ = _converter_slopes(k, t)
-    tan, K = sphi / cphi, 1.0 / (cphi * cphi * sphi)    # d tan = K dc
-    d_root = (k.acg * k.acg * U * dU - 0.5 * k.A4 * dp) / root
-    d_I = (dp - k.acg * I * dU) / root
-    d_c = k.b_over_a * (d_I - I * dU / U) / U
-    d_P = dp - 2.0 * k.r * I * d_I
-    d_mQ = d_P * tan + P * K * d_c - 2.0 * k.wbc * U * dU
-    d_K = K * d_c * (2.0 / cphi - cphi / (sphi * sphi))
-    d_ndI = k.acg * (d_I - I * d_root / root) / root
-    d_ndc = k.b_over_a * (d_ndI + (d_I - 2.0 * I * dU / U) / U - ndI * dU / U) / U
-    d_dP = 2.0 * k.r * (d_I * ndI + I * d_ndI)
-    d_ndQ = (d_dP * tan + dP * K * d_c - K * (d_P * ndc + P * d_ndc) - P * ndc * d_K
-             - 2.0 * k.wbc * dU)
-    p_U, U2 = k.p_dn / U, U * U
-    return (-p_U * (d_P - P * dU / U), p_U * (d_mQ - mQ * dU / U),
-            k.p_dn * (d_P - dU * dP - U * d_dP - 2.0 * (P - U * dP) * dU / U) / U2,
-            k.p_dn * (dU * ndQ + U * d_ndQ - d_mQ - 2.0 * (U * ndQ - mQ) * dU / U) / U2)
-
-
-def _fold_jacobian(prep: PreparedCase, z: np.ndarray, c: np.ndarray, J: np.ndarray, t,
-                   s_free: bool) -> np.ndarray:
-    """Exact Jacobian of the fold system in z = (x, v, p), p the scale s or the load lam.
-
-    d(J v)/dx is the derivative of J along v = (dd, du), as the second
-    derivatives of g are symmetric: W moves by j (dd_i - dd_j) W and inj by
-    j dd inj - j W (dd U) + W du, laid out as assemble_jacobian lays out W and
-    inj, and each converter diagonal by its tangent along du.  B and f scale
-    as 1/s, so the s column is the network part of g and of J v over -s; the
-    lam column is the converter terms' tangent along the rated orders.
-    """
-    m = len(c)
-    n, k = m // 2, prep.consts
-    dd, du = z[m:m + n], z[m + n:2 * m]
-    W, inj = t.W, t.inj
-    dW = 1j * np.subtract.outer(dd, dd) * W
-    dM = dW * t.U + W * du              # the derivative of W_ij U_j
-    d_inj = 1j * (dd * inj - W.dot(dd * t.U)) + W.dot(du)
-    _, _, dJ_PU, dJ_QU = _converter_tangent(k, t, du, 0.0)
-    D = np.block([[np.diag(d_inj.real) - dM.real, np.diag(dJ_PU) + dW.imag],
-                  [np.diag(d_inj.imag) - dM.imag, np.diag(dJ_QU) - dW.real]])
-    if s_free:
-        col = np.concatenate([inj.imag, -inj.real, d_inj.imag, -d_inj.real]) / -z[-1]
-    else:
-        dgP, dgQ, dJ_PU, dJ_QU = _converter_tangent(k, t, 0.0, prep.rated_orders / k.p_dn)
-        col = np.concatenate([dgP, dgQ, dJ_PU * du, dJ_QU * du])
-    O = np.zeros((m, m))
-    return np.block([[J, O, col[:m, None]], [D, J, col[m:, None]], [O[:1], c[None], 0.0]])
-
-
-def _solve_fold(prep: PreparedCase, x, v, s: float, lam: float | None = None) -> _Fold | None:
-    """Newton on g(x) = 0, J v = 0, c.v = 1 with c = v / |v|^2, started at (x, v).
-
-    Without lam the unknowns are (x, v, s) at rated load, lam = 1, to MODAL_TOL;
-    with lam they are (x, v, lam), started at lam, at the fixed scale s, to
-    FOLD_TOL.  Newton runs on the exact Jacobian; one that stalls within
-    FOLD_TOL has met the residual's rounding floor and counts as converged.
-    Returns None when Newton fails or the fold lies outside U_BAND.
-    """
-    m = len(x)
-    c = v / (v @ v)
-    fixed = None if lam is None else _at_scale(prep, s)
-
-    def resid(z):
-        # None where a bus voltage, s or lam is not positive or a converter has no steady state
-        if np.any(z[m // 2:m] <= 0.0) or z[-1] <= 0.0:
-            return None
-        at, load = (_at_scale(prep, z[-1]), 1.0) if fixed is None else (fixed, z[-1])
-        try:
-            t, J = _fold_point(at, load, z[:m])
-        except ConverterInfeasible:
-            return None
-        vv = z[m:2 * m]
-        return np.concatenate([t.r, J @ vv, [c @ vv - 1.0]]), (at, J, t)
-
-    res = damped_newton(resid, lambda z, a: _fold_jacobian(a[0], z, c, *a[1:], fixed is None),
-                        np.concatenate([x, v, [s if lam is None else lam]]),
-                        MODAL_TOL if fixed is None else FOLD_TOL, FOLD_MAX_ITER)
-    if res.reason == "singular jacobian":
-        raise GridStrengthError("find_critical_numeric: singular fold system")
-    z, U = res.x, res.x[m // 2:m]
-    stalled = res.reason == "no acceptable step" and res.norm <= FOLD_TOL
-    if res.reason and not stalled or np.any(U <= U_BAND[0]) or np.any(U >= U_BAND[1]):
-        return None
-    s, lam = (z[-1], 1.0) if fixed is None else (s, z[-1])
-    return _Fold(float(s), float(lam), z[:m], z[m:2 * m], float(res.norm),
-                 converter_states(res.aux[0], res.aux[2]))
-
-
-def _modal_start(prep: PreparedCase, s: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """(lam, x, v) to start a fold Newton at scale s.
-
-    x is the first converged flow at 0.8 or 0.5 of rated load (rated load sits on
-    the nose at s = gSCR(1) / 2), else flat at rated load; v is J's last right
-    singular vector at x and lam, where every converter has a steady state.
-    """
-    n, scaled = prep.n, _at_scale(prep, s)
-    flows = ((lam, newton_solve(scaled, lam * prep.rated_orders)) for lam in (0.8, 0.5))
-    lam, st = next(((lam, st) for lam, st in flows if isinstance(st, GridState)), (1.0, None))
-    x = np.concatenate([st.delta, st.U] if st else [np.zeros(n), np.ones(n)])
-    return lam, x, np.linalg.svd(_fold_point(scaled, lam, x)[1])[2][-1]
-
-
 def _modal_fold(prep: PreparedCase, g1: float) -> _Fold | None:
     """One fold Newton in s from the paper's threshold s0 = gSCR(1) / 2; None if uncertified."""
     _, x, v = _modal_start(prep, 0.5 * g1)
@@ -420,7 +290,7 @@ def _critical_fold(prep: PreparedCase, g1: float) -> _Fold:
 
 def _index_at_unit_scale(prep: PreparedCase) -> float:
     """gSCR(1), the index at the authored scale; every search's value is gSCR(1) / s."""
-    g1 = compute_gscr(extended_jacobian(prep.net.B, prep.consts.p_dn))[1]
+    g1 = _index(prep.net.B, prep.consts.p_dn, prep.net.bus_order)[1]
     if not g1 > 0:
         raise GridStrengthError(f"threshold search: gSCR at scale 1 is {g1:.6g}, not positive")
     return g1

@@ -24,14 +24,21 @@ W = B o e^{j (d_i - d_j)} and one W U, whose sum with f e^{j d} gives the
 residual as one vector and, with the converter terms, the 2n x 2n
 Jacobian.  At SMALL_N buses or fewer numpy's fixed cost per call outweighs
 the O(n^2) work, so mismatch runs per-bus loops over solve_state and
-state_derivatives instead; the fold solve, whose second-order terms read
+state_derivatives instead; the fold system, whose second-order terms read
 the array point, calls the array form _mismatch_array at every n.  mismatch
 returns the terms of its point for assemble_jacobian there, for mismatch at
 the same U and orders (which reuses the converter solution alone) and for
 converter_states (output).
 
-damped_newton is the one Newton loop in the package: the power flow here,
-and source tuning and the fold solve in boundary, each pass it a residual
+The fold system solves for the power flow's saddle-node directly, as a point
+of collapse (Canizares & Alvarado, IEEE TPWRS 8(1), 1993): Newton on g(x) = 0,
+J v = 0, c.v = 1 and one free parameter, the impedance scale s at rated load
+or the loading lambda at a fixed s, on an exact Jacobian whose second-order
+terms are the complex form of MATPOWER's d2Sbus_dV2 (Zimmerman, MATPOWER
+Technical Note 2, 2010) plus the converter terms' tangents.
+
+damped_newton is the one Newton loop in the package: the power flow and the
+fold system here, and source tuning in boundary, each pass it a residual
 and its exact Jacobian.  They share one line search (the
 step is halved until the residual's max-norm falls, within a caller-given
 slack, for the NEWTON_STEPS lengths) and one set of stop reasons.  The
@@ -42,7 +49,7 @@ small n an iteration costs little beyond the caller's residual and Jacobian.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
@@ -70,6 +77,9 @@ LAM0 = 0.1                  # light-start loading factor of the continuation
 LAM_STEP = 0.02             # loading-factor step of the continuation's stepping phase
 LAM_LIMIT = 1000.0          # loading factor at which a continuation gives up
 LAM_BISECT_TOL = 1e-6       # loading-factor interval at which trace_map's nose bisection stops
+FOLD_TOL = 1e-10            # on the fold system's residual
+FOLD_MAX_ITER = 30
+MODAL_TOL = 1e-12           # the modal fold's: stopped at FOLD_TOL its s can sit 7e-10 off
 # largest bus count the kernel runs as per-bus loops: up to here numpy's fixed
 # cost per call is at least the loops' O(n^2) work (break-even at n = 3-4)
 SMALL_N = 4
@@ -533,3 +543,135 @@ def trace_map(case: CaseFile | PreparedCase) -> ContinuationResult:
         diverged_at=bad_lam,
         history=tuple(history),
     )
+
+
+class _Fold(NamedTuple):
+    """Saddle-node of the power flow at impedance scale s and loading lam."""
+
+    s: float
+    lam: float
+    x: np.ndarray       # (delta, U) at the reduced converter buses
+    v: np.ndarray       # right null vector of the power-flow Jacobian, c.v = 1
+    residual: float     # max-norm of the fold system's residual
+    states: tuple[ConverterState, ...]
+
+
+def _at_scale(prep: PreparedCase, s: float) -> PreparedCase:
+    """The prepared case with every reactance times s: reduced B and f divide by s."""
+    return replace(prep, net=prep.net._replace(B=prep.net.B / s, f=prep.net.f / s))
+
+
+def _fold_point(prep: PreparedCase, lam: float, x: np.ndarray):
+    """The array kernel's point and J at x and lam times the rated orders, at any bus count."""
+    n, orders = prep.n, lam * prep.rated_orders
+    t = _mismatch_array(prep, x[:n], x[n:], orders)[2]
+    return t, assemble_jacobian(prep, x[:n], x[n:], orders, t)
+
+
+def _converter_tangent(k, t, dU, dp) -> tuple:
+    """Derivative along (dU, dp) of the converter terms of g and of J's dU diagonals at t.
+
+    dp is in converter pu.  The quadratic gives dI = (dp - a cos(gamma) I dU) / root,
+    so dI/dp = 1 / root; the rest follows by the chain rule, as in _converter_slopes.
+    """
+    U, I, P, mQ, cphi, sphi, root = t.U, t.I, t.P, t.mQ, t.cphi, t.sphi, t.root
+    ndI, ndc, dP, ndQ = _converter_slopes(k, t)
+    tan, K = sphi / cphi, 1.0 / (cphi * cphi * sphi)    # d tan = K dc
+    d_root = (k.acg * k.acg * U * dU - 0.5 * k.A4 * dp) / root
+    d_I = (dp - k.acg * I * dU) / root
+    d_c = k.b_over_a * (d_I - I * dU / U) / U
+    d_P = dp - 2.0 * k.r * I * d_I
+    d_mQ = d_P * tan + P * K * d_c - 2.0 * k.wbc * U * dU
+    d_K = K * d_c * (2.0 / cphi - cphi / (sphi * sphi))
+    d_ndI = k.acg * (d_I - I * d_root / root) / root
+    d_ndc = k.b_over_a * (d_ndI + (d_I - 2.0 * I * dU / U) / U - ndI * dU / U) / U
+    d_dP = 2.0 * k.r * (d_I * ndI + I * d_ndI)
+    d_ndQ = (d_dP * tan + dP * K * d_c - K * (d_P * ndc + P * d_ndc) - P * ndc * d_K
+             - 2.0 * k.wbc * dU)
+    p_U, U2 = k.p_dn / U, U * U
+    return (-p_U * (d_P - P * dU / U), p_U * (d_mQ - mQ * dU / U),
+            k.p_dn * (d_P - dU * dP - U * d_dP - 2.0 * (P - U * dP) * dU / U) / U2,
+            k.p_dn * (dU * ndQ + U * d_ndQ - d_mQ - 2.0 * (U * ndQ - mQ) * dU / U) / U2)
+
+
+def _fold_jacobian(prep: PreparedCase, z: np.ndarray, c: np.ndarray, J: np.ndarray, t,
+                   s_free: bool) -> np.ndarray:
+    """Exact Jacobian of the fold system in z = (x, v, p), p the scale s or the load lam.
+
+    d(J v)/dx is the derivative of J along v = (dd, du), as the second
+    derivatives of g are symmetric: W moves by j (dd_i - dd_j) W and inj by
+    j dd inj - j W (dd U) + W du, laid out as assemble_jacobian lays out W and
+    inj, and each converter diagonal by its tangent along du.  B and f scale
+    as 1/s, so the s column is the network part of g and of J v over -s; the
+    lam column is the converter terms' tangent along the rated orders.
+    """
+    m = len(c)
+    n, k = m // 2, prep.consts
+    dd, du = z[m:m + n], z[m + n:2 * m]
+    W, inj = t.W, t.inj
+    dW = 1j * np.subtract.outer(dd, dd) * W
+    dM = dW * t.U + W * du              # the derivative of W_ij U_j
+    d_inj = 1j * (dd * inj - W.dot(dd * t.U)) + W.dot(du)
+    _, _, dJ_PU, dJ_QU = _converter_tangent(k, t, du, 0.0)
+    D = np.block([[np.diag(d_inj.real) - dM.real, np.diag(dJ_PU) + dW.imag],
+                  [np.diag(d_inj.imag) - dM.imag, np.diag(dJ_QU) - dW.real]])
+    if s_free:
+        col = np.concatenate([inj.imag, -inj.real, d_inj.imag, -d_inj.real]) / -z[-1]
+    else:
+        dgP, dgQ, dJ_PU, dJ_QU = _converter_tangent(k, t, 0.0, prep.rated_orders / k.p_dn)
+        col = np.concatenate([dgP, dgQ, dJ_PU * du, dJ_QU * du])
+    O = np.zeros((m, m))
+    return np.block([[J, O, col[:m, None]], [D, J, col[m:, None]], [O[:1], c[None], 0.0]])
+
+
+def _solve_fold(prep: PreparedCase, x, v, s: float, lam: float | None = None) -> _Fold | None:
+    """Newton on g(x) = 0, J v = 0, c.v = 1 with c = v / |v|^2, started at (x, v).
+
+    Without lam the unknowns are (x, v, s) at rated load, lam = 1, to MODAL_TOL;
+    with lam they are (x, v, lam), started at lam, at the fixed scale s, to
+    FOLD_TOL.  Newton runs on the exact Jacobian; one that stalls within
+    FOLD_TOL has met the residual's rounding floor and counts as converged.
+    Returns None when Newton fails or the fold lies outside U_BAND.
+    """
+    m = len(x)
+    c = v / (v @ v)
+    fixed = None if lam is None else _at_scale(prep, s)
+
+    def resid(z):
+        # None where a bus voltage, s or lam is not positive or a converter has no steady state
+        if np.any(z[m // 2:m] <= 0.0) or z[-1] <= 0.0:
+            return None
+        at, load = (_at_scale(prep, z[-1]), 1.0) if fixed is None else (fixed, z[-1])
+        try:
+            t, J = _fold_point(at, load, z[:m])
+        except ConverterInfeasible:
+            return None
+        vv = z[m:2 * m]
+        return np.concatenate([t.r, J @ vv, [c @ vv - 1.0]]), (at, J, t)
+
+    res = damped_newton(resid, lambda z, a: _fold_jacobian(a[0], z, c, *a[1:], fixed is None),
+                        np.concatenate([x, v, [s if lam is None else lam]]),
+                        MODAL_TOL if fixed is None else FOLD_TOL, FOLD_MAX_ITER)
+    if res.reason == "singular jacobian":
+        raise GridStrengthError("find_critical_numeric: singular fold system")
+    z, U = res.x, res.x[m // 2:m]
+    stalled = res.reason == "no acceptable step" and res.norm <= FOLD_TOL
+    if res.reason and not stalled or np.any(U <= U_BAND[0]) or np.any(U >= U_BAND[1]):
+        return None
+    s, lam = (z[-1], 1.0) if fixed is None else (s, z[-1])
+    return _Fold(float(s), float(lam), z[:m], z[m:2 * m], float(res.norm),
+                 converter_states(res.aux[0], res.aux[2]))
+
+
+def _modal_start(prep: PreparedCase, s: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """(lam, x, v) to start a fold Newton at scale s.
+
+    x is the first converged flow at 0.8 or 0.5 of rated load (rated load sits on
+    the nose at s = gSCR(1) / 2), else flat at rated load; v is J's last right
+    singular vector at x and lam, where every converter has a steady state.
+    """
+    n, scaled = prep.n, _at_scale(prep, s)
+    flows = ((lam, newton_solve(scaled, lam * prep.rated_orders)) for lam in (0.8, 0.5))
+    lam, st = next(((lam, st) for lam, st in flows if isinstance(st, GridState)), (1.0, None))
+    x = np.concatenate([st.delta, st.U] if st else [np.zeros(n), np.ones(n)])
+    return lam, x, np.linalg.svd(_fold_point(scaled, lam, x)[1])[2][-1]

@@ -46,8 +46,10 @@ from conftest import (
     serial_pool,
     stress_case,
 )
-from oracles import bscr_newton, central_jacobian
+from oracles import bscr_newton
 from test_converter import cigre_params
+# the fold Jacobian's check lives with the fold system; it also runs here, under its old ids
+from test_powerflow import test_fold_jacobian_matches_central_differences  # noqa: F401
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +155,7 @@ def test_find_critical_scale_invariance(sidc, dual, triple, quad, monkeypatch):
     # the modal start at s0 = gSCR(1) / 2 moves with the scale, so every k takes
     # the same path: no continuation and one short fold Newton on the exact
     # Jacobian, one kernel point per fold residual
-    calls = {"mismatch": 0, "_mismatch_array": 0, "trace_map": 0}
+    calls = {"mismatch": 0, "_fold_point": 0, "trace_map": 0}
 
     def counted(name):
         fn = getattr(powerflow, name)
@@ -165,18 +167,19 @@ def test_find_critical_scale_invariance(sidc, dual, triple, quad, monkeypatch):
 
     for name in calls:
         wrapper = counted(name)
-        # mismatch's own call into the array form is not a second kernel point
-        if name != "_mismatch_array":
-            monkeypatch.setattr(powerflow, name, wrapper)
-        monkeypatch.setattr(boundary, name, wrapper)
+        # the fold code's kernel point is one _fold_point, whose _mismatch_array
+        # is counted there; boundary holds its own mismatch and trace_map
+        monkeypatch.setattr(powerflow, name, wrapper)
+        if name != "_fold_point":
+            monkeypatch.setattr(boundary, name, wrapper)
     for case in (sidc, dual, triple, quad):
         want = find_critical_numeric(case).value
         for s in (0.5, 1.0, 2.0, 5.0, 15.0):
-            calls.update(mismatch=0, _mismatch_array=0, trace_map=0)
+            calls.update(mismatch=0, _fold_point=0, trace_map=0)
             r = find_critical_numeric(scale_impedance(case, s))
             assert calls["trace_map"] == 0
-            assert calls["_mismatch_array"] > 0
-            assert calls["mismatch"] + calls["_mismatch_array"] <= 22
+            assert calls["_fold_point"] > 0
+            assert calls["mismatch"] + calls["_fold_point"] <= 22
             assert r.value == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
@@ -285,48 +288,7 @@ def test_modal_fold_certificate(name, request):
     case = request.getfixturevalue(name)
     fold = _modal_fold(prepare(case), case_gscr(case)[1])
     _check_fold_certificate(case, fold)
-    assert fold.residual <= boundary.MODAL_TOL
-
-
-def _fold_residual(prep, c, s_free, s):
-    """The fold system's residual as a function of z = (x, v, p) in a list, p = s or lam."""
-    m = len(c)
-
-    def F(z):
-        z = np.array(z)
-        scale, lam = (z[-1], 1.0) if s_free else (s, z[-1])
-        t, J = boundary._fold_point(boundary._at_scale(prep, scale), lam, z[:m])
-        return [*t.r, *(J @ z[m:2 * m]), c @ z[m:2 * m] - 1.0]
-    return F
-
-
-@pytest.mark.parametrize("n", range(1, 17))
-def test_fold_jacobian_matches_central_differences(n):
-    # s free at lam = 1 and lam free at a fixed s, at a fold (J singular) and away
-    # from it (the rated flow with a random v, and 0.9 of rated load for lam)
-    rng = np.random.default_rng(4000 + n)
-    case = scale_to_gscr(case_from_dict(random_network_doc(rng, n, link_prob=1.0)), 2.0)
-    prep = prepare(case)
-    g1 = case_gscr(case)[1]
-    fold = _modal_fold(prep, g1) or _critical_fold(prep, g1)
-    rated = newton_solve(prep, prep.rated_orders)
-    assert isinstance(rated, GridState)
-    m = 2 * n
-    for x, v, s, lam in ((fold.x, fold.v, fold.s, 1.0),
-                         (np.concatenate([rated.delta, rated.U]), rng.normal(size=m), 1.0, 0.9)):
-        c = v / (v @ v)
-        for s_free in (True, False):
-            z = np.concatenate([x, v, [s if s_free else lam]])
-            at = boundary._at_scale(prep, s)
-            t, J = boundary._fold_point(at, 1.0 if s_free else lam, x)
-            exact = boundary._fold_jacobian(at, z, c, J, t, s_free)
-            fd = np.array(central_jacobian(_fold_residual(prep, c, s_free, s), z.tolist()))
-            for rows, cols in ((slice(0, m), slice(0, m)), (slice(m, 2 * m), slice(0, m)),
-                               (slice(m, 2 * m), slice(m, 2 * m)), (slice(0, 2 * m), -1),
-                               (2 * m, slice(m, 2 * m))):
-                scale = np.abs(fd[rows, cols]).max()
-                assert np.abs(exact[rows, cols] - fd[rows, cols]).max() <= 1e-6 * scale
-            assert not exact[:m, m:2 * m].any() and not exact[2 * m, :m].any()
+    assert fold.residual <= powerflow.MODAL_TOL
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -398,7 +360,7 @@ def test_close_outside_the_walk_bracket_fails_by_name(sidc, monkeypatch):
 
 
 def test_singular_fold_system_is_a_package_error(sidc, monkeypatch):
-    monkeypatch.setattr(boundary, "_fold_jacobian",
+    monkeypatch.setattr(powerflow, "_fold_jacobian",
                         lambda at, z, *args: np.zeros((len(z), len(z))))
     with pytest.raises(GridStrengthError, match="singular fold system"):
         find_critical_numeric(sidc)

@@ -239,6 +239,34 @@ def test_network_bound_error_names_the_case_file(capsys, tmp_path):
                    "above 2**500/n = 3.27e+150\n")
 
 
+def _tiny_rating_normal_b(doc):
+    # rating 990 MW / 1e306 MVA = 9.9e-304 pu against B = 1/x = 1e10: the index is 1e313
+    doc.update(system_base_mva=1e306)
+    for link in doc["thevenin_links"]:
+        link.update(reactance_pu=1e-10)
+
+
+@pytest.mark.parametrize("cmd", ["gscr", "classify", "find-cgscr", "find-bgscr"])
+def test_index_beyond_the_float_range_is_input_error(capsys, tmp_path, cmd):
+    path = _sidc_with(tmp_path, _tiny_rating_normal_b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, [cmd, str(path)])
+    assert (code, out) == (2, "")
+    assert err == (f"error: {path}: network: bus 'inv1': max |B_ij| / rating = "
+                   "1e+10 / 9.9e-304 overflows\n")
+
+
+@pytest.mark.parametrize("cmd", ["powerflow", "map"])
+def test_flow_never_forms_the_overflowing_index(capsys, tmp_path, cmd):
+    path = _sidc_with(tmp_path, _tiny_rating_normal_b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, [cmd, str(path)])
+    assert (code, err) == (0, "")
+    assert out
+
+
 def test_number_with_too_many_digits_is_input_error(capsys, tmp_path):
     # beyond Python's 4,300-digit limit json cannot read the integer, nor write it
     doc = hub_network_doc(["a", "b"])
@@ -501,10 +529,10 @@ def test_scripts_parse_and_show_help(script):
 
 
 def test_cgscr_study_runs_and_diffs_a_subset(tmp_path):
-    def study(*argv):
+    def study(*argv, status=0):
         done = subprocess.run([sys.executable, str(SCRIPTS / "cgscr_study.py"), *argv],
                               capture_output=True, text=True, timeout=120, env=script_env())
-        assert done.returncode == 0, done.stderr
+        assert done.returncode == status, done.stderr
         return done.stdout
 
     out = tmp_path / "stress.jsonl"
@@ -514,6 +542,12 @@ def test_cgscr_study_runs_and_diffs_a_subset(tmp_path):
     assert all(r["path"] in ("modal", "fallback") and r["value"] > 0 for r in lines)
     assert study("diff", str(out), str(out)).startswith(
         "8 inputs in both files: 8 equal, 0 moved, 0 lost, 0 gained")
+    # one value edited: the input has moved, and diff says so in its status too
+    edited = tmp_path / "edited.jsonl"
+    lines[3]["value"] *= 1.0 + 1e-12
+    edited.write_text("".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8")
+    assert study("diff", str(out), str(edited), status=1).startswith(
+        "8 inputs in both files: 7 equal, 1 moved, 0 lost, 0 gained")
 
 
 def test_validate_exit_mapping(capsys, monkeypatch):

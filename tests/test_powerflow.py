@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gridstrength import powerflow
-from gridstrength.boundary import case_gscr, scale_to_gscr
+from gridstrength.boundary import _critical_fold, _modal_fold, case_gscr, scale_to_gscr
 from gridstrength.casefile import case_from_dict, load_bundled_case, with_rating
 from gridstrength.converter import LccParams, rated_order, sensitivity_T
 from gridstrength.errors import ConverterInfeasible, GridStrengthError
@@ -31,6 +31,7 @@ from gridstrength.powerflow import (
 )
 
 from conftest import CONVERTER_BLOCK, random_network_doc
+from oracles import central_jacobian
 
 LOOPS = 10**6   # SMALL_N that keeps every size on the per-bus loops
 ARRAYS = 0      # SMALL_N that sends every size down the array path
@@ -253,6 +254,20 @@ def test_newton_gives_one_state_on_both_paths(n, monkeypatch):
         assert tuple(a) == pytest.approx(tuple(b), rel=1e-12, abs=1e-14)
 
 
+@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("small_n", [ARRAYS, LOOPS], ids=["arrays", "loops"])
+def test_tuned_rated_flow_is_flat_on_the_low_root(n, small_n, monkeypatch):
+    # tune_sources pins the rated point at U = 1, and a flat start lands on it
+    # with every converter on the low root of (b - r) I^2 - a U cos(gamma) I + p = 0
+    prep = prepare(tuned_random_case(n))
+    monkeypatch.setattr(powerflow, "SMALL_N", small_n)
+    state = newton_solve(prep, prep.rated_orders)
+    assert isinstance(state, GridState)
+    assert np.abs(state.U - 1.0).max() <= 1e-9
+    for par, st in zip(prep.converters, state.converter_states, strict=True):
+        assert st.I_d < par.a * st.U * math.cos(par.gamma) / (2.0 * (par.b - par.r))
+
+
 @pytest.mark.parametrize("n", [8, 16])
 def test_continuation_steps_agree_on_both_paths(n, monkeypatch):
     # at n = 16 the divergent last step tries points outside the U band and
@@ -420,6 +435,49 @@ def test_converters_solved_once_per_mismatch_never_in_the_jacobian(monkeypatch):
     assert calls > 1 and log.count("jacobian") == calls - 1
     assert log.count("solve") == calls
     assert all(a != "jacobian" or b == "end" for a, b in zip(log, log[1:]))
+
+
+# ------------------------------------------------------------- fold system
+
+def _fold_residual(prep, c, s_free, s):
+    """The fold system's residual as a function of z = (x, v, p) in a list, p = s or lam."""
+    m = len(c)
+
+    def F(z):
+        z = np.array(z)
+        scale, lam = (z[-1], 1.0) if s_free else (s, z[-1])
+        t, J = powerflow._fold_point(powerflow._at_scale(prep, scale), lam, z[:m])
+        return [*t.r, *(J @ z[m:2 * m]), c @ z[m:2 * m] - 1.0]
+    return F
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_fold_jacobian_matches_central_differences(n):
+    # s free at lam = 1 and lam free at a fixed s, at a fold (J singular) and away
+    # from it (the rated flow with a random v, and 0.9 of rated load for lam)
+    rng = np.random.default_rng(4000 + n)
+    case = scale_to_gscr(case_from_dict(random_network_doc(rng, n, link_prob=1.0)), 2.0)
+    prep = prepare(case)
+    g1 = case_gscr(case)[1]
+    fold = _modal_fold(prep, g1) or _critical_fold(prep, g1)
+    rated = newton_solve(prep, prep.rated_orders)
+    assert isinstance(rated, GridState)
+    m = 2 * n
+    for x, v, s, lam in ((fold.x, fold.v, fold.s, 1.0),
+                         (np.concatenate([rated.delta, rated.U]), rng.normal(size=m), 1.0, 0.9)):
+        c = v / (v @ v)
+        for s_free in (True, False):
+            z = np.concatenate([x, v, [s if s_free else lam]])
+            at = powerflow._at_scale(prep, s)
+            t, J = powerflow._fold_point(at, 1.0 if s_free else lam, x)
+            exact = powerflow._fold_jacobian(at, z, c, J, t, s_free)
+            fd = np.array(central_jacobian(_fold_residual(prep, c, s_free, s), z.tolist()))
+            for rows, cols in ((slice(0, m), slice(0, m)), (slice(m, 2 * m), slice(0, m)),
+                               (slice(m, 2 * m), slice(m, 2 * m)), (slice(0, 2 * m), -1),
+                               (2 * m, slice(m, 2 * m))):
+                scale = np.abs(fd[rows, cols]).max()
+                assert np.abs(exact[rows, cols] - fd[rows, cols]).max() <= 1e-6 * scale
+            assert not exact[:m, m:2 * m].any() and not exact[2 * m, :m].any()
 
 
 # -------------------------------------------------------------- newton solve
