@@ -13,14 +13,18 @@ DC current solves
     (b - R) I^2 - a U cos(gamma) I + P_order = 0        (low root)
 
 The reactive balance is Q = -P tan(phi) + B_c U^2 with cos(phi) = cos(gamma) - c;
-B_c is the filter susceptance at rated frequency.
+B_c is the filter susceptance at rated frequency.  The array form, _constants
+to _state_tangent, is this arithmetic element by element on every bus at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
+
+import numpy as np
 
 from .casefile import CaseFile, ConverterSpec
 from .errors import ConverterInfeasible, GridStrengthError
@@ -212,3 +216,161 @@ def rated_order(params: LccParams) -> float:
 
 def rated_state(params: LccParams) -> ConverterState:
     return solve_state(params, 1.0, rated_order(params))
+
+
+class _ConverterArrays(NamedTuple):
+    """LccParams of every bus as arrays; converter-base pu except p_dn."""
+
+    p_dn: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    b_over_a: np.ndarray
+    cos_g: np.ndarray
+    acg: np.ndarray         # a cos(gamma)
+    gamma: np.ndarray
+    A4: np.ndarray          # 4 (b - r), the current quadratic's leading coefficient times 4
+    r: np.ndarray
+    wbc: np.ndarray         # omega b_c
+
+
+class _Orders(NamedTuple):
+    """The orders and the quadratic's terms in them alone: once per newton_solve, else per call."""
+
+    orders: np.ndarray      # system pu
+    p: np.ndarray           # converter pu
+    p2: np.ndarray          # 2 p
+    A4p: np.ndarray         # 4 (b - r) p
+    valid: bool             # p >= 0 and, in a record for one call, U > 0 on every bus
+
+
+class _ConverterPoint(NamedTuple):
+    """Every converter at one (U, orders), converter pu: the low root and what follows from it."""
+
+    U: np.ndarray
+    I: np.ndarray
+    cphi: np.ndarray
+    sphi: np.ndarray
+    root: np.ndarray        # sqrt of the quadratic's discriminant
+    P: np.ndarray
+    mQ: np.ndarray          # -Q, which saves a negation in Q and in gQ
+
+
+# LccParams' lower bounds in _constants' rows (x <= 0 is x < 5e-324); nan passes, as there
+_LOWER = np.array([5e-324, 5e-324, 1.0, 5e-324, 5e-324, 0.0, 0.0])[:, None]
+
+
+def _lcc_params(case: CaseFile, buses) -> tuple[LccParams, ...]:
+    return tuple(LccParams.from_spec(case.converter_at(bus), case) for bus in buses)
+
+
+def _constants(case: CaseFile, buses) -> tuple[_ConverterArrays, np.ndarray]:
+    """LccParams' constants and rated_order, in system pu, for every bus at once.
+
+    The arithmetic is LccParams' and rated_current's, element by element, so
+    the constants are bitwise theirs.  Where a converter is outside their
+    domain the per-bus constructors run, and the first failure raises.
+    """
+    # ConverterSpec's fields p_dn_mw .. b_c_pu, one row each
+    rows = chain.from_iterable([s[1:8] for s in map(case.converter_at, buses)])
+    C = np.fromiter(rows, float).reshape(-1, 7).T.copy()
+    C[0] /= case.system_base_mva
+    np.radians(C[1], out=C[1])
+    p_dn, gamma, nb, k, x, r, b_c = C
+    # math.cos, not np.cos: numpy's vector cos may round differently from libm's
+    cos_g = np.array([math.cos(g) for g in gamma.tolist()])
+    a = 3.0 * SQRT2 * nb * k / math.pi
+    b = 3.0 * nb * x / math.pi
+    Bq = a * cos_g
+    disc = Bq * Bq - 4.0 * b
+    if (C < _LOWER).any() or not (gamma < math.pi / 2).all() or (disc < 0.0).any():
+        for p in _lcc_params(case, buses):
+            rated_order(p)
+        raise AssertionError("unreachable: the per-bus constructors raise on the same bus")
+    I_N = 2.0 / (Bq + np.sqrt(disc))
+    consts = _ConverterArrays(p_dn=p_dn, a=a, b=b, b_over_a=b / a, cos_g=cos_g, acg=Bq,
+                              gamma=gamma, A4=4.0 * (b - r), r=r, wbc=b_c)   # omega = 1
+    return consts, p_dn * (1.0 + I_N * I_N * r)
+
+
+def _order_terms(k: _ConverterArrays, p_orders: np.ndarray, U=None) -> _Orders:
+    p = p_orders / k.p_dn
+    # min() is nan, and each test false, when an input is nan
+    valid = p.min() >= 0.0 and (U is None or U.min() > 0.0)
+    return _Orders(p_orders, p, 2.0 * p, k.A4 * p, valid)
+
+
+def _solve_converters(k: _ConverterArrays, U: np.ndarray, o: _Orders, params) -> _ConverterPoint:
+    """Every converter at once: the low root of the current quadratic.
+
+    The arithmetic and the domain checks are solve_state's, element by
+    element, so a bus fails here exactly where solve_state fails on it.  Only
+    then the per-bus solves run in bus order on params(), the LccParams per
+    bus, and the first failing one raises its ConverterInfeasible reason and bus name.
+    """
+    Bq = k.a * U * k.cos_g
+    disc = Bq * Bq - o.A4p
+    # U > 0 is in o.valid or newton_solve's band; min() is nan, each test false, on nan
+    if o.valid and disc.min() >= 0.0:
+        root = np.sqrt(disc)
+        I = o.p2 / (Bq + root)
+        c = k.b_over_a * I / U
+        cphi = k.cos_g - c
+        # as c >= 0 and cos(gamma) <= 1, this gives -1 < cos(gamma) - 2c <= 1 too
+        if cphi.min() > 0.0:
+            P = o.p - I * I * k.r
+            sphi = np.sqrt(1.0 - cphi * cphi)
+            mQ = P * sphi / cphi - k.wbc * U * U
+            return _ConverterPoint(U, I, cphi, sphi, root, P, mQ)
+    _solve_converters_loop(params(), U, o.orders)
+    raise AssertionError("unreachable: the per-bus solves raise on the same bus")
+
+
+def _solve_converters_loop(params, U: np.ndarray, p_orders: np.ndarray):
+    """Local solves per bus; p_orders in system pu.  Raises ConverterInfeasible."""
+    states = []
+    for i, p in enumerate(params):
+        states.append(solve_state(p, float(U[i]), float(p_orders[i]) / p.p_dn))
+    return tuple(states)
+
+
+def _point_states(k: _ConverterArrays, t: _ConverterPoint) -> tuple[ConverterState, ...]:
+    """t as one ConverterState per bus, for output."""
+    c = k.b_over_a * t.I / t.U
+    cols = (t.U, t.I, t.P, -t.mQ, np.arccos(t.cphi), np.arccos(k.cos_g - 2.0 * c) - k.gamma, c,
+            t.P / (t.U * t.U), k.a * t.U * k.cos_g - k.b * t.I)
+    return tuple(map(ConverterState._make, zip(*(col.tolist() for col in cols))))
+
+
+def _converter_slopes(k: _ConverterArrays, t: _ConverterPoint) -> tuple:
+    """-dI/dU, -dc/dU, dP/dU and -dQ/dU at fixed order at the point t.
+
+    At the low root 2 (b - r) I - a U cos(gamma) = -root.
+    """
+    ndI = k.acg * t.I / t.root
+    ndc = k.b_over_a * (ndI + t.I / t.U) / t.U
+    dP = 2.0 * t.I * ndI * k.r
+    ndQ = dP * t.sphi / t.cphi - t.P * ndc / (t.cphi * t.cphi * t.sphi) - 2.0 * k.wbc * t.U
+    return ndI, ndc, dP, ndQ
+
+
+def _state_tangent(k: _ConverterArrays, t: _ConverterPoint, dU, dp) -> tuple:
+    """Derivative along (dU, dp) of P, -Q, dP/dU and -dQ/dU at t, then dP/dU and -dQ/dU.
+
+    dp is in converter pu.  The quadratic gives dI = (dp - a cos(gamma) I dU) / root,
+    so dI/dp = 1 / root; the rest follows by the chain rule, as in _converter_slopes.
+    """
+    U, I, P, cphi, sphi, root = t.U, t.I, t.P, t.cphi, t.sphi, t.root
+    ndI, ndc, dP, ndQ = _converter_slopes(k, t)
+    tan, K = sphi / cphi, 1.0 / (cphi * cphi * sphi)    # d tan = K dc
+    d_root = (k.acg * k.acg * U * dU - 0.5 * k.A4 * dp) / root
+    d_I = (dp - k.acg * I * dU) / root
+    d_c = k.b_over_a * (d_I - I * dU / U) / U
+    d_P = dp - 2.0 * k.r * I * d_I
+    d_mQ = d_P * tan + P * K * d_c - 2.0 * k.wbc * U * dU
+    d_K = K * d_c * (2.0 / cphi - cphi / (sphi * sphi))
+    d_ndI = k.acg * (d_I - I * d_root / root) / root
+    d_ndc = k.b_over_a * (d_ndI + (d_I - 2.0 * I * dU / U) / U - ndI * dU / U) / U
+    d_dP = 2.0 * k.r * (d_I * ndI + I * d_ndI)
+    d_ndQ = (d_dP * tan + dP * K * d_c - K * (d_P * ndc + P * d_ndc) - P * ndc * d_K
+             - 2.0 * k.wbc * dU)
+    return d_P, d_mQ, d_dP, d_ndQ, dP, ndQ

@@ -16,13 +16,13 @@ converter.sensitivity_T and never inside Newton.
 
 mismatch and assemble_jacobian are the power-flow kernel.  Above SMALL_N
 buses they work on whole arrays, in the array form of MATPOWER's dSbus_dV
-(Zimmerman et al., IEEE TPWRS 26(1), 2011), with solve_state's arithmetic
-element by element.  Once per solve, newton_solve takes the current
-quadratic's terms in the orders alone (p, 2p, 4(b - r)p, p >= 0).  Once
-per point: the low root for every converter, one exp(j d), one
-W = B o e^{j (d_i - d_j)} and one W U, whose sum with f e^{j d} gives the
-residual as one vector and, with the converter terms, the 2n x 2n
-Jacobian.  At SMALL_N buses or fewer numpy's fixed cost per call outweighs
+(Zimmerman et al., IEEE TPWRS 26(1), 2011), with converter's array form.
+Once per solve, newton_solve takes the current quadratic's terms in the
+orders alone (p, 2p, 4(b - r)p, p >= 0).  Once per point: the low root for
+every converter, one exp(j d), one W = B o e^{j (d_i - d_j)} and one W U,
+whose sum with f e^{j d} gives the residual as one vector and, with the
+converter terms through the rating and 1/U, the 2n x 2n Jacobian.  At
+SMALL_N buses or fewer numpy's fixed cost per call outweighs
 the O(n^2) work, so mismatch runs per-bus loops over solve_state and
 state_derivatives instead; the fold system, whose second-order terms read
 the array point, calls the array form _mismatch_array at every n.  mismatch
@@ -51,20 +51,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
+from . import converter
 from .casefile import CaseFile
-from .converter import (
-    SQRT2,
-    ConverterState,
-    LccParams,
-    rated_order,
-    solve_state,
-    state_derivatives,
-)
+from .converter import ConverterState, LccParams, state_derivatives
 from .errors import ConverterInfeasible, GridStrengthError
 from .netmodel import ReducedNetwork, reduce_case
 
@@ -113,48 +106,13 @@ class ContinuationResult(NamedTuple):
     history: tuple[MapPoint, ...]
 
 
-class _ConverterArrays(NamedTuple):
-    """LccParams of every bus as arrays; converter-base pu except p_dn."""
-
-    p_dn: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    b_over_a: np.ndarray
-    cos_g: np.ndarray
-    acg: np.ndarray         # a cos(gamma)
-    gamma: np.ndarray
-    A4: np.ndarray          # 4 (b - r), the current quadratic's leading coefficient times 4
-    r: np.ndarray
-    wbc: np.ndarray         # omega b_c
-
-
-class _Orders(NamedTuple):
-    """The orders and the quadratic's terms in them alone: once per newton_solve, else per call."""
-
-    orders: np.ndarray      # system pu
-    p: np.ndarray           # converter pu
-    p2: np.ndarray          # 2 p
-    A4p: np.ndarray         # 4 (b - r) p
-    valid: bool             # p >= 0 and, in a record for one call, U > 0 on every bus
-
-
 class _Point(NamedTuple):
-    """One array-path point: U to mQ (converter pu) depend on (U, orders), W, inj, r on all."""
+    """One array-path point: conv depends on (U, orders), W, inj and r on all."""
 
-    U: np.ndarray
-    I: np.ndarray
-    cphi: np.ndarray
-    sphi: np.ndarray
-    root: np.ndarray        # sqrt of the quadratic's discriminant
-    P: np.ndarray
-    mQ: np.ndarray          # -Q, which saves a negation in Q and in gQ
+    conv: converter._ConverterPoint
     W: np.ndarray           # B_ij e^{j (d_i - d_j)}
     inj: np.ndarray         # f_i e^{j d_i} + sum_j W_ij U_j, the j = i term included
     r: np.ndarray           # (gP, gQ) as one vector
-
-
-# LccParams' lower bounds in prepare's rows (x <= 0 is x < 5e-324); nan passes, as there
-_LOWER = np.array([5e-324, 5e-324, 1.0, 5e-324, 5e-324, 0.0, 0.0])[:, None]
 
 
 @dataclass(frozen=True)
@@ -164,7 +122,7 @@ class PreparedCase:
     net: ReducedNetwork
     case: CaseFile              # its converter blocks give converters; net may be rescaled
     rated_orders: np.ndarray    # system pu rectifier orders at rated delivery
-    consts: _ConverterArrays
+    consts: converter._ConverterArrays
     B_c: np.ndarray = field(init=False)     # B as complex, the type it meets in W, and
     B_diag: np.ndarray = field(init=False)  # its diagonal: both follow net, replace() included
 
@@ -179,102 +137,29 @@ class PreparedCase:
     @cached_property
     def converters(self) -> tuple[LccParams, ...]:
         """LccParams per bus, built on first use: the per-bus loops and their callers read them."""
-        return _lcc_params(self.case, self.net.bus_order)
-
-
-def _lcc_params(case: CaseFile, buses) -> tuple[LccParams, ...]:
-    return tuple(LccParams.from_spec(case.converter_at(bus), case) for bus in buses)
+        return converter._lcc_params(self.case, self.net.bus_order)
 
 
 def prepare(case: CaseFile) -> PreparedCase:
-    """Reduce the network and take LccParams' constants and rated_order for every bus at once.
-
-    The arithmetic is LccParams' and rated_current's, element by element, so
-    the constants are bitwise theirs.  Where a converter is outside their
-    domain the per-bus constructors run, and the first failure raises.
-    """
+    """Reduce the network and take converter._constants of its buses (which checks them)."""
     net = reduce_case(case)
-    # ConverterSpec's fields p_dn_mw .. b_c_pu, one row each
-    rows = chain.from_iterable([s[1:8] for s in map(case.converter_at, net.bus_order)])
-    C = np.fromiter(rows, float).reshape(-1, 7).T.copy()
-    C[0] /= case.system_base_mva
-    np.radians(C[1], out=C[1])
-    p_dn, gamma, nb, k, x, r, b_c = C
-    # math.cos, not np.cos: numpy's vector cos may round differently from libm's
-    cos_g = np.array([math.cos(g) for g in gamma.tolist()])
-    a = 3.0 * SQRT2 * nb * k / math.pi
-    b = 3.0 * nb * x / math.pi
-    Bq = a * cos_g
-    disc = Bq * Bq - 4.0 * b
-    if (C < _LOWER).any() or not (gamma < math.pi / 2).all() or (disc < 0.0).any():
-        for p in _lcc_params(case, net.bus_order):
-            rated_order(p)
-        raise AssertionError("unreachable: the per-bus constructors raise on the same bus")
-    I_N = 2.0 / (Bq + np.sqrt(disc))
-    consts = _ConverterArrays(p_dn=p_dn, a=a, b=b, b_over_a=b / a, cos_g=cos_g, acg=Bq,
-                              gamma=gamma, A4=4.0 * (b - r), r=r, wbc=b_c)   # omega = 1
-    return PreparedCase(net=net, case=case, rated_orders=p_dn * (1.0 + I_N * I_N * r),
-                        consts=consts)
-
-
-def _order_terms(prep: PreparedCase, p_orders: np.ndarray, U=None) -> _Orders:
-    p = p_orders / prep.consts.p_dn
-    # min() is nan, and each test false, when an input is nan
-    valid = p.min() >= 0.0 and (U is None or U.min() > 0.0)
-    return _Orders(p_orders, p, 2.0 * p, prep.consts.A4 * p, valid)
-
-
-def _solve_converters(prep: PreparedCase, U: np.ndarray, o: _Orders) -> tuple:
-    """Every converter at once: the low root of the current quadratic, as _Point's U to mQ.
-
-    The arithmetic and the domain checks are solve_state's, element by
-    element, so a bus fails here exactly where solve_state fails on it.  On
-    a failure the per-bus solves run in bus order, and the first failing
-    one raises its ConverterInfeasible reason and bus name.
-    """
-    k = prep.consts
-    Bq = k.a * U * k.cos_g
-    disc = Bq * Bq - o.A4p
-    # U > 0 is in o.valid or newton_solve's band; min() is nan, each test false, on nan
-    if o.valid and disc.min() >= 0.0:
-        root = np.sqrt(disc)
-        I = o.p2 / (Bq + root)
-        c = k.b_over_a * I / U
-        cphi = k.cos_g - c
-        # as c >= 0 and cos(gamma) <= 1, this gives -1 < cos(gamma) - 2c <= 1 too
-        if cphi.min() > 0.0:
-            P = o.p - I * I * k.r
-            sphi = np.sqrt(1.0 - cphi * cphi)
-            mQ = P * sphi / cphi - k.wbc * U * U
-            return U, I, cphi, sphi, root, P, mQ
-    _solve_converters_loop(prep, U, o.orders)
-    raise AssertionError("unreachable: the per-bus solves raise on the same bus")
-
-
-def _solve_converters_loop(prep: PreparedCase, U: np.ndarray, p_orders: np.ndarray):
-    """Local solves per bus; p_orders in system pu.  Raises ConverterInfeasible."""
-    states = []
-    for i, p in enumerate(prep.converters):
-        states.append(solve_state(p, float(U[i]), float(p_orders[i]) / p.p_dn))
-    return tuple(states)
+    consts, rated_orders = converter._constants(case, net.bus_order)
+    return PreparedCase(net=net, case=case, rated_orders=rated_orders, consts=consts)
 
 
 def converter_states(prep: PreparedCase, conv) -> tuple[ConverterState, ...]:
-    """The converter solution mismatch returned, as one ConverterState per bus (for output)."""
-    if not isinstance(conv, _Point):
-        return conv     # the per-bus path solved ConverterState records already
-    k, t = prep.consts, conv
-    c = k.b_over_a * t.I / t.U
-    cols = (t.U, t.I, t.P, -t.mQ, np.arccos(t.cphi), np.arccos(k.cos_g - 2.0 * c) - k.gamma, c,
-            t.P / (t.U * t.U), k.a * t.U * k.cos_g - k.b * t.I)
-    return tuple(map(ConverterState._make, zip(*(col.tolist() for col in cols))))
+    """The converter solution mismatch returned, as one ConverterState per bus (for output).
+
+    The per-bus path solved ConverterState records already.
+    """
+    return converter._point_states(prep.consts, conv.conv) if isinstance(conv, _Point) else conv
 
 
 def mismatch(prep: PreparedCase, delta: np.ndarray, U: np.ndarray,
              p_orders, conv=None):
     """Scaled mismatches (gP, gQ) and the terms they came from.
 
-    p_orders (system pu) may come as newton_solve's _Orders.  The converter
+    p_orders (system pu) may come as newton_solve's converter._Orders.  The converter
     solution is solved here unless conv, what an earlier call returned at the
     same U and orders, lends its own.  The terms serve assemble_jacobian here.
     """
@@ -286,24 +171,24 @@ def mismatch(prep: PreparedCase, delta: np.ndarray, U: np.ndarray,
 def _mismatch_array(prep: PreparedCase, delta: np.ndarray, U: np.ndarray,
                     p_orders, conv=None):
     """mismatch on whole arrays at any bus count; its terms are a _Point."""
-    n = len(U)
+    n, k = len(U), prep.consts
     if conv is None:
-        o = p_orders if type(p_orders) is _Orders else _order_terms(prep, p_orders, U)
-        conv = _solve_converters(prep, U, o)
+        o = p_orders if type(p_orders) is converter._Orders else converter._order_terms(k, p_orders, U)
+        conv = converter._solve_converters(k, U, o, lambda: prep.converters)
     else:
-        conv = conv[:7]     # U to mQ
+        conv = conv.conv
     e = np.exp(1j * delta)
     W = prep.B_c * np.multiply.outer(e, e.conj())
     inj = prep.net.f * e + W.dot(U)     # as W @ U, without matmul's dispatch
-    r, p_dn = np.empty(2 * n), prep.consts.p_dn
-    gP = np.subtract(inj.imag, conv[-2] * p_dn / U, out=r[:n])      # conv[-2] is P
-    gQ = np.subtract(conv[-1] * p_dn / U, inj.real, out=r[n:])      # conv[-1] is -Q
-    return gP, gQ, _Point(*conv, W, inj, r)
+    r, p_dn = np.empty(2 * n), k.p_dn
+    gP = np.subtract(inj.imag, conv.P * p_dn / U, out=r[:n])
+    gQ = np.subtract(conv.mQ * p_dn / U, inj.real, out=r[n:])
+    return gP, gQ, _Point(conv, W, inj, r)
 
 
 def _mismatch_loop(prep, delta, U, p_orders, states):
     if states is None:
-        states = _solve_converters_loop(prep, U, p_orders)
+        states = converter._solve_converters_loop(prep.converters, U, p_orders)
     B = prep.net.B
     f = prep.net.f
     n = prep.n
@@ -336,34 +221,22 @@ def assemble_jacobian(prep: PreparedCase, delta: np.ndarray, U: np.ndarray,
     t = mismatch(prep, delta, U, p_orders)[2] if conv is None else conv
     if type(t) is not _Point:
         return _jacobian_loop(prep, delta, U, t)
-    n, k = len(U), prep.consts
+    n, c, p_dn = len(U), t.conv, prep.consts.p_dn
     C, S, mU = t.W.real, t.W.imag, -U
     J = np.empty((2 * n, 2 * n))
     np.multiply(C, mU, out=J[:n, :n])
     np.multiply(S, mU, out=J[n:, :n])
     J[:n, n:] = S
     np.negative(C, out=J[n:, n:])
-    _, _, dP, ndQ = _converter_slopes(k, t)
+    _, _, dP, ndQ = converter._converter_slopes(prep.consts, c)
     # block diagonals as strided views of the flat J; the products above left
     # -C_ii U_i on the angle diagonals, and inj sums W_ij U_j over every j
     flat, s, m, U2 = J.reshape(-1), 2 * n + 1, 2 * n * n, U * U
     flat[:n * s:s] += t.inj.real                                        # dgP/dd
     flat[m::s] += t.inj.imag                                            # dgQ/dd
-    np.divide(k.p_dn * (t.P - U * dP), U2, out=flat[n:n * s:s])         # dgP/dU
-    np.subtract(k.p_dn * (U * ndQ - t.mQ) / U2, prep.B_diag, out=flat[m + n::s])   # dgQ/dU
+    np.divide(p_dn * (c.P - U * dP), U2, out=flat[n:n * s:s])           # dgP/dU
+    np.subtract(p_dn * (U * ndQ - c.mQ) / U2, prep.B_diag, out=flat[m + n::s])     # dgQ/dU
     return J
-
-
-def _converter_slopes(k: _ConverterArrays, t: _Point) -> tuple:
-    """-dI/dU, -dc/dU, dP/dU and -dQ/dU at fixed order at the point t.
-
-    At the low root 2 (b - r) I - a U cos(gamma) = -root.
-    """
-    ndI = k.acg * t.I / t.root
-    ndc = k.b_over_a * (ndI + t.I / t.U) / t.U
-    dP = 2.0 * t.I * ndI * k.r
-    ndQ = dP * t.sphi / t.cphi - t.P * ndc / (t.cphi * t.cphi * t.sphi) - 2.0 * k.wbc * t.U
-    return ndI, ndc, dP, ndQ
 
 
 def _jacobian_loop(prep, delta, U, states):
@@ -455,7 +328,7 @@ def newton_solve(prep: PreparedCase, p_orders, warm: GridState | None = None,
         x = np.concatenate([np.zeros(n), np.ones(n)])
     lo, hi = U_BAND
     array = n > SMALL_N     # order terms once per solve, the residual as one vector
-    orders = _order_terms(prep, p_orders) if array else p_orders
+    orders = converter._order_terms(prep.consts, p_orders) if array else p_orders
 
     def resid(x):
         # a trial outside the U band or without a converter steady state is rejected
@@ -569,25 +442,10 @@ def _fold_point(prep: PreparedCase, lam: float, x: np.ndarray):
 
 
 def _converter_tangent(k, t, dU, dp) -> tuple:
-    """Derivative along (dU, dp) of the converter terms of g and of J's dU diagonals at t.
-
-    dp is in converter pu.  The quadratic gives dI = (dp - a cos(gamma) I dU) / root,
-    so dI/dp = 1 / root; the rest follows by the chain rule, as in _converter_slopes.
-    """
-    U, I, P, mQ, cphi, sphi, root = t.U, t.I, t.P, t.mQ, t.cphi, t.sphi, t.root
-    ndI, ndc, dP, ndQ = _converter_slopes(k, t)
-    tan, K = sphi / cphi, 1.0 / (cphi * cphi * sphi)    # d tan = K dc
-    d_root = (k.acg * k.acg * U * dU - 0.5 * k.A4 * dp) / root
-    d_I = (dp - k.acg * I * dU) / root
-    d_c = k.b_over_a * (d_I - I * dU / U) / U
-    d_P = dp - 2.0 * k.r * I * d_I
-    d_mQ = d_P * tan + P * K * d_c - 2.0 * k.wbc * U * dU
-    d_K = K * d_c * (2.0 / cphi - cphi / (sphi * sphi))
-    d_ndI = k.acg * (d_I - I * d_root / root) / root
-    d_ndc = k.b_over_a * (d_ndI + (d_I - 2.0 * I * dU / U) / U - ndI * dU / U) / U
-    d_dP = 2.0 * k.r * (d_I * ndI + I * d_ndI)
-    d_ndQ = (d_dP * tan + dP * K * d_c - K * (d_P * ndc + P * d_ndc) - P * ndc * d_K
-             - 2.0 * k.wbc * dU)
+    """Derivative along (dU, dp) of the converter terms of g and of J's dU diagonals at t, the
+    converter record: converter._state_tangent's, dp in converter pu, through the rating and 1/U."""
+    d_P, d_mQ, d_dP, d_ndQ, dP, ndQ = converter._state_tangent(k, t, dU, dp)
+    U, P, mQ = t.U, t.P, t.mQ
     p_U, U2 = k.p_dn / U, U * U
     return (-p_U * (d_P - P * dU / U), p_U * (d_mQ - mQ * dU / U),
             k.p_dn * (d_P - dU * dP - U * d_dP - 2.0 * (P - U * dP) * dU / U) / U2,
@@ -608,17 +466,17 @@ def _fold_jacobian(prep: PreparedCase, z: np.ndarray, c: np.ndarray, J: np.ndarr
     m = len(c)
     n, k = m // 2, prep.consts
     dd, du = z[m:m + n], z[m + n:2 * m]
-    W, inj = t.W, t.inj
+    W, inj, U = t.W, t.inj, t.conv.U
     dW = 1j * np.subtract.outer(dd, dd) * W
-    dM = dW * t.U + W * du              # the derivative of W_ij U_j
-    d_inj = 1j * (dd * inj - W.dot(dd * t.U)) + W.dot(du)
-    _, _, dJ_PU, dJ_QU = _converter_tangent(k, t, du, 0.0)
+    dM = dW * U + W * du                # the derivative of W_ij U_j
+    d_inj = 1j * (dd * inj - W.dot(dd * U)) + W.dot(du)
+    _, _, dJ_PU, dJ_QU = _converter_tangent(k, t.conv, du, 0.0)
     D = np.block([[np.diag(d_inj.real) - dM.real, np.diag(dJ_PU) + dW.imag],
                   [np.diag(d_inj.imag) - dM.imag, np.diag(dJ_QU) - dW.real]])
     if s_free:
         col = np.concatenate([inj.imag, -inj.real, d_inj.imag, -d_inj.real]) / -z[-1]
     else:
-        dgP, dgQ, dJ_PU, dJ_QU = _converter_tangent(k, t, 0.0, prep.rated_orders / k.p_dn)
+        dgP, dgQ, dJ_PU, dJ_QU = _converter_tangent(k, t.conv, 0.0, prep.rated_orders / k.p_dn)
         col = np.concatenate([dgP, dgQ, dJ_PU * du, dJ_QU * du])
     O = np.zeros((m, m))
     return np.block([[J, O, col[:m, None]], [D, J, col[m:, None]], [O[:1], c[None], 0.0]])

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gridstrength import powerflow
+from gridstrength import converter, powerflow
 from gridstrength.boundary import _critical_fold, _modal_fold, case_gscr, scale_to_gscr
 from gridstrength.casefile import case_from_dict, load_bundled_case, with_rating
 from gridstrength.converter import LccParams, rated_order, sensitivity_T
@@ -274,13 +274,13 @@ def test_continuation_steps_agree_on_both_paths(n, monkeypatch):
     # points without a converter steady state, which a flat rated start never does
     prep = prepare(tuned_random_case(n))
     fallbacks = []
-    loop_solve = powerflow._solve_converters_loop
+    loop_solve = converter._solve_converters_loop
 
     def counted(*args):
         fallbacks.append(args)
         return loop_solve(*args)
 
-    monkeypatch.setattr(powerflow, "_solve_converters_loop", counted)
+    monkeypatch.setattr(converter, "_solve_converters_loop", counted)
     monkeypatch.setattr(powerflow, "SMALL_N", ARRAYS)
     arr = trace_map(prep)
     assert fallbacks or n == 8      # the array path handed an infeasible point to the loops
@@ -411,7 +411,7 @@ def test_prepare_rejects_converters_outside_the_model(changes, message):
 def test_converters_solved_once_per_mismatch_never_in_the_jacobian(monkeypatch):
     prep = prepare(tuned_random_case(16))
     log = []
-    solve, mis, jac = powerflow._solve_converters, powerflow.mismatch, powerflow.assemble_jacobian
+    solve, mis, jac = converter._solve_converters, powerflow.mismatch, powerflow.assemble_jacobian
 
     def counted_solve(*args):
         log.append("solve")
@@ -427,7 +427,7 @@ def test_converters_solved_once_per_mismatch_never_in_the_jacobian(monkeypatch):
         log.append("end")
         return J
 
-    monkeypatch.setattr(powerflow, "_solve_converters", counted_solve)
+    monkeypatch.setattr(converter, "_solve_converters", counted_solve)
     monkeypatch.setattr(powerflow, "mismatch", counted_mismatch)
     monkeypatch.setattr(powerflow, "assemble_jacobian", counted_jacobian)
     assert isinstance(newton_solve(prep, prep.rated_orders), GridState)
