@@ -31,7 +31,7 @@ from .boundary import (
 from .casefile import CaseFile, bundled_case_dir, load_case
 from .errors import CaseFormatError, GridStrengthError
 from .gscr import classify, perron_report
-from .powerflow import NEWTON_TOL, Diverged, newton_solve, prepare, sigma_min, trace_map
+from .powerflow import Diverged, newton_solve, prepare, sigma_min, trace_map
 from .validate import SWEEP_RATIOS, validate_suite
 
 EXIT_OK = 0
@@ -111,7 +111,7 @@ def _cmd_classify(args: argparse.Namespace, case: CaseFile) -> tuple[str, int]:
 
 def _cmd_powerflow(args: argparse.Namespace, case: CaseFile) -> tuple[str, int]:
     prep = prepare(case)
-    res = newton_solve(prep, prep.rated_orders, tol=args.tol_newton)
+    res = newton_solve(prep, prep.rated_orders)
     if isinstance(res, Diverged):
         raise GridStrengthError(f"rated power flow diverged: {res.reason}")
     buses = []
@@ -268,9 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     case_cmd("gscr", "index, spectrum and classification of a case", [thresholds], _cmd_gscr)
     case_cmd("classify", "strength class of a case", [thresholds], _cmd_classify)
-    pf = case_cmd("powerflow", "rated-point AC/DC power flow", [], _cmd_powerflow)
-    pf.add_argument("--tol-newton", type=_positive("tol_newton"), default=NEWTON_TOL,
-                    metavar="X", help="mismatch norm tolerance")
+    case_cmd("powerflow", "rated-point AC/DC power flow", [], _cmd_powerflow)
     case_cmd("map", "continuation trace to maximum available power (CSV)", [], _cmd_map)
     case_cmd("find-cgscr", "impedance scale search for the critical index", [], _cmd_find)
     case_cmd("find-bgscr", "impedance scale search for the 30-degree boundary", [agg], _cmd_find)

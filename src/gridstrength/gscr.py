@@ -89,7 +89,7 @@ def _symmetrized(J: ExtendedJacobian) -> np.ndarray:
     # S = D^{1/2} (-B) D^{1/2}; recover -B as diag(P_N) J_eq
     negB = J.p_n[:, None] * J.matrix
     S = d[:, None] * negB * d[None, :]
-    return 0.5 * (S + S.T)
+    return 0.5 * S + 0.5 * S.T      # S + S.T would overflow above half the float maximum
 
 
 def compute_gscr(J: ExtendedJacobian) -> tuple[EigenResult, float]:
@@ -115,7 +115,10 @@ def compute_gscr(J: ExtendedJacobian) -> tuple[EigenResult, float]:
         y = np.linalg.solve(S, np.ones(n))
     except np.linalg.LinAlgError as exc:
         raise EigenSolveError(f"symmetric eigensolve failed: {exc}") from exc
-    w1 = y / np.sqrt(J.p_n)        # eigenvector of J_eq = D^{1/2} y
+    # eigenvector of J_eq = D^{1/2} y, from y and sqrt(p) scaled into [1/2, 1) by powers of
+    # two so that its norm cannot overflow; the normalization divides the powers out exactly
+    sq = np.sqrt(J.p_n)
+    w1 = np.ldexp(y, -math.frexp(np.abs(y).max())[1]) / np.ldexp(sq, -math.frexp(sq.max())[1])
     w1 /= np.linalg.norm(w1)
     Jm = np.ldexp(J.matrix, -e)
     resid = np.linalg.norm(Jm @ w1 - lam[0] * w1)

@@ -315,8 +315,7 @@ def damped_newton(resid, jac, x, tol: float, max_iter: int, slack: float = 1.0) 
     return NewtonResult(x, aux, norm, tuple(trace), "" if norm <= tol else "iteration limit")
 
 
-def newton_solve(prep: PreparedCase, p_orders, warm: GridState | None = None,
-                 tol: float = NEWTON_TOL):
+def newton_solve(prep: PreparedCase, p_orders, warm: GridState | None = None):
     """Power flow by damped_newton; returns GridState or Diverged (never raises on divergence)."""
     p_orders = np.asarray(p_orders, dtype=float)
     n = prep.n
@@ -346,7 +345,7 @@ def newton_solve(prep: PreparedCase, p_orders, warm: GridState | None = None,
 
     # a step may raise the mismatch by 20%: the raw step overshoots the U band
     # at light load with big shunts
-    res = damped_newton(resid, jac, x, tol, NEWTON_MAX_ITER, slack=1.2)
+    res = damped_newton(resid, jac, x, NEWTON_TOL, NEWTON_MAX_ITER, slack=1.2)
     if res.reason:
         return Diverged(reason=res.reason, trace=res.trace)
     return GridState(delta=res.x[:n], U=res.x[n:], converter_states=converter_states(prep, res.aux))

@@ -8,16 +8,18 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gridstrength.cli as cli
 from gridstrength import boundary, gscr
-from gridstrength.boundary import SweepRow
+from gridstrength.boundary import AGG_RULES, SweepRow
 from gridstrength.casefile import (
     bundled_case_dir,
     case_from_dict,
     case_to_dict,
     load_bundled_case,
+    load_case,
     save_case,
 )
 from gridstrength.netmodel import scale_impedance
@@ -112,10 +114,10 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys, [])[0] == 2
     assert run(capsys, ["bogus"])[0] == 2
     assert run(capsys, ["validate", "--jobs", "2"])[0] == 2
+    assert run(capsys, ["powerflow", "--tol-newton", "1e-8", "cigre_sidc"])[0] == 2
 
 
 @pytest.mark.parametrize("argv, name", [
-    (["powerflow", "--tol-newton", "inf"], "tol_newton"),
     (["gscr", "--cg", "nan"], "cg"),
     (["sweep", "--jobs", "0"], "jobs"),
     (["classify", "--bg", "inf"], "bg"),
@@ -199,13 +201,17 @@ def test_source_term_near_the_float_limit_is_input_error(capsys, tmp_path, cmd):
     assert err.startswith(f"error: {path}: network: bus 'inv1': emf_pu/reactance_pu sums")
 
 
-def _sidc_with(tmp_path, edit):
-    """The bundled single-infeed case, written after edit(doc) changes its document."""
-    doc = case_to_dict(load_bundled_case("cigre_sidc"))
+def _case_with(tmp_path, name, edit):
+    """The bundled case name, written after edit(doc) changes its document."""
+    doc = case_to_dict(load_bundled_case(name))
     edit(doc)
-    path = tmp_path / "sidc.json"
+    path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
+
+
+def _sidc_with(tmp_path, edit):
+    return _case_with(tmp_path, "cigre_sidc", edit)
 
 
 def _reactance(x):
@@ -265,6 +271,52 @@ def test_flow_never_forms_the_overflowing_index(capsys, tmp_path, cmd):
         code, out, err = run(capsys, [cmd, str(path)])
     assert (code, err) == (0, "")
     assert out
+
+
+def _tiny_ratings(doc):
+    # ratings 990 MW / 1e290 MVA = 9.9e-288 pu against the authored B: unscaled, the
+    # Perron vector y / sqrt(p) is about 1e158 and its norm overflows
+    doc.update(system_base_mva=1e290)
+
+
+@pytest.mark.parametrize("name", ["cigre_sidc", "dual", "quad"])
+def test_perron_vector_survives_ratings_near_the_float_minimum(capsys, tmp_path, name):
+    path = _case_with(tmp_path, name, _tiny_ratings)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cmd in ("gscr", "classify"):
+            code, out, err = run(capsys, [cmd, str(path)])
+            assert (code, err) == (0, ""), cmd
+        eig = boundary.case_gscr(load_case(path))[0]
+    authored = boundary.case_gscr(load_bundled_case(name))[0]
+    assert np.abs(eig.perron_vector - authored.perron_vector).max() <= 1e-12
+    assert eig.lambdas == pytest.approx(authored.lambdas * (1e290 / 990), rel=1e-12)
+
+
+def _index_near_the_float_maximum(doc):
+    # every Thevenin reactance 1e-10 against ratings 990 MW / 1.5e301 MVA: J_eq is finite,
+    # about 1.5e308, so S + S.T overflows where 0.5 S + 0.5 S.T does not
+    doc.update(system_base_mva=1.5e301)
+    for link in doc["thevenin_links"]:
+        link.update(reactance_pu=1e-10)
+
+
+@pytest.mark.parametrize("name, perron", [("cigre_sidc", [1.0]), ("dual", [0.5, 0.5])],
+                         ids=["cigre_sidc", "dual"])
+def test_index_near_the_float_maximum(capsys, tmp_path, name, perron):
+    path = _case_with(tmp_path, name, _index_near_the_float_maximum)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["gscr", str(path)])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["gscr"] == 1.51515e+308
+        eig, g = boundary.case_gscr(load_case(path))
+        assert (g, eig.perron_vector.tolist()) == (1.5151515151515154e+308, perron)
+        # the searches fail by name: no fold or bracket this far from the authored scale
+        for cmd in ("find-cgscr", "find-bgscr"):
+            code, out, err = run(capsys, [cmd, str(path)])
+            assert (code, out) == (1, ""), cmd
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_number_with_too_many_digits_is_input_error(capsys, tmp_path):
@@ -378,6 +430,18 @@ def test_bundled_outputs_are_golden(capsys, case, cmd):
     code, out, err = run(capsys, [cmd, case])
     assert (code, err) == (0, "")
     assert out == (GOLDEN_DIR / f"{case}.{cmd}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("golden", [*[f"{case}.map.csv" for case in BUNDLED],
+                                    "cigre_sidc.find-bgscr.json",
+                                    *[f"dual.find-bgscr.{agg}.json" for agg in AGG_RULES]])
+def test_continuation_and_boundary_outputs_are_golden(capsys, golden):
+    # the continuation and the BgSCR bisection on bundled cases, byte for byte; each
+    # file is named case.subcommand[.aggregation].extension
+    case, cmd, *agg = golden.split(".")[:-1]
+    code, out, err = run(capsys, [cmd, *(["--agg", *agg] if agg else []), case])
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_DIR / golden).read_text(encoding="utf-8")
 
 
 def test_gscr_report_and_determinism(capsys, paths):

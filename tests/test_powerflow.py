@@ -437,6 +437,19 @@ def test_converters_solved_once_per_mismatch_never_in_the_jacobian(monkeypatch):
     assert all(a != "jacobian" or b == "end" for a, b in zip(log, log[1:]))
 
 
+def test_flow_sized_solve_builds_no_lcc_params(monkeypatch):
+    # the array path reads the prepared constants; LccParams are for the per-bus
+    # loops and the failure paths, built on first use
+    case = tuned_random_case(16)
+    built = []
+    monkeypatch.setattr(LccParams, "__post_init__", lambda self: built.append(self.bus))
+    prep = prepare(case)
+    assert isinstance(newton_solve(prep, prep.rated_orders), GridState)
+    assert built == []
+    prep.converters     # the counter sees a construction
+    assert len(built) == 16
+
+
 # ------------------------------------------------------------- fold system
 
 def _fold_residual(prep, c, s_free, s):
