@@ -303,9 +303,9 @@ def _solve_converters(k: _ConverterArrays, U: np.ndarray, o: _Orders, params) ->
     """Every converter at once: the low root of the current quadratic.
 
     The arithmetic and the domain checks are solve_state's, element by
-    element, so a bus fails here exactly where solve_state fails on it.  Only
-    then the per-bus solves run in bus order on params(), the LccParams per
-    bus, and the first failing one raises its ConverterInfeasible reason and bus name.
+    element, so a bus fails here exactly where solve_state fails on it.  On a
+    failure, and only then, params() gives the LccParams per bus, the per-bus
+    solves run in bus order, and the first failing one raises its reason and bus.
     """
     Bq = k.a * U * k.cos_g
     disc = Bq * Bq - o.A4p

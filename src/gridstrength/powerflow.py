@@ -22,8 +22,8 @@ orders alone (p, 2p, 4(b - r)p, p >= 0).  Once per point: the low root for
 every converter, one exp(j d), one W = B o e^{j (d_i - d_j)} and one W U,
 whose sum with f e^{j d} gives the residual as one vector and, with the
 converter terms through the rating and 1/U, the 2n x 2n Jacobian.  At
-SMALL_N buses or fewer numpy's fixed cost per call outweighs
-the O(n^2) work, so mismatch runs per-bus loops over solve_state and
+SMALL_N buses or fewer numpy's fixed cost per call outweighs the O(n^2)
+work, so mismatch runs per-bus loops over solve_state and
 state_derivatives instead; the fold system, whose second-order terms read
 the array point, calls the array form _mismatch_array at every n.  mismatch
 returns the terms of its point for assemble_jacobian there, for mismatch at
