@@ -253,38 +253,36 @@ def _modal_fold(prep: PreparedCase, g1: float) -> _Fold | None:
     return fold if fold is not None and SCALE_LO <= fold.s <= SCALE_HI else None
 
 
-def _critical_fold(prep: PreparedCase, g1: float) -> _Fold:
-    """Fold at rated load when _modal_fold has none: walk the fold curve lam_fold(s) to lam = 1.
+def _walk_folds(prep: PreparedCase, fold: _Fold, gap, kind: str):
+    """Walk lam_fold(s) from fold to gap = 0, gap falling with s: (lo, hi), the last two folds,
+    lo.s < hi.s and gap(lo) > 0 >= gap(hi).  Each step moves ln s by h from the last fold; h
+    starts at WALK_STEP, grows x1.5 up to WALK_STEP_MAX and halves after a failure."""
+    up, h, last = gap(fold) > 0, WALK_STEP, fold
+    while (gap(fold) > 0) == up:
+        nxt = _solve_fold(prep, fold.x, fold.v, fold.s * math.exp(h if up else -h), fold.lam, kind)
+        if nxt is not None:
+            last, fold, h = fold, nxt, min(1.5 * h, WALK_STEP_MAX)
+        elif (h := 0.5 * h) < WALK_STEP_MIN:
+            raise GridStrengthError(f"{kind}: lost the fold curve at scale {fold.s:.6g} "
+                                    f"(lam {fold.lam:.6g})")
+    return (last, fold) if up else (fold, last)
 
-    Every fold frees lam at a fixed s, the first from the modal start at s0 =
-    gSCR(1) / 2, else at s0 / 1.5.  The walk steps ln s by h toward lam = 1
-    (lam_fold falls with s) from the last fold; h starts at WALK_STEP, grows
-    x1.5 after a success up to WALK_STEP_MAX and halves after a failure.
-    Once the walk crosses lam = 1, the s-free fold Newton of _modal_fold
-    closes on rated load from the walk's end above it, where every converter
-    still has a steady state at lam = 1; its s must lie between the ends.
-    """
+
+def _critical_fold(prep: PreparedCase, g1: float) -> _Fold:
+    """Fold at rated load when _modal_fold has none: _walk_folds across lam = 1 from a lam-free
+    fold at the modal start at s0 = gSCR(1) / 2, else s0 / 1.5, then _modal_fold's s-free Newton
+    from lo, above rated load where every converter has a steady state, into [lo.s, hi.s]."""
     kind = "find_critical_numeric"
     starts = ((s, *_modal_start(prep, s)) for s in (0.5 * g1, g1 / 3.0))
     fold = next(filter(None, (_solve_fold(prep, x, v, s, lam) for s, lam, x, v in starts)), None)
     if fold is None:
         raise GridStrengthError(f"{kind}: no fold from the modal start at scales "
                                 f"{0.5 * g1:.6g} and {g1 / 3.0:.6g}")
-    up, h, last = fold.lam > 1.0, WALK_STEP, fold
-    while (fold.lam > 1.0) == up:
-        nxt = _solve_fold(prep, fold.x, fold.v, fold.s * math.exp(h if up else -h), fold.lam)
-        if nxt is not None:
-            last, fold, h = fold, nxt, min(1.5 * h, WALK_STEP_MAX)
-        elif (h := 0.5 * h) < WALK_STEP_MIN:
-            raise GridStrengthError(f"{kind}: lost the fold curve at scale {fold.s:.6g} "
-                                    f"(lam {fold.lam:.6g})")
-
-    close = last if last.lam > 1.0 else fold
-    lo, hi = sorted((last.s, fold.s))
-    rated = _solve_fold(prep, close.x, close.v, close.s)
-    if rated is None or not lo <= rated.s <= hi:
+    lo, hi = _walk_folds(prep, fold, lambda f: f.lam - 1.0, kind)
+    rated = _solve_fold(prep, lo.x, lo.v, lo.s)
+    if rated is None or not lo.s <= rated.s <= hi.s:
         raise GridStrengthError(f"{kind}: no fold at rated load between scales "
-                                f"{lo:.6g} and {hi:.6g}")
+                                f"{lo.s:.6g} and {hi.s:.6g}")
     return rated
 
 

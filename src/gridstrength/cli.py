@@ -255,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="parallel workers")
     agg = argparse.ArgumentParser(add_help=False)
     agg.add_argument("--agg", default="mean", choices=AGG_RULES,
-                     help="per-converter overlap-angle aggregation rule")
+                     help="per-converter overlap-angle aggregation rule; first is the first "
+                          "converter bus in the case's buses list")
     thresholds = argparse.ArgumentParser(add_help=False)
     thresholds.add_argument("--cg", type=_positive("cg"), default=2.0, help="critical threshold")
     thresholds.add_argument("--bg", type=_positive("bg"), default=3.0, help="boundary threshold")

@@ -481,14 +481,15 @@ def _fold_jacobian(prep: PreparedCase, z: np.ndarray, c: np.ndarray, J: np.ndarr
     return np.block([[J, O, col[:m, None]], [D, J, col[m:, None]], [O[:1], c[None], 0.0]])
 
 
-def _solve_fold(prep: PreparedCase, x, v, s: float, lam: float | None = None) -> _Fold | None:
+def _solve_fold(prep: PreparedCase, x, v, s: float, lam: float | None = None,
+                kind: str = "find_critical_numeric") -> _Fold | None:
     """Newton on g(x) = 0, J v = 0, c.v = 1 with c = v / |v|^2, started at (x, v).
 
     Without lam the unknowns are (x, v, s) at rated load, lam = 1, to MODAL_TOL;
     with lam they are (x, v, lam), started at lam, at the fixed scale s, to
     FOLD_TOL.  Newton runs on the exact Jacobian; one that stalls within
     FOLD_TOL has met the residual's rounding floor and counts as converged.
-    Returns None when Newton fails or the fold lies outside U_BAND.
+    Returns None when Newton fails or the fold lies outside U_BAND; kind names the caller.
     """
     m = len(x)
     c = v / (v @ v)
@@ -510,7 +511,7 @@ def _solve_fold(prep: PreparedCase, x, v, s: float, lam: float | None = None) ->
                         np.concatenate([x, v, [s if lam is None else lam]]),
                         MODAL_TOL if fixed is None else FOLD_TOL, FOLD_MAX_ITER)
     if res.reason == "singular jacobian":
-        raise GridStrengthError("find_critical_numeric: singular fold system")
+        raise GridStrengthError(f"{kind}: singular fold system")
     z, U = res.x, res.x[m // 2:m]
     stalled = res.reason == "no acceptable step" and res.norm <= FOLD_TOL
     if res.reason and not stalled or np.any(U <= U_BAND[0]) or np.any(U >= U_BAND[1]):

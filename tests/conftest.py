@@ -1,7 +1,9 @@
 """Shared fixtures, random case builders and the acceptance summary hook."""
 
+import importlib
 import importlib.util
 import os
+import pkgutil
 import re
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import gridstrength
-from gridstrength.boundary import scale_to_gscr
+from gridstrength.boundary import find_boundary_numeric, scale_to_gscr
 from gridstrength.casefile import case_from_dict, load_bundled_case
 from gridstrength.netmodel import scale_impedance
 
@@ -61,6 +63,40 @@ def serial_pool(seen: list):
     return SerialPool
 
 
+# the functions whose calls count_work counts, by home module
+COUNTED = (("powerflow", "mismatch"), ("powerflow", "_fold_point"), ("powerflow", "newton_solve"),
+           ("powerflow", "_solve_fold"), ("netmodel", "reduce_case"), ("gscr", "compute_gscr"))
+
+
+def count_work(mp: pytest.MonkeyPatch) -> dict:
+    """Calls of each COUNTED function from here on, through every binding the package holds.
+
+    The counts are exact and machine-independent.  Kernel points, one evaluation
+    of the power-flow equations each, are the mismatch plus _fold_point calls.
+    """
+    modules = [gridstrength] + [importlib.import_module(f"gridstrength.{m.name}")
+                                for m in pkgutil.iter_modules(gridstrength.__path__)
+                                if m.name != "__main__"]
+    counts = {}
+    for home, name in COUNTED:
+        real = getattr(importlib.import_module(f"gridstrength.{home}"), name)
+        counts[name] = 0
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is real:
+                mp.setattr(module, name, counted)
+    return counts
+
+
+@pytest.fixture
+def work_counts(monkeypatch):
+    return count_work(monkeypatch)
+
+
 @pytest.fixture(scope="session")
 def sidc():
     return load_bundled_case("cigre_sidc")
@@ -69,6 +105,30 @@ def sidc():
 @pytest.fixture(scope="session")
 def dual():
     return load_bundled_case("dual")
+
+
+@pytest.fixture(scope="session")
+def bnd_sidc_work(sidc):
+    # the search and the work it took, counted once for the tests that read either
+    with pytest.MonkeyPatch.context() as mp:
+        counts = count_work(mp)
+        result = find_boundary_numeric(sidc)
+    return result, dict(counts)
+
+
+@pytest.fixture(scope="session")
+def bnd_sidc(bnd_sidc_work):
+    return bnd_sidc_work[0]
+
+
+@pytest.fixture(scope="session")
+def bnd_dual(dual):
+    return find_boundary_numeric(dual)
+
+
+@pytest.fixture(scope="session")
+def bnd_dual_max(dual):
+    return find_boundary_numeric(dual, aggregation="max")
 
 
 @pytest.fixture(scope="session")

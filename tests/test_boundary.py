@@ -36,6 +36,7 @@ from gridstrength.powerflow import (
     mismatch,
     newton_solve,
     prepare,
+    trace_map,
 )
 
 from conftest import (
@@ -55,16 +56,6 @@ from test_powerflow import test_fold_jacobian_matches_central_differences  # noq
 @pytest.fixture(scope="module")
 def crit_sidc(sidc):
     return find_critical_numeric(sidc)
-
-
-@pytest.fixture(scope="module")
-def bnd_sidc(sidc):
-    return find_boundary_numeric(sidc)
-
-
-@pytest.fixture(scope="module")
-def bnd_dual(dual):
-    return find_boundary_numeric(dual)
 
 
 # --------------------------------------------------------------- closed forms
@@ -208,10 +199,10 @@ def test_failed_modal_start_falls_back_to_the_bracket(name, k, request, monkeypa
     want = find_critical_numeric(case).value
     solve, s_free, traced = boundary._solve_fold, [], []
 
-    def counted(prep, x, v, s, lam=None):
+    def counted(prep, x, v, s, lam=None, kind="find_critical_numeric"):
         if lam is None:
             s_free.append(s)
-        return solve(prep, x, v, s, lam)
+        return solve(prep, x, v, s, lam, kind)
 
     monkeypatch.setattr(boundary, "_modal_fold", lambda prep, g1: None)
     monkeypatch.setattr(boundary, "_solve_fold", counted)
@@ -332,11 +323,11 @@ def test_walk_that_loses_the_fold_curve_fails_by_name(sidc, lands, message, monk
     # or its step halves below WALK_STEP_MIN at the scale it last reached
     solve, landed = boundary._solve_fold, []
 
-    def first_folds_only(prep, x, v, s, lam=None):
+    def first_folds_only(prep, x, v, s, lam=None, kind="find_critical_numeric"):
         if len(landed) == lands:
             return None
         landed.append(s)
-        return solve(prep, x, v, s, lam)
+        return solve(prep, x, v, s, lam, kind)
 
     monkeypatch.setattr(boundary, "_modal_fold", lambda prep, g1: None)
     monkeypatch.setattr(boundary, "_solve_fold", first_folds_only)
@@ -349,8 +340,8 @@ def test_close_outside_the_walk_bracket_fails_by_name(sidc, monkeypatch):
     # that moves its fold to twice the scale is refused, not returned
     solve = boundary._solve_fold
 
-    def far_close(prep, x, v, s, lam=None):
-        fold = solve(prep, x, v, s, lam)
+    def far_close(prep, x, v, s, lam=None, kind="find_critical_numeric"):
+        fold = solve(prep, x, v, s, lam, kind)
         return fold if lam is not None else fold._replace(s=2.0 * fold.s)
 
     monkeypatch.setattr(boundary, "_modal_fold", lambda prep, g1: None)
@@ -362,8 +353,58 @@ def test_close_outside_the_walk_bracket_fails_by_name(sidc, monkeypatch):
 def test_singular_fold_system_is_a_package_error(sidc, monkeypatch):
     monkeypatch.setattr(powerflow, "_fold_jacobian",
                         lambda at, z, *args: np.zeros((len(z), len(z))))
-    with pytest.raises(GridStrengthError, match="singular fold system"):
+    with pytest.raises(GridStrengthError, match="^find_critical_numeric: singular fold system$"):
         find_critical_numeric(sidc)
+
+
+def test_fold_errors_name_the_search_that_called(sidc, monkeypatch):
+    # the walk and the fold solve are shared; their failures name their caller
+    kind = "find_boundary_numeric"
+    prep = prepare(sidc)
+    fold = _modal_fold(prep, case_gscr(sidc)[1])
+    monkeypatch.setattr(boundary, "_solve_fold", lambda *args: None)
+    with pytest.raises(GridStrengthError, match=rf"^{kind}: lost the fold curve at scale "):
+        boundary._walk_folds(prep, fold, lambda f: f.lam - 2.0, kind)
+    lam, x, v = powerflow._modal_start(prep, fold.s)
+    monkeypatch.setattr(powerflow, "_fold_jacobian",
+                        lambda at, z, *args: np.zeros((len(z), len(z))))
+    with pytest.raises(GridStrengthError, match=rf"^{kind}: singular fold system$"):
+        powerflow._solve_fold(prep, x, v, fold.s, lam, kind)
+
+
+# Work pins at today's exact counts: (kernel points, newton_solve, _solve_fold) per
+# CgSCR search, on the modal path and on the forced walk.  A change that lowers a
+# count tightens its pin; no pin is raised.
+CRITICAL_WORK = {
+    "sidc": ((15, 1, 1), (22, 1, 3)),
+    "dual": ((15, 1, 1), (24, 1, 3)),
+    "triple": ((15, 1, 1), (22, 1, 3)),
+    "quad": ((15, 1, 1), (22, 1, 3)),
+}
+
+
+@pytest.mark.parametrize("walk", [False, True], ids=["modal", "walk"])
+@pytest.mark.parametrize("name", sorted(CRITICAL_WORK))
+def test_critical_search_work_is_pinned(name, walk, request, work_counts, monkeypatch):
+    case = request.getfixturevalue(name)
+    if walk:
+        monkeypatch.setattr(boundary, "_modal_fold", lambda prep, g1: None)
+    find_critical_numeric(case)
+    c = work_counts
+    got = (c["mismatch"] + c["_fold_point"], c["newton_solve"], c["_solve_fold"])
+    assert all(g <= pin for g, pin in zip(got, CRITICAL_WORK[name][walk])), got
+    assert (c["reduce_case"], c["compute_gscr"]) == (1, 1)
+
+
+def test_sidc_continuation_and_bisection_work_is_pinned(sidc, bnd_sidc_work, work_counts):
+    # (kernel points, newton_solve, reduce_case, compute_gscr); the bisection's from the
+    # fixture's own search.  No fold solve in either
+    trace_map(sidc)
+    for c, pin in ((work_counts, (1650, 62, 1, 0)), (bnd_sidc_work[1], (19123, 1047, 1, 1))):
+        got = (c["mismatch"] + c["_fold_point"], c["newton_solve"], c["reduce_case"],
+               c["compute_gscr"])
+        assert all(g <= p for g, p in zip(got, pin)), got
+        assert c["_solve_fold"] == 0
 
 
 def test_find_boundary_single_infeed(bnd_sidc, measured):
@@ -421,8 +462,8 @@ def test_symmetric_twins_match_single_infeed(crit_sidc):
     assert abs(r.value - crit_sidc.value) / crit_sidc.value <= 0.02
 
 
-def test_boundary_aggregation_rules(dual, bnd_dual):
-    r_max = find_boundary_numeric(dual, aggregation="max")
+def test_boundary_aggregation_rules(dual, bnd_dual, bnd_dual_max):
+    r_max = bnd_dual_max
     assert 2.8 <= r_max.value <= 3.2
     assert max(r_max.per_converter_mu) == pytest.approx(30.0, abs=0.05)
     assert r_max.value != bnd_dual.value

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import gridstrength.cli as cli
-from gridstrength import boundary, gscr
+from gridstrength import boundary
 from gridstrength.boundary import AGG_RULES, SweepRow
 from gridstrength.casefile import (
     bundled_case_dir,
@@ -458,20 +458,10 @@ def test_gscr_report_and_determinism(capsys, paths):
     assert again == out
 
 
-def test_gscr_runs_one_eigensolve(capsys, paths, monkeypatch):
-    calls = []
-    real = gscr.compute_gscr
-
-    def counted(J):
-        calls.append(J)
-        return real(J)
-
-    # boundary.case_gscr holds its own binding of the name; count calls through either
-    monkeypatch.setattr(gscr, "compute_gscr", counted)
-    monkeypatch.setattr(boundary, "compute_gscr", counted)
+def test_gscr_runs_one_eigensolve(capsys, paths, work_counts):
     code, out, _ = run(capsys, ["gscr", paths["sidc"]])
     assert code == 0 and json.loads(out)["spectrum_check"]["lambda_1_positive"] is True
-    assert len(calls) == 1
+    assert (work_counts["reduce_case"], work_counts["compute_gscr"]) == (1, 1)
 
 
 def test_classify_threshold_override(capsys, paths):
@@ -612,6 +602,22 @@ def test_cgscr_study_runs_and_diffs_a_subset(tmp_path):
     edited.write_text("".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8")
     assert study("diff", str(out), str(edited), status=1).startswith(
         "8 inputs in both files: 7 equal, 1 moved, 0 lost, 0 gained")
+
+
+def test_bgscr_study_runs_on_sidc(tmp_path, bnd_sidc):
+    # one line per rule; the walker lands on the exact single-infeed BSCR, and the
+    # bisection is find_boundary_numeric's own value
+    out = tmp_path / "sidc.jsonl"
+    done = subprocess.run([sys.executable, str(SCRIPTS / "cgscr_study.py"), "bgscr", str(out),
+                           "--only", "bundled/cigre_sidc/k=1.0"],
+                          capture_output=True, text=True, timeout=120, env=script_env())
+    assert done.returncode == 0, done.stderr
+    lines = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    assert [(r["label"], r["rule"]) for r in lines] == [
+        ("bundled/cigre_sidc/k=1.0", rule) for rule in AGG_RULES]
+    for r in lines:
+        assert r["walk"]["value"] == pytest.approx(2.993314724758691, rel=0.0, abs=1e-9)
+        assert r["bisect"]["value"] == bnd_sidc.value
 
 
 def test_validate_exit_mapping(capsys, monkeypatch):
