@@ -200,7 +200,8 @@ def walk_bgscr(case, rule: str, counts: dict):
         return boundary._solve_fold(prep, near.x, near.v, math.exp(log_s), near.lam, kind)
 
     try:
-        fold = boundary._modal_fold(prep, g1) or boundary._critical_fold(prep, g1)
+        start = _modal_start(prep, 0.5 * g1)
+        fold = boundary._modal_fold(prep, g1, start) or boundary._critical_fold(prep, g1, start)
         counts["start"] = "cgscr"
     except GridStrengthError:
         s0 = g1 / 3.0

@@ -159,7 +159,7 @@ def tune_sources(case: CaseFile) -> CaseFile:
 
     # at U = 1 and rated orders the converter states do not move with (d, E):
     # one solve seeds the emfs, link by link, and serves every residual
-    conv = mismatch(prep, np.zeros(n), U, orders)[2]
+    conv = mismatch(prep, np.zeros(n), U, orders)[1]
     p_sys, q_sys = np.array([(c.P, c.Q) for c in converter_states(prep, conv)]).T * prep.consts.p_dn
     emfs = np.hypot(1.0 - x_link * q_sys, x_link * p_sys)
     delta = np.arctan2(x_link * p_sys, 1.0 - x_link * q_sys)
@@ -168,8 +168,7 @@ def tune_sources(case: CaseFile) -> CaseFile:
         return replace(prep, net=prep.net._replace(f=e / x_link))
 
     def resid(x):
-        gP, gQ, point = mismatch(with_emfs(x[n:]), x[:n], U, orders, conv)
-        return np.concatenate([gP, gQ]), point
+        return mismatch(with_emfs(x[n:]), x[:n], U, orders, conv)
 
     def jac(x, point):
         d = x[:n]
@@ -246,9 +245,9 @@ def _bisect_scale(prep: PreparedCase, gap_of, cond_tol: float) -> _Probe:
     return best
 
 
-def _modal_fold(prep: PreparedCase, g1: float) -> _Fold | None:
-    """One fold Newton in s from the paper's threshold s0 = gSCR(1) / 2; None if uncertified."""
-    _, x, v = _modal_start(prep, 0.5 * g1)
+def _modal_fold(prep: PreparedCase, g1: float, start) -> _Fold | None:
+    """One fold Newton in s from start, the modal start at s0 = gSCR(1) / 2; None if uncertified."""
+    _, x, v = start
     fold = _solve_fold(prep, x, v, 0.5 * g1)
     return fold if fold is not None and SCALE_LO <= fold.s <= SCALE_HI else None
 
@@ -268,12 +267,12 @@ def _walk_folds(prep: PreparedCase, fold: _Fold, gap, kind: str):
     return (last, fold) if up else (fold, last)
 
 
-def _critical_fold(prep: PreparedCase, g1: float) -> _Fold:
+def _critical_fold(prep: PreparedCase, g1: float, start) -> _Fold:
     """Fold at rated load when _modal_fold has none: _walk_folds across lam = 1 from a lam-free
-    fold at the modal start at s0 = gSCR(1) / 2, else s0 / 1.5, then _modal_fold's s-free Newton
-    from lo, above rated load where every converter has a steady state, into [lo.s, hi.s]."""
+    fold at start, _modal_fold's, else at the modal start at s0 / 1.5, then _modal_fold's s-free
+    Newton from lo, above rated load where every converter has a steady state, into [lo.s, hi.s]."""
     kind = "find_critical_numeric"
-    starts = ((s, *_modal_start(prep, s)) for s in (0.5 * g1, g1 / 3.0))
+    starts = ((s, *(_modal_start(prep, s) if i else start)) for i, s in enumerate((0.5 * g1, g1 / 3.0)))
     fold = next(filter(None, (_solve_fold(prep, x, v, s, lam) for s, lam, x, v in starts)), None)
     if fold is None:
         raise GridStrengthError(f"{kind}: no fold from the modal start at scales "
@@ -304,7 +303,8 @@ def find_critical_numeric(case: CaseFile) -> BoundaryResult:
     """Scale reactances until the fold of the power flow sits at rated load."""
     prep = prepare(case)
     g1 = _index_at_unit_scale(prep)
-    fold = _modal_fold(prep, g1) or _critical_fold(prep, g1)
+    start = _modal_start(prep, 0.5 * g1)
+    fold = _modal_fold(prep, g1, start) or _critical_fold(prep, g1, start)
     return _result("CgSCR", g1, fold.s, fold.residual, [st.mu for st in fold.states])
 
 

@@ -335,30 +335,13 @@ def case_to_dict(case: CaseFile) -> dict:
         doc["comment"] = case.comment
     doc["system_base_mva"] = case.system_base_mva
     doc["frequency_hz"] = case.frequency_hz
-    doc["buses"] = [{"id": b.id, "kind": b.kind} for b in case.buses]
+    doc["buses"] = [b._asdict() for b in case.buses]
     doc["branches"] = [
         {"from": br.from_bus, "to": br.to_bus, "reactance_pu": br.reactance_pu}
         for br in case.branches
     ]
-    doc["thevenin_links"] = [
-        {"bus": ln.bus, "reactance_pu": ln.reactance_pu, "emf_pu": ln.emf_pu}
-        for ln in case.thevenin_links
-    ]
-    doc["converters"] = [
-        {
-            "bus": c.bus,
-            "p_dn_mw": c.p_dn_mw,
-            "gamma_deg": c.gamma_deg,
-            "n_bridges": c.n_bridges,
-            "k_ratio": c.k_ratio,
-            "x_commutation_pu": c.x_commutation_pu,
-            "r_dc_pu": c.r_dc_pu,
-            "b_c_pu": c.b_c_pu,
-            "u_ac_kv": c.u_ac_kv,
-            "control": c.control,
-        }
-        for c in case.converters
-    ]
+    doc["thevenin_links"] = [ln._asdict() for ln in case.thevenin_links]
+    doc["converters"] = [c._asdict() for c in case.converters]
     return doc
 
 

@@ -84,7 +84,6 @@ class ConverterState(NamedTuple):
     mu: float
     c: float
     rho: float
-    U_dI: float
 
 
 class StateDerivatives(NamedTuple):
@@ -97,7 +96,6 @@ class StateDerivatives(NamedTuple):
 
 
 class SensitivityBundle(NamedTuple):
-    K_c: float
     T: float
     dphi_dU_exact: float    # d(tan phi)/dU through the exact dc/dU
     dphi_dU_approx: float   # -2 c K(c) / U
@@ -161,7 +159,6 @@ def solve_state(params: LccParams, U: float, p_order: float) -> ConverterState:
         mu=math.acos(mu_arg) - g,
         c=c,
         rho=P / (U * U),
-        U_dI=params.a * U * math.cos(g) - params.b * I,
     )
 
 
@@ -192,7 +189,6 @@ def sensitivity_T(state: ConverterState, params: LccParams) -> SensitivityBundle
     T = 2.0 * state.c * Kc + 2.0 * params.b_c * state.U**2 / state.P
     d = state_derivatives(params, state)
     return SensitivityBundle(
-        K_c=Kc,
         T=T,
         dphi_dU_exact=Kc * d.dc_dU,
         dphi_dU_approx=-2.0 * state.c * Kc / state.U,
@@ -223,7 +219,6 @@ class _ConverterArrays(NamedTuple):
 
     p_dn: np.ndarray
     a: np.ndarray
-    b: np.ndarray
     b_over_a: np.ndarray
     cos_g: np.ndarray
     acg: np.ndarray         # a cos(gamma)
@@ -287,7 +282,7 @@ def _constants(case: CaseFile, buses) -> tuple[_ConverterArrays, np.ndarray]:
             rated_order(p)
         raise AssertionError("unreachable: the per-bus constructors raise on the same bus")
     I_N = 2.0 / (Bq + np.sqrt(disc))
-    consts = _ConverterArrays(p_dn=p_dn, a=a, b=b, b_over_a=b / a, cos_g=cos_g, acg=Bq,
+    consts = _ConverterArrays(p_dn=p_dn, a=a, b_over_a=b / a, cos_g=cos_g, acg=Bq,
                               gamma=gamma, A4=4.0 * (b - r), r=r, wbc=b_c)   # omega = 1
     return consts, p_dn * (1.0 + I_N * I_N * r)
 
@@ -337,7 +332,7 @@ def _point_states(k: _ConverterArrays, t: _ConverterPoint) -> tuple[ConverterSta
     """t as one ConverterState per bus, for output."""
     c = k.b_over_a * t.I / t.U
     cols = (t.U, t.I, t.P, -t.mQ, np.arccos(t.cphi), np.arccos(k.cos_g - 2.0 * c) - k.gamma, c,
-            t.P / (t.U * t.U), k.a * t.U * k.cos_g - k.b * t.I)
+            t.P / (t.U * t.U))
     return tuple(map(ConverterState._make, zip(*(col.tolist() for col in cols))))
 
 

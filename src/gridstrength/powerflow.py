@@ -20,15 +20,16 @@ buses they work on whole arrays, in the array form of MATPOWER's dSbus_dV
 Once per solve, newton_solve takes the current quadratic's terms in the
 orders alone (p, 2p, 4(b - r)p, p >= 0).  Once per point: the low root for
 every converter, one exp(j d), one W = B o e^{j (d_i - d_j)} and one W U,
-whose sum with f e^{j d} gives the residual as one vector and, with the
-converter terms through the rating and 1/U, the 2n x 2n Jacobian.  At
-SMALL_N buses or fewer numpy's fixed cost per call outweighs the O(n^2)
-work, so mismatch runs per-bus loops over solve_state and
-state_derivatives instead; the fold system, whose second-order terms read
-the array point, calls the array form _mismatch_array at every n.  mismatch
-returns the terms of its point for assemble_jacobian there, for mismatch at
-the same U and orders (which reuses the converter solution alone) and for
-converter_states (output).
+whose sum with f e^{j d} gives the residual and, with the converter terms
+through the rating and 1/U, the 2n x 2n Jacobian.  At SMALL_N buses or
+fewer numpy's fixed cost per call outweighs the O(n^2) work, so mismatch
+runs per-bus loops over solve_state and state_derivatives instead; the fold
+system, whose second-order terms read the array point, calls the array form
+_mismatch_array at every n.  On both paths mismatch returns the residual
+(gP, gQ) as one vector and the terms of its point, for assemble_jacobian
+there, for mismatch at the same U and orders (which reuses the converter
+solution alone) and for converter_states (output); only these three tell
+the paths apart.
 
 The fold system solves for the power flow's saddle-node directly, as a point
 of collapse (Canizares & Alvarado, IEEE TPWRS 8(1), 1993): Newton on g(x) = 0,
@@ -107,12 +108,11 @@ class ContinuationResult(NamedTuple):
 
 
 class _Point(NamedTuple):
-    """One array-path point: conv depends on (U, orders), W, inj and r on all."""
+    """One array-path point: conv depends on (U, orders), W and inj on all."""
 
     conv: converter._ConverterPoint
     W: np.ndarray           # B_ij e^{j (d_i - d_j)}
     inj: np.ndarray         # f_i e^{j d_i} + sum_j W_ij U_j, the j = i term included
-    r: np.ndarray           # (gP, gQ) as one vector
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,7 @@ def converter_states(prep: PreparedCase, conv) -> tuple[ConverterState, ...]:
 
 def mismatch(prep: PreparedCase, delta: np.ndarray, U: np.ndarray,
              p_orders, conv=None):
-    """Scaled mismatches (gP, gQ) and the terms they came from.
+    """Scaled mismatches (gP, gQ) as one vector r, and the terms they came from: (r, point).
 
     p_orders (system pu) may come as newton_solve's converter._Orders.  The converter
     solution is solved here unless conv, what an earlier call returned at the
@@ -181,19 +181,19 @@ def _mismatch_array(prep: PreparedCase, delta: np.ndarray, U: np.ndarray,
     W = prep.B_c * np.multiply.outer(e, e.conj())
     inj = prep.net.f * e + W.dot(U)     # as W @ U, without matmul's dispatch
     r, p_dn = np.empty(2 * n), k.p_dn
-    gP = np.subtract(inj.imag, conv.P * p_dn / U, out=r[:n])
-    gQ = np.subtract(conv.mQ * p_dn / U, inj.real, out=r[n:])
-    return gP, gQ, _Point(conv, W, inj, r)
+    np.subtract(inj.imag, conv.P * p_dn / U, out=r[:n])
+    np.subtract(conv.mQ * p_dn / U, inj.real, out=r[n:])
+    return r, _Point(conv, W, inj)
 
 
 def _mismatch_loop(prep, delta, U, p_orders, states):
     if states is None:
-        states = converter._solve_converters_loop(prep.converters, U, p_orders)
+        orders = p_orders.orders if type(p_orders) is converter._Orders else p_orders
+        states = converter._solve_converters_loop(prep.converters, U, orders)
     B = prep.net.B
     f = prep.net.f
     n = prep.n
-    gP = np.zeros(n)
-    gQ = np.zeros(n)
+    r = np.zeros(2 * n)
     for i in range(n):
         p_sys = states[i].P * prep.converters[i].p_dn
         q_sys = states[i].Q * prep.converters[i].p_dn
@@ -205,9 +205,9 @@ def _mismatch_loop(prep, delta, U, p_orders, states):
             th = delta[i] - delta[j]
             sp += B[i, j] * U[j] * math.sin(th)
             sq -= B[i, j] * U[j] * math.cos(th)
-        gP[i] = sp - p_sys / U[i]
-        gQ[i] = sq - q_sys / U[i]
-    return gP, gQ, states
+        r[i] = sp - p_sys / U[i]
+        r[n + i] = sq - q_sys / U[i]
+    return r, states
 
 
 def assemble_jacobian(prep: PreparedCase, delta: np.ndarray, U: np.ndarray,
@@ -218,7 +218,7 @@ def assemble_jacobian(prep: PreparedCase, delta: np.ndarray, U: np.ndarray,
     None to compute it here; a _Point takes the array form, the per-bus
     states the loops.
     """
-    t = mismatch(prep, delta, U, p_orders)[2] if conv is None else conv
+    t = mismatch(prep, delta, U, p_orders)[1] if conv is None else conv
     if type(t) is not _Point:
         return _jacobian_loop(prep, delta, U, t)
     n, c, p_dn = len(U), t.conv, prep.consts.p_dn
@@ -326,8 +326,7 @@ def newton_solve(prep: PreparedCase, p_orders, warm: GridState | None = None):
     else:
         x = np.concatenate([np.zeros(n), np.ones(n)])
     lo, hi = U_BAND
-    array = n > SMALL_N     # order terms once per solve, the residual as one vector
-    orders = converter._order_terms(prep.consts, p_orders) if array else p_orders
+    orders = converter._order_terms(prep.consts, p_orders)
 
     def resid(x):
         # a trial outside the U band or without a converter steady state is rejected
@@ -335,10 +334,9 @@ def newton_solve(prep: PreparedCase, p_orders, warm: GridState | None = None):
         if U.min() <= lo or U.max() >= hi:
             return None
         try:
-            gP, gQ, conv = mismatch(prep, x[:n], U, orders)
+            return mismatch(prep, x[:n], U, orders)
         except ConverterInfeasible:
             return None
-        return (conv.r if array else np.concatenate([gP, gQ])), conv
 
     def jac(x, conv):
         return assemble_jacobian(prep, x[:n], x[n:], orders, conv)
@@ -434,10 +432,10 @@ def _at_scale(prep: PreparedCase, s: float) -> PreparedCase:
 
 
 def _fold_point(prep: PreparedCase, lam: float, x: np.ndarray):
-    """The array kernel's point and J at x and lam times the rated orders, at any bus count."""
+    """The array kernel's r, point and J at x and lam times the rated orders, at any bus count."""
     n, orders = prep.n, lam * prep.rated_orders
-    t = _mismatch_array(prep, x[:n], x[n:], orders)[2]
-    return t, assemble_jacobian(prep, x[:n], x[n:], orders, t)
+    r, t = _mismatch_array(prep, x[:n], x[n:], orders)
+    return r, t, assemble_jacobian(prep, x[:n], x[n:], orders, t)
 
 
 def _converter_tangent(k, t, dU, dp) -> tuple:
@@ -501,11 +499,11 @@ def _solve_fold(prep: PreparedCase, x, v, s: float, lam: float | None = None,
             return None
         at, load = (_at_scale(prep, z[-1]), 1.0) if fixed is None else (fixed, z[-1])
         try:
-            t, J = _fold_point(at, load, z[:m])
+            r, t, J = _fold_point(at, load, z[:m])
         except ConverterInfeasible:
             return None
         vv = z[m:2 * m]
-        return np.concatenate([t.r, J @ vv, [c @ vv - 1.0]]), (at, J, t)
+        return np.concatenate([r, J @ vv, [c @ vv - 1.0]]), (at, J, t)
 
     res = damped_newton(resid, lambda z, a: _fold_jacobian(a[0], z, c, *a[1:], fixed is None),
                         np.concatenate([x, v, [s if lam is None else lam]]),
@@ -532,4 +530,4 @@ def _modal_start(prep: PreparedCase, s: float) -> tuple[float, np.ndarray, np.nd
     flows = ((lam, newton_solve(scaled, lam * prep.rated_orders)) for lam in (0.8, 0.5))
     lam, st = next(((lam, st) for lam, st in flows if isinstance(st, GridState)), (1.0, None))
     x = np.concatenate([st.delta, st.U] if st else [np.zeros(n), np.ones(n)])
-    return lam, x, np.linalg.svd(_fold_point(scaled, lam, x)[1])[2][-1]
+    return lam, x, np.linalg.svd(_fold_point(scaled, lam, x)[2])[2][-1]

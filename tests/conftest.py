@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import gridstrength
+from gridstrength import boundary, powerflow
 from gridstrength.boundary import find_boundary_numeric, scale_to_gscr
 from gridstrength.casefile import case_from_dict, load_bundled_case
 from gridstrength.netmodel import scale_impedance
@@ -97,6 +98,12 @@ def work_counts(monkeypatch):
     return count_work(monkeypatch)
 
 
+def cgscr_fold(prep, g1):
+    """find_critical_numeric's fold: the modal fold, else the walk, from one modal start."""
+    start = powerflow._modal_start(prep, 0.5 * g1)
+    return boundary._modal_fold(prep, g1, start) or boundary._critical_fold(prep, g1, start)
+
+
 @pytest.fixture(scope="session")
 def sidc():
     return load_bundled_case("cigre_sidc")
@@ -139,6 +146,16 @@ def triple():
 @pytest.fixture(scope="session")
 def quad():
     return load_bundled_case("quad")
+
+
+@pytest.fixture(scope="session")
+def bnd_triple(triple):
+    return find_boundary_numeric(triple)
+
+
+@pytest.fixture(scope="session")
+def bnd_quad(quad):
+    return find_boundary_numeric(quad)
 
 
 def random_network_doc(rng, n, link_prob=0.7):

@@ -41,6 +41,8 @@ from gridstrength.powerflow import (
 
 from conftest import (
     CONVERTER_BLOCK,
+    cgscr_fold,
+    count_work,
     heterogeneous_case,
     hub_network_doc,
     random_network_doc,
@@ -186,7 +188,7 @@ def test_find_critical_scale_invariance(sidc, dual, triple, quad, monkeypatch):
 def test_critical_on_heterogeneous_converters(j, n, k, want, monkeypatch):
     case = scale_impedance(heterogeneous_case(j, n), k)
     assert find_critical_numeric(case).value == pytest.approx(want, abs=1e-8)
-    monkeypatch.setattr(boundary, "_modal_fold", lambda prep, g1: None)
+    monkeypatch.setattr(boundary, "_modal_fold", lambda prep, g1, start: None)
     assert find_critical_numeric(case).value == pytest.approx(want, abs=1e-8)
 
 
@@ -204,7 +206,7 @@ def test_failed_modal_start_falls_back_to_the_bracket(name, k, request, monkeypa
             s_free.append(s)
         return solve(prep, x, v, s, lam, kind)
 
-    monkeypatch.setattr(boundary, "_modal_fold", lambda prep, g1: None)
+    monkeypatch.setattr(boundary, "_modal_fold", lambda prep, g1, start: None)
     monkeypatch.setattr(boundary, "_solve_fold", counted)
     for module in (boundary, powerflow):
         monkeypatch.setattr(module, "trace_map", lambda *args: traced.append(args))
@@ -239,6 +241,11 @@ def test_lam_free_fold_stays_in_the_model_domain():
             8.6358129742, abs=1e-10)
 
 
+# Work pins, (mismatch, newton_solve) per search, at the forced walk's counts: the walk
+# starts from the modal start that the failed modal fold took and never takes it again
+FALLBACK_WORK = {(15, 4, 1.0): (122, 2), (18, 1, 1.0): (137, 2), (10, 6, 0.5): (121, 2)}
+
+
 @pytest.mark.parametrize("seed, n, k, want", [
     (15, 4, 1.0, 4.124871242319338),
     (18, 1, 1.0, 6.427373125962935),
@@ -247,9 +254,15 @@ def test_lam_free_fold_stays_in_the_model_domain():
 def test_bracket_where_the_modal_start_fails(seed, n, k, want):
     case = stress_case(seed, n, k)
     prep = prepare(case)
-    assert _modal_fold(prep, case_gscr(case)[1]) is None
-    assert find_critical_numeric(case).value == pytest.approx(want, rel=1e-10, abs=0.0)
-    _check_fold_certificate(case, _critical_fold(prep, case_gscr(case)[1]))
+    g1 = case_gscr(case)[1]
+    start = powerflow._modal_start(prep, 0.5 * g1)
+    assert _modal_fold(prep, g1, start) is None
+    with pytest.MonkeyPatch.context() as mp:
+        c = count_work(mp)
+        assert find_critical_numeric(case).value == pytest.approx(want, rel=1e-10, abs=0.0)
+    got = (c["mismatch"], c["newton_solve"])
+    assert all(g <= pin for g, pin in zip(got, FALLBACK_WORK[seed, n, k])), got
+    _check_fold_certificate(case, _critical_fold(prep, g1, start))
 
 
 def _check_fold_certificate(case, fold):
@@ -262,8 +275,7 @@ def _check_fold_certificate(case, fold):
     assert sv[-1] <= 1e-8 * sv[0]
     assert fold.lam == 1.0
     assert fold.residual <= 1e-10
-    gP, gQ, _ = mismatch(prep, delta, U, orders)
-    assert np.max(np.abs(np.concatenate([gP, gQ]))) <= 1e-10
+    assert np.max(np.abs(mismatch(prep, delta, U, orders)[0])) <= 1e-10
     assert np.all((U > U_BAND[0]) & (U < U_BAND[1]))
     assert find_critical_numeric(case).condition_residual <= 1e-10
 
@@ -271,13 +283,15 @@ def _check_fold_certificate(case, fold):
 @pytest.mark.parametrize("name", ["sidc", "dual", "triple", "quad"])
 def test_critical_fold_certificate(name, request):
     case = request.getfixturevalue(name)
-    _check_fold_certificate(case, _critical_fold(prepare(case), case_gscr(case)[1]))
+    prep, g1 = prepare(case), case_gscr(case)[1]
+    _check_fold_certificate(case, _critical_fold(prep, g1, powerflow._modal_start(prep, 0.5 * g1)))
 
 
 @pytest.mark.parametrize("name", ["sidc", "dual", "triple", "quad"])
 def test_modal_fold_certificate(name, request):
     case = request.getfixturevalue(name)
-    fold = _modal_fold(prepare(case), case_gscr(case)[1])
+    prep, g1 = prepare(case), case_gscr(case)[1]
+    fold = _modal_fold(prep, g1, powerflow._modal_start(prep, 0.5 * g1))
     _check_fold_certificate(case, fold)
     assert fold.residual <= powerflow.MODAL_TOL
 
@@ -290,7 +304,7 @@ def test_fold_certificate_on_random_networks(n):
                                                            link_prob=1.0)), 2.0)
     prep = prepare(case)
     eig, g1 = case_gscr(case)
-    fold = _modal_fold(prep, g1) or _critical_fold(prep, g1)
+    fold = cgscr_fold(prep, g1)
     assert find_critical_numeric(case).value == g1 / fold.s
     _check_fold_certificate(case, fold)
     mode, w = fold.v[n:], eig.perron_vector
@@ -329,7 +343,7 @@ def test_walk_that_loses_the_fold_curve_fails_by_name(sidc, lands, message, monk
         landed.append(s)
         return solve(prep, x, v, s, lam, kind)
 
-    monkeypatch.setattr(boundary, "_modal_fold", lambda prep, g1: None)
+    monkeypatch.setattr(boundary, "_modal_fold", lambda prep, g1, start: None)
     monkeypatch.setattr(boundary, "_solve_fold", first_folds_only)
     with pytest.raises(GridStrengthError, match=message):
         find_critical_numeric(sidc)
@@ -344,7 +358,7 @@ def test_close_outside_the_walk_bracket_fails_by_name(sidc, monkeypatch):
         fold = solve(prep, x, v, s, lam, kind)
         return fold if lam is not None else fold._replace(s=2.0 * fold.s)
 
-    monkeypatch.setattr(boundary, "_modal_fold", lambda prep, g1: None)
+    monkeypatch.setattr(boundary, "_modal_fold", lambda prep, g1, start: None)
     monkeypatch.setattr(boundary, "_solve_fold", far_close)
     with pytest.raises(GridStrengthError, match=r"no fold at rated load between scales 1 and 1\.1$"):
         find_critical_numeric(sidc)
@@ -361,7 +375,7 @@ def test_fold_errors_name_the_search_that_called(sidc, monkeypatch):
     # the walk and the fold solve are shared; their failures name their caller
     kind = "find_boundary_numeric"
     prep = prepare(sidc)
-    fold = _modal_fold(prep, case_gscr(sidc)[1])
+    fold = cgscr_fold(prep, case_gscr(sidc)[1])
     monkeypatch.setattr(boundary, "_solve_fold", lambda *args: None)
     with pytest.raises(GridStrengthError, match=rf"^{kind}: lost the fold curve at scale "):
         boundary._walk_folds(prep, fold, lambda f: f.lam - 2.0, kind)
@@ -388,7 +402,7 @@ CRITICAL_WORK = {
 def test_critical_search_work_is_pinned(name, walk, request, work_counts, monkeypatch):
     case = request.getfixturevalue(name)
     if walk:
-        monkeypatch.setattr(boundary, "_modal_fold", lambda prep, g1: None)
+        monkeypatch.setattr(boundary, "_modal_fold", lambda prep, g1, start: None)
     find_critical_numeric(case)
     c = work_counts
     got = (c["mismatch"] + c["_fold_point"], c["newton_solve"], c["_solve_fold"])
@@ -425,17 +439,18 @@ def test_find_boundary_dual_straddles_target(bnd_dual):
     assert np.all(np.abs(mu - 30.0) <= 1.5)
 
 
-def test_find_boundary_triple(triple):
-    r = find_boundary_numeric(triple)
+def test_find_boundary_triple(bnd_triple):
+    r = bnd_triple
     assert r.condition_residual <= 0.05
     assert np.all(np.abs(np.array(r.per_converter_mu) - 30.0) <= 1.5)
 
 
-def test_critical_below_boundary_everywhere(crit_sidc, bnd_sidc, bnd_dual, dual, triple, quad):
+def test_critical_below_boundary_everywhere(crit_sidc, bnd_sidc, bnd_dual, bnd_triple, bnd_quad,
+                                            dual, triple, quad):
     assert crit_sidc.value < bnd_sidc.value
     assert find_critical_numeric(dual).value < bnd_dual.value
-    assert find_critical_numeric(triple).value < find_boundary_numeric(triple).value
-    assert find_critical_numeric(quad).value < find_boundary_numeric(quad).value
+    assert find_critical_numeric(triple).value < bnd_triple.value
+    assert find_critical_numeric(quad).value < bnd_quad.value
 
 
 def test_symmetric_twins_match_single_infeed(crit_sidc):

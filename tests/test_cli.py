@@ -434,7 +434,8 @@ def test_bundled_outputs_are_golden(capsys, case, cmd):
 
 @pytest.mark.parametrize("golden", [*[f"{case}.map.csv" for case in BUNDLED],
                                     "cigre_sidc.find-bgscr.json",
-                                    *[f"dual.find-bgscr.{agg}.json" for agg in AGG_RULES]])
+                                    *[f"dual.find-bgscr.{agg}.json" for agg in AGG_RULES],
+                                    "triple.find-bgscr.mean.json", "quad.find-bgscr.mean.json"])
 def test_continuation_and_boundary_outputs_are_golden(capsys, golden):
     # the continuation and the BgSCR bisection on bundled cases, byte for byte; each
     # file is named case.subcommand[.aggregation].extension

@@ -42,7 +42,7 @@ def cigre_params(**overrides):
 def state_with_c(c, gamma_deg=15.0):
     """Bare state carrying only the fields overlap_angle reads."""
     return ConverterState(U=1.0, I_d=0.0, P=0.0, Q=0.0, phi=0.0, mu=0.0,
-                          c=c, rho=0.0, U_dI=0.0), cigre_params(gamma=math.radians(gamma_deg))
+                          c=c, rho=0.0), cigre_params(gamma=math.radians(gamma_deg))
 
 
 # ------------------------------------------------------------------ solving

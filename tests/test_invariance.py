@@ -86,7 +86,7 @@ def _values(doc):
     case = case_from_dict(doc)
     modal = find_critical_numeric(case).value
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(boundary, "_modal_fold", lambda prep, g1: None)
+        mp.setattr(boundary, "_modal_fold", lambda prep, g1, start: None)
         walk = find_critical_numeric(case).value
     return case_gscr(case)[1], modal, walk
 

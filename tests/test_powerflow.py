@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gridstrength import converter, powerflow
-from gridstrength.boundary import _critical_fold, _modal_fold, case_gscr, scale_to_gscr
+from gridstrength.boundary import case_gscr, scale_to_gscr
 from gridstrength.casefile import case_from_dict, load_bundled_case, with_rating
 from gridstrength.converter import LccParams, rated_order, sensitivity_T
 from gridstrength.errors import ConverterInfeasible, GridStrengthError
@@ -30,7 +30,7 @@ from gridstrength.powerflow import (
     trace_map,
 )
 
-from conftest import CONVERTER_BLOCK, random_network_doc
+from conftest import CONVERTER_BLOCK, cgscr_fold, random_network_doc
 from oracles import central_jacobian
 
 LOOPS = 10**6   # SMALL_N that keeps every size on the per-bus loops
@@ -67,8 +67,7 @@ def fd_full_jacobian(prep, delta, U, orders, h=1e-6):
     n = prep.n
 
     def g(d, u):
-        gP, gQ, _ = mismatch(prep, d, u, orders)
-        return np.concatenate([gP, gQ])
+        return mismatch(prep, d, u, orders)[0]
 
     J = np.zeros((2 * n, 2 * n))
     for k in range(n):
@@ -200,9 +199,9 @@ def tuned_random_case(n):
 
 
 def kernel_at(prep, delta, U, orders):
-    gP, gQ, conv = mismatch(prep, delta, U, orders)
+    r, conv = mismatch(prep, delta, U, orders)
     J = assemble_jacobian(prep, delta, U, orders, conv)
-    return np.concatenate([gP, gQ]), J, converter_states(prep, conv)
+    return r, J, converter_states(prep, conv)
 
 
 @pytest.mark.parametrize("n", [5, 8, 16])
@@ -329,7 +328,7 @@ def test_jacobian_from_mismatch_terms_is_bitwise_a_fresh_one(n):
     tr = trace_map(prep)
     for lam, st in ((1.0, rated), (tr.lambda_max, tr.state_at_map)):
         orders = lam * prep.rated_orders
-        _, _, terms = mismatch(prep, st.delta, st.U, orders)
+        _, terms = mismatch(prep, st.delta, st.U, orders)
         J_terms = assemble_jacobian(prep, st.delta, st.U, orders, terms)
         J_fresh = assemble_jacobian(prep, st.delta, st.U, orders)
         assert J_terms.tobytes() == J_fresh.tobytes()
@@ -341,12 +340,12 @@ def test_mismatch_reuses_only_the_converter_terms(n):
     prep = prepare(tuned_random_case(n))
     st = newton_solve(prep, prep.rated_orders)
     assert isinstance(st, GridState)
-    _, _, old = mismatch(prep, st.delta, st.U, prep.rated_orders)
+    _, old = mismatch(prep, st.delta, st.U, prep.rated_orders)
     moved = replace(prep, net=prep.net._replace(f=1.01 * prep.net.f))
     delta = st.delta + 0.01 * np.cos(np.arange(n))
-    gP, gQ, terms = mismatch(moved, delta, st.U, prep.rated_orders, old)
-    gP_fresh, gQ_fresh, _ = mismatch(moved, delta, st.U, prep.rated_orders)
-    assert gP.tobytes() == gP_fresh.tobytes() and gQ.tobytes() == gQ_fresh.tobytes()
+    r, terms = mismatch(moved, delta, st.U, prep.rated_orders, old)
+    r_fresh, _ = mismatch(moved, delta, st.U, prep.rated_orders)
+    assert r.tobytes() == r_fresh.tobytes()
     assert (assemble_jacobian(moved, delta, st.U, prep.rated_orders, terms).tobytes()
             == assemble_jacobian(moved, delta, st.U, prep.rated_orders).tobytes())
 
@@ -375,7 +374,6 @@ def test_prepared_constants_are_bitwise_the_per_bus_ones(source):
     expected = {
         "p_dn": [p.p_dn for p in convs],
         "a": [p.a for p in convs],
-        "b": [p.b for p in convs],
         "b_over_a": [p.b / p.a for p in convs],
         "cos_g": [math.cos(p.gamma) for p in convs],
         "acg": [p.a * math.cos(p.gamma) for p in convs],
@@ -459,8 +457,8 @@ def _fold_residual(prep, c, s_free, s):
     def F(z):
         z = np.array(z)
         scale, lam = (z[-1], 1.0) if s_free else (s, z[-1])
-        t, J = powerflow._fold_point(powerflow._at_scale(prep, scale), lam, z[:m])
-        return [*t.r, *(J @ z[m:2 * m]), c @ z[m:2 * m] - 1.0]
+        r, _, J = powerflow._fold_point(powerflow._at_scale(prep, scale), lam, z[:m])
+        return [*r, *(J @ z[m:2 * m]), c @ z[m:2 * m] - 1.0]
     return F
 
 
@@ -472,7 +470,7 @@ def test_fold_jacobian_matches_central_differences(n):
     case = scale_to_gscr(case_from_dict(random_network_doc(rng, n, link_prob=1.0)), 2.0)
     prep = prepare(case)
     g1 = case_gscr(case)[1]
-    fold = _modal_fold(prep, g1) or _critical_fold(prep, g1)
+    fold = cgscr_fold(prep, g1)
     rated = newton_solve(prep, prep.rated_orders)
     assert isinstance(rated, GridState)
     m = 2 * n
@@ -482,7 +480,7 @@ def test_fold_jacobian_matches_central_differences(n):
         for s_free in (True, False):
             z = np.concatenate([x, v, [s if s_free else lam]])
             at = powerflow._at_scale(prep, s)
-            t, J = powerflow._fold_point(at, 1.0 if s_free else lam, x)
+            _, t, J = powerflow._fold_point(at, 1.0 if s_free else lam, x)
             exact = powerflow._fold_jacobian(at, z, c, J, t, s_free)
             fd = np.array(central_jacobian(_fold_residual(prep, c, s_free, s), z.tolist()))
             for rows, cols in ((slice(0, m), slice(0, m)), (slice(m, 2 * m), slice(0, m)),
@@ -507,9 +505,8 @@ def test_mismatch_small_at_solution(sidc):
     prep = prepare(sidc)
     state = newton_solve(prep, prep.rated_orders)
     assert isinstance(state, GridState)
-    gP, gQ, _ = mismatch(prep, state.delta, state.U, prep.rated_orders,
-                         state.converter_states)
-    assert max(np.max(np.abs(gP)), np.max(np.abs(gQ))) <= 1e-8
+    r, _ = mismatch(prep, state.delta, state.U, prep.rated_orders, state.converter_states)
+    assert np.max(np.abs(r)) <= 1e-8
 
 
 def test_order_vector_validation(sidc):
