@@ -5,7 +5,9 @@ Converter parameters follow the CIGRE benchmark in converter-local pu on a
 chosen so the authored index sits near 2 and the multi-infeed angle splits
 match the reference tables; the boundary searches rescale impedance anyway,
 so results are insensitive to the authored scale.  Source emfs are tuned so
-every case solves its rated point at exactly U = 1.
+that U = 1 at every bus is a root of each case's rated power flow.  That root
+lies on the lower branch, below the nose; the flat-start Newton of
+`gridstrength powerflow` returns the upper-branch root, at U 1.021-1.023.
 
 Writes each case to the packaged src/gridstrength/cases/.
 """

@@ -121,9 +121,8 @@ def _index(B: np.ndarray, p_n: np.ndarray, buses) -> tuple[EigenResult, float]:
     """compute_gscr of J_eq = -diag(1/p_n) B; CaseFormatError names a bus whose row overflows."""
     with np.errstate(over="ignore"):    # an overflow is named below
         J = extended_jacobian(B, p_n)
-    ok = np.isfinite(J.matrix).all(axis=1)
-    if not ok.all():
-        i = ok.argmin()
+    if not np.isfinite(J.matrix).all():     # scanned by row only when it fails
+        i = np.isfinite(J.matrix).all(axis=1).argmin()
         raise CaseFormatError(f"network: bus {buses[i]!r}: max |B_ij| / rating = "
                               f"{np.abs(B[i]).max():.3g} / {p_n[i]:.3g} overflows")
     return compute_gscr(J)
@@ -132,7 +131,7 @@ def _index(B: np.ndarray, p_n: np.ndarray, buses) -> tuple[EigenResult, float]:
 def case_gscr(case: CaseFile) -> tuple[EigenResult, float]:
     """Grid-strength index of a case: smallest eigenvalue of the extended Jacobian."""
     net = reduce_case(case)
-    p_n = np.array([case.rating_pu(case.converter_at(b)) for b in net.bus_order])
+    p_n = np.fromiter((case.converter_at(b).p_dn_mw for b in net.bus_order), float) / case.system_base_mva
     return _index(net.B, p_n, net.bus_order)
 
 

@@ -216,9 +216,9 @@ def validate_case(case: CaseFile) -> CaseFile:
 
     # connectivity to the implicit ground: search from every bus with a link
     adjacent = {b: [] for b in ids}
-    for br in case.branches:
-        adjacent[br.from_bus].append(br.to_bus)
-        adjacent[br.to_bus].append(br.from_bus)
+    for fr, to, _ in case.branches:
+        adjacent[fr].append(to)
+        adjacent[to].append(fr)
     reached = {ln.bus for ln in case.thevenin_links}
     stack = list(reached)
     while stack:
@@ -226,19 +226,20 @@ def validate_case(case: CaseFile) -> CaseFile:
             if b not in reached:
                 reached.add(b)
                 stack.append(b)
-    for b in ids:
-        if b not in reached:
-            raise CaseFormatError(f"network: bus '{b}' is not connected to any source")
+    if len(reached) < len(ids):
+        b = next(b for b in ids if b not in reached)
+        raise CaseFormatError(f"network: bus '{b}' is not connected to any source")
     return case
 
 
-# Parsing reads each section with direct dict access.  A malformed item makes
-# that raise one of _MALFORMED; the section is then read again item by item
-# with the checks below, which name the item and field at fault.  Records are
-# built positionally, in field order: keyword arguments make each NamedTuple
-# call about 40% slower, and a case has a record per bus, branch and link.
+# Parsing reads each section in one comprehension of direct dict access.  A
+# malformed item makes that raise one of _MALFORMED; the section is then read
+# again item by item with the checks below, which name the item and field at
+# fault.  Records are built as their NamedTuple's own __new__ builds them, by
+# tuple.__new__ on the fields in order, which leaves no Python call per item.
 _MALFORMED = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
 _CONVERTER_NUMBERS = ("p_dn_mw", "k_ratio", "x_commutation_pu", "r_dc_pu", "b_c_pu", "u_ac_kv")
+_new = tuple.__new__
 
 
 def _check_fields(obj, where: str, text: tuple[str, ...], numbers: tuple[str, ...] = ()) -> None:
@@ -268,30 +269,23 @@ def _check_converter(obj, where: str, frequency_hz: float) -> None:
 
 def _section(items, name: str, parse, check) -> tuple:
     try:
-        return tuple([parse(obj) for obj in items])
+        return parse(items)
     except _MALFORMED:
         for i, obj in enumerate(items):
             check(obj, f"{name}[{i}]")
         raise
 
 
-def _converter(obj: dict, frequency_hz: float) -> ConverterSpec:
-    gamma = obj.get("gamma_deg")
-    n_bridges = float(obj["n_bridges"])
-    if not n_bridges.is_integer():
+def _converters(items, frequency_hz: float) -> tuple:
+    n_bridges = [float(c["n_bridges"]) for c in items]
+    if not all(map(float.is_integer, n_bridges)):
         raise ValueError(n_bridges)
-    return ConverterSpec(
-        str(obj["bus"]),
-        float(obj["p_dn_mw"]),
-        _GAMMA_DEFAULT_DEG[frequency_hz] if gamma is None else float(gamma),
-        int(n_bridges),
-        float(obj["k_ratio"]),
-        float(obj["x_commutation_pu"]),
-        float(obj["r_dc_pu"]),
-        float(obj["b_c_pu"]),
-        float(obj["u_ac_kv"]),
-        str(obj.get("control", "cp-cea")),
-    )
+    return tuple([_new(ConverterSpec, (
+        str(c["bus"]), float(c["p_dn_mw"]),
+        _GAMMA_DEFAULT_DEG[frequency_hz] if (gamma := c.get("gamma_deg")) is None else float(gamma),
+        int(n), float(c["k_ratio"]), float(c["x_commutation_pu"]),
+        float(c["r_dc_pu"]), float(c["b_c_pu"]), float(c["u_ac_kv"]), str(c.get("control", "cp-cea")),
+    )) for c, n in zip(items, n_bridges)])
 
 
 def case_from_dict(doc: dict, name: str = "") -> CaseFile:
@@ -299,20 +293,23 @@ def case_from_dict(doc: dict, name: str = "") -> CaseFile:
         raise CaseFormatError("top level: expected object")
     buses = _section(
         _get(doc, "buses", "top level", list), "buses",
-        lambda b: Bus(str(b["id"]), str(b.get("kind", "converter"))),
+        lambda items: tuple([_new(Bus, (str(b["id"]), str(b.get("kind", "converter"))))
+                             for b in items]),
         lambda b, where: _check_fields(b, where, ("id",)))
     branches = _section(
         _get(doc, "branches", "top level", list) if "branches" in doc else [], "branches",
-        lambda br: Branch(str(br["from"]), str(br["to"]), float(br["reactance_pu"])),
+        lambda items: tuple([_new(Branch, (str(br["from"]), str(br["to"]), float(br["reactance_pu"])))
+                             for br in items]),
         lambda br, where: _check_fields(br, where, ("from", "to"), ("reactance_pu",)))
     links = _section(
         _get(doc, "thevenin_links", "top level", list), "thevenin_links",
-        lambda ln: TheveninLink(str(ln["bus"]), float(ln["reactance_pu"]), float(ln["emf_pu"])),
+        lambda items: tuple([_new(TheveninLink, (str(ln["bus"]), float(ln["reactance_pu"]),
+                                                 float(ln["emf_pu"]))) for ln in items]),
         lambda ln, where: _check_fields(ln, where, ("bus",), ("reactance_pu", "emf_pu")))
     frequency = _number(doc, "frequency_hz", "top level")
     converters = _section(
         _get(doc, "converters", "top level", list), "converters",
-        lambda c: _converter(c, frequency),
+        lambda items: _converters(items, frequency),
         lambda c, where: _check_converter(c, where, frequency))
     case = CaseFile(
         system_base_mva=_number(doc, "system_base_mva", "top level"),
@@ -347,7 +344,7 @@ def case_to_dict(case: CaseFile) -> dict:
 
 def load_case(path: str | Path) -> CaseFile:
     """Load and validate a case file; CaseFormatError carries the location."""
-    p = Path(path)
+    p = path if isinstance(path, Path) else Path(path)
     try:
         text = p.read_text(encoding="utf-8")
     except OSError as exc:

@@ -79,17 +79,18 @@ def extended_jacobian(B: np.ndarray, p_n) -> ExtendedJacobian:
         raise GridStrengthError(
             f"extended_jacobian: {p.size} ratings for a {'x'.join(map(str, B.shape))} matrix"
         )
-    if np.any(p <= 0):
+    if (p <= 0).any():
         raise GridStrengthError("extended_jacobian: ratings must be positive")
     return ExtendedJacobian(matrix=-B / p[:, None], p_n=p)
 
 
 def _symmetrized(J: ExtendedJacobian) -> np.ndarray:
     d = 1.0 / np.sqrt(J.p_n)
-    # S = D^{1/2} (-B) D^{1/2}; recover -B as diag(P_N) J_eq
-    negB = J.p_n[:, None] * J.matrix
-    S = d[:, None] * negB * d[None, :]
-    return 0.5 * S + 0.5 * S.T      # S + S.T would overflow above half the float maximum
+    # S = D^{1/2} (-B) D^{1/2} from -B = diag(P_N) J_eq, halved as S + S.T may overflow
+    S = d[:, None] * (J.p_n[:, None] * J.matrix)
+    S *= d
+    S *= 0.5
+    return S + S.T
 
 
 def compute_gscr(J: ExtendedJacobian) -> tuple[EigenResult, float]:
@@ -102,7 +103,7 @@ def compute_gscr(J: ExtendedJacobian) -> tuple[EigenResult, float]:
     """
     S = _symmetrized(J)
     e = math.frexp(np.abs(S).max())[1] // 2 * 2
-    S = np.ldexp(S, -e)
+    np.ldexp(S, -e, out=S)
     try:
         lam = np.linalg.eigvalsh(S)
         # S - sigma I is positive definite, n = 1 included.  The solve scales
@@ -119,14 +120,15 @@ def compute_gscr(J: ExtendedJacobian) -> tuple[EigenResult, float]:
     # two so that its norm cannot overflow; the normalization divides the powers out exactly
     sq = np.sqrt(J.p_n)
     w1 = np.ldexp(y, -math.frexp(np.abs(y).max())[1]) / np.ldexp(sq, -math.frexp(sq.max())[1])
-    w1 /= np.linalg.norm(w1)
     Jm = np.ldexp(J.matrix, -e)
-    resid = np.linalg.norm(Jm @ w1 - lam[0] * w1)
-    scale = np.linalg.norm(Jm)
+    # each norm as np.linalg.norm computes it for a real array, sqrt(x . x), without its dispatch
+    w1 /= math.sqrt(w1.dot(w1))
+    r, Jf = Jm @ w1 - lam[0] * w1, Jm.ravel(order="K")
+    resid, scale = math.sqrt(r.dot(r)), math.sqrt(Jf.dot(Jf))
     if not resid <= 1e-10 * scale:     # false for nan as well
         raise EigenSolveError(f"eigenpair residual {resid:.3e} exceeds tolerance")
     # fix sign by the largest-magnitude component, then normalize to unit sum
-    if w1[np.argmax(np.abs(w1))] < 0:
+    if w1[np.abs(w1).argmax()] < 0:
         w1 = -w1
     s = w1.sum()
     if s != 0:
@@ -162,7 +164,7 @@ def perron_report(eig: EigenResult) -> PerronReport:
     return PerronReport(
         lambda1=float(lam[0]),
         gap=gap,
-        min_component=float(np.min(eig.perron_vector)),
+        min_component=float(eig.perron_vector.min()),
         relative_gap=rel,
         degenerate=rel <= DEGENERATE_GAP,
     )

@@ -29,28 +29,25 @@ import numpy as np
 from .casefile import CaseFile
 from .errors import CaseFormatError, GridStrengthError
 
+_CELL_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])    # of a branch's cells (i,j) (j,i) (i,i) (j,j)
+
 
 def _assemble(case: CaseFile, order) -> tuple[np.ndarray, np.ndarray]:
     """B and f with rows in the given bus order, from one pass over branches then links."""
-    idx = {b: i for i, b in enumerate(order)}
-    n = len(idx)
+    # a Thevenin link is a branch to the ground node, key None and index n, dropped at the end
+    n, idx = len(order), dict(zip((*order, None), range(len(order) + 1)))
     # columns of the records; validation guarantees at least one link
     fr, to, x = zip(*case.branches) if case.branches else ((), (), ())
     at, x_link, emf = zip(*case.thevenin_links)
-    nb = len(fr)
-    ends = np.empty((2, nb + len(at)), dtype=np.intp)
-    ends[0] = np.fromiter(map(idx.__getitem__, fr + at), np.intp, ends.shape[1])
-    # a Thevenin link is a branch to the ground node, index n, dropped at the end
-    ends[1, :nb] = np.fromiter(map(idx.__getitem__, to), np.intp, nb)
-    ends[1, nb:] = n
-    y = 1.0 / np.array(x + x_link, dtype=float)
+    ends = np.fromiter(map(idx.__getitem__, fr + at + to + (None,) * len(at)), np.intp).reshape(2, -1)
+    y = np.divide(1.0, x + x_link)
     # flat cells (i,j) (j,i) (i,i) (j,j) of each branch in file order: bincount
     # adds them in that order, as a loop over branches then links would
     m = n + 1
     cells = ends.T @ np.array([[m, 1, m + 1, 0], [1, m, 0, m + 1]])
-    vals = y[:, None] * np.array([1.0, 1.0, -1.0, -1.0])
+    vals = y[:, None] * _CELL_SIGNS
     B = np.bincount(cells.ravel(), weights=vals.ravel(), minlength=m * m).reshape(m, m)
-    f = np.bincount(ends[0, nb:], weights=np.array(emf) / np.array(x_link), minlength=n)
+    f = np.bincount(ends[0, len(fr):], weights=np.divide(emf, x_link), minlength=n)
     return B[:n, :n].copy(), f
 
 
@@ -62,7 +59,7 @@ def _schur(M: np.ndarray, order, k: int, f: np.ndarray):
     """
     Bke = M[:k, k:]
     try:
-        X = np.linalg.solve(M[k:, k:], np.column_stack((Bke.T, f[k:])))
+        X = np.linalg.solve(M[k:, k:], np.concatenate((Bke.T, f[k:, None]), axis=1))
     except np.linalg.LinAlgError:
         raise GridStrengthError(
             f"reduce_case: singular internal block, buses {list(order[k:])} float with no path to a source"
@@ -116,15 +113,19 @@ def reduce_case(case: CaseFile) -> ReducedNetwork:
     if k < len(order):      # internal buses to eliminate (bus ids are unique)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
             B, f = _schur(B, order, k, f)
-    ok = np.isfinite(B).all(axis=1) & np.isfinite(f)
-    if not ok.all():
-        raise CaseFormatError(f"network: bus {order[ok.argmin()]!r}: 1/reactance_pu overflows")
-    for what, size in (("1/reactance_pu", np.abs(np.diagonal(B))),
-                       ("emf_pu/reactance_pu", np.abs(f))):
-        i = (size > B_BOUND / k).argmax()
-        if size[i] > B_BOUND / k:
-            raise CaseFormatError(f"network: bus {order[i]!r}: {what} sums to "
-                                  f"{size[i]:.3g}, above 2**500/n = {B_BOUND / k:.3g}")
+    bound = B_BOUND / k
+    # one whole-array test, false on nan and inf; max |B| >= max |B_ii|, so only a
+    # network that fails it can fail the scans that name the first bus
+    if not (np.abs(B).max() <= bound and np.abs(f).max() <= bound):
+        ok = np.isfinite(B).all(axis=1) & np.isfinite(f)
+        if not ok.all():
+            raise CaseFormatError(f"network: bus {order[ok.argmin()]!r}: 1/reactance_pu overflows")
+        for what, size in (("1/reactance_pu", np.abs(np.diagonal(B))),
+                           ("emf_pu/reactance_pu", np.abs(f))):
+            i = (size > bound).argmax()
+            if size[i] > bound:
+                raise CaseFormatError(f"network: bus {order[i]!r}: {what} sums to "
+                                      f"{size[i]:.3g}, above 2**500/n = {bound:.3g}")
     return ReducedNetwork(B=B, f=f, bus_order=tuple(conv))
 
 

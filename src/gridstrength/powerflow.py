@@ -460,7 +460,7 @@ def _fold_jacobian(prep: PreparedCase, z: np.ndarray, c: np.ndarray, J: np.ndarr
     as 1/s, so the s column is the network part of g and of J v over -s; the
     lam column is the converter terms' tangent along the rated orders.
     """
-    m = len(c)
+    m, L = len(c), 2 * len(c) + 1     # L: the side of the fold system's Jacobian
     n, k = m // 2, prep.consts
     dd, du = z[m:m + n], z[m + n:2 * m]
     W, inj, U = t.W, t.inj, t.conv.U
@@ -468,15 +468,21 @@ def _fold_jacobian(prep: PreparedCase, z: np.ndarray, c: np.ndarray, J: np.ndarr
     dM = dW * U + W * du                # the derivative of W_ij U_j
     d_inj = 1j * (dd * inj - W.dot(dd * U)) + W.dot(du)
     _, _, dJ_PU, dJ_QU = _converter_tangent(k, t.conv, du, 0.0)
-    D = np.block([[np.diag(d_inj.real) - dM.real, np.diag(dJ_PU) + dW.imag],
-                  [np.diag(d_inj.imag) - dM.imag, np.diag(dJ_QU) - dW.real]])
+    # [[J, 0, col], [D, J, col], [0, c, 0]] in one array: D's blocks diag(d) - M as 0 - M,
+    # then d - M_ii on their diagonals, strided views of the flat F (d + W_ii as d - (-W_ii))
+    F = np.zeros((L, L))
+    F[:m, :m] = F[m:2 * m, m:2 * m] = J
+    for i, j, d, M in ((m, 0, d_inj.real, dM.real), (m, n, dJ_PU, -dW.imag),
+                       (m + n, 0, d_inj.imag, dM.imag), (m + n, n, dJ_QU, dW.real)):
+        np.subtract(0.0, M, out=F[i:i + n, j:j + n])
+        np.subtract(d, M.diagonal(), out=F.reshape(-1)[i * L + j::L + 1][:n])
     if s_free:
         col = np.concatenate([inj.imag, -inj.real, d_inj.imag, -d_inj.real]) / -z[-1]
     else:
         dgP, dgQ, dJ_PU, dJ_QU = _converter_tangent(k, t.conv, 0.0, prep.rated_orders / k.p_dn)
         col = np.concatenate([dgP, dgQ, dJ_PU * du, dJ_QU * du])
-    O = np.zeros((m, m))
-    return np.block([[J, O, col[:m, None]], [D, J, col[m:, None]], [O[:1], c[None], 0.0]])
+    F[:2 * m, 2 * m], F[2 * m, m:2 * m] = col, c
+    return F
 
 
 def _solve_fold(prep: PreparedCase, x, v, s: float, lam: float | None = None,

@@ -276,6 +276,52 @@ def heterogeneous_case(j, n):
     return scale_to_gscr(case_from_dict(doc), 2.0)
 
 
+# the Thevenin emf of cigre_sidc, which every converter bus of homogeneous_case shares
+SIDC_EMF = 1.1361269118694624
+
+
+def homogeneous_case(seed, n=None, split=False):
+    """A network on which the paper's decomposition is exact (ROADMAP item 20).
+
+    Every converter has cigre_sidc's per-unit block, with its own rating P_i,
+    behind one Thevenin link of reactance 0.5 * 990 / P_i at cigre_sidc's emf,
+    on a 990 MVA base; a random tree plus random ties of inductive branches
+    joins the buses.  Then J_eq = 2 I + diag(1/P) L with L the branch
+    Laplacian: gSCR is 2, the Perron vector is uniform, and the uniform
+    profile solves the flow at every load.  n is drawn from the seed unless
+    given; split puts a sourceless internal bus at the middle of each branch,
+    which Kron reduction removes again.
+    """
+    rng = np.random.default_rng(seed)
+    drawn = int(rng.integers(2, 17))
+    n = drawn if n is None else n
+    buses = [f"c{i}" for i in range(n)]
+    ends = [(i, int(rng.integers(0, i)), float(rng.uniform(0.1, 2.0))) for i in range(1, n)]
+    for _ in range(int(rng.integers(0, n))):
+        i, j = rng.choice(n, 2, replace=False)
+        ends.append((int(i), int(j), float(rng.uniform(0.1, 2.0))))
+    ratings = [990.0 * 4.0 ** rng.uniform(-1.0, 1.0) for _ in buses]
+    internal, branches = [], []
+    for k, (i, j, x) in enumerate(ends):
+        if split:
+            internal.append(f"m{k}")
+            branches += [{"from": buses[i], "to": f"m{k}", "reactance_pu": 0.5 * x},
+                         {"from": f"m{k}", "to": buses[j], "reactance_pu": 0.5 * x}]
+        else:
+            branches.append({"from": buses[i], "to": buses[j], "reactance_pu": x})
+    return case_from_dict({
+        "name": f"homogeneous-{seed}{'-split' if split else ''}",
+        "system_base_mva": 990.0,
+        "frequency_hz": 60,
+        "buses": [{"id": b, "kind": "converter"} for b in buses]
+                 + [{"id": b, "kind": "internal"} for b in internal],
+        "branches": branches,
+        "thevenin_links": [{"bus": b, "reactance_pu": 0.5 * 990.0 / p, "emf_pu": SIDC_EMF}
+                           for b, p in zip(buses, ratings)],
+        "converters": [{**CONVERTER_BLOCK, "bus": b, "p_dn_mw": p} for b, p in zip(buses, ratings)],
+    })
+
+
 def stress_case(seed, n, k):
     """A random network with random emfs and converter constants, far from a tuned rated point."""
     rng = np.random.default_rng(9000 + seed)

@@ -5,12 +5,17 @@ against the library is a genuine cross-implementation comparison, not the
 same BLAS call twice.  The case-file reference parse shares only the
 record types with the library; the central-difference Jacobian
 differentiates whatever function it is given, the library's own kernel
-included.
+included.  The block-assembled fold Jacobian is the one exception: it is
+the library's own terms laid out by np.block, the reference for the
+in-place layout the library writes.
 """
 
 import math
 
+import numpy as np
+
 from gridstrength.casefile import Branch, Bus, CaseFile, ConverterSpec, TheveninLink
+from gridstrength.powerflow import _converter_tangent
 
 
 def solve_full_pivot(A, B):
@@ -298,3 +303,24 @@ def parse_by_keyword(doc, name=""):
         name=name or str(doc.get("name", "")),
         comment=str(doc.get("comment", "")),
     )
+
+
+def fold_jacobian_block(prep, z, c, J, t, s_free):
+    """powerflow._fold_jacobian's matrix assembled block by block with np.block and np.diag."""
+    m = len(c)
+    n, k = m // 2, prep.consts
+    dd, du = z[m:m + n], z[m + n:2 * m]
+    W, inj, U = t.W, t.inj, t.conv.U
+    dW = 1j * np.subtract.outer(dd, dd) * W
+    dM = dW * U + W * du
+    d_inj = 1j * (dd * inj - W.dot(dd * U)) + W.dot(du)
+    _, _, dJ_PU, dJ_QU = _converter_tangent(k, t.conv, du, 0.0)
+    D = np.block([[np.diag(d_inj.real) - dM.real, np.diag(dJ_PU) + dW.imag],
+                  [np.diag(d_inj.imag) - dM.imag, np.diag(dJ_QU) - dW.real]])
+    if s_free:
+        col = np.concatenate([inj.imag, -inj.real, d_inj.imag, -d_inj.real]) / -z[-1]
+    else:
+        dgP, dgQ, dJ_PU, dJ_QU = _converter_tangent(k, t.conv, 0.0, prep.rated_orders / k.p_dn)
+        col = np.concatenate([dgP, dgQ, dJ_PU * du, dJ_QU * du])
+    O = np.zeros((m, m))
+    return np.block([[J, O, col[:m, None]], [D, J, col[m:, None]], [O[:1], c[None], 0.0]])

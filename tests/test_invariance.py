@@ -19,8 +19,9 @@ import pytest
 import gridstrength.boundary as boundary
 from gridstrength.boundary import case_gscr, find_boundary_numeric, find_critical_numeric
 from gridstrength.casefile import bundled_case_dir, case_from_dict, case_to_dict
+from gridstrength.powerflow import GridState, newton_solve, prepare
 
-from conftest import heterogeneous_case, random_network_doc
+from conftest import heterogeneous_case, homogeneous_case, random_network_doc
 
 REL = 1e-12
 
@@ -125,3 +126,30 @@ def test_first_rule_reads_the_first_converter_bus_in_the_buses_list(dual_reverse
     assert dual_reversed.converter_buses()[0] == "inv2"
     r = find_boundary_numeric(dual_reversed, "first")
     assert abs(r.per_converter_mu[0] - 30.0) <= 0.05
+
+
+# ------------------------------------------- the paper's decomposition, exact
+
+HOMOGENEOUS = range(40)     # seeds taken as a plain range, not picked by outcome
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["tree", "split"])
+def test_homogeneous_index_is_two_with_a_uniform_perron_vector(split):
+    # J_eq = 2 I + diag(1/P) L, L the (reduced) branch Laplacian: L 1 = 0
+    for seed in HOMOGENEOUS:
+        eig, g = case_gscr(homogeneous_case(seed, split=split))
+        n = len(eig.perron_vector)
+        assert abs(g - 2.0) <= 1e-12, seed
+        assert np.abs(eig.perron_vector - 1.0 / n).max() <= 1e-12, seed
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["tree", "split"])
+def test_homogeneous_flow_is_uniform(split):
+    # every bus is one copy of the same block: the flat profile is the flow, and no
+    # branch carries power, at half and at rated load
+    for seed in HOMOGENEOUS:
+        prep = prepare(homogeneous_case(seed, split=split))
+        for lam in (0.5, 1.0):
+            state = newton_solve(prep, lam * prep.rated_orders)
+            assert isinstance(state, GridState), (seed, lam)
+            assert np.ptp(state.U) <= 1e-10 and np.ptp(state.delta) <= 1e-10, (seed, lam)

@@ -31,7 +31,7 @@ from gridstrength.powerflow import (
 )
 
 from conftest import CONVERTER_BLOCK, cgscr_fold, random_network_doc
-from oracles import central_jacobian
+from oracles import central_jacobian, fold_jacobian_block
 
 LOOPS = 10**6   # SMALL_N that keeps every size on the per-bus loops
 ARRAYS = 0      # SMALL_N that sends every size down the array path
@@ -489,6 +489,42 @@ def test_fold_jacobian_matches_central_differences(n):
                 scale = np.abs(fd[rows, cols]).max()
                 assert np.abs(exact[rows, cols] - fd[rows, cols]).max() <= 1e-6 * scale
             assert not exact[:m, m:2 * m].any() and not exact[2 * m, :m].any()
+
+
+@pytest.mark.parametrize("name", ["cigre_sidc", "dual", "triple", "quad"])
+def test_fold_jacobian_is_bitwise_the_block_assembly(name):
+    # the in-place layout against np.block of np.diag blocks, byte for byte
+    # (signed zeros included), s free and lam free, at the bundled CgSCR fold
+    case = load_bundled_case(name)
+    prep = prepare(case)
+    fold = cgscr_fold(prep, case_gscr(case)[1])
+    at = powerflow._at_scale(prep, fold.s)
+    _, t, J = powerflow._fold_point(at, fold.lam, fold.x)
+    c = fold.v / (fold.v @ fold.v)
+    for s_free in (True, False):
+        z = np.concatenate([fold.x, fold.v, [fold.s if s_free else fold.lam]])
+        got = powerflow._fold_jacobian(at, z, c, J, t, s_free)
+        assert got.tobytes() == fold_jacobian_block(at, z, c, J, t, s_free).tobytes()
+
+
+@pytest.mark.parametrize("name", ["cigre_sidc", "dual", "triple", "quad"])
+def test_bundled_rated_point_has_two_roots_either_side_of_the_nose(name):
+    # the tuned emfs make U = 1 a root of the rated flow, but on the lower branch:
+    # Newton from the linear angle step at U = 1 lands there, the flat start lands
+    # on the upper branch at U 1.021-1.023, and map's nose lies between the two
+    case = load_bundled_case(name)
+    prep = prepare(case)
+    n, orders = prep.n, prep.rated_orders
+    flat, ones = np.zeros(n), np.ones(n)
+    r = mismatch(prep, flat, ones, orders)[0]
+    step = np.linalg.solve(assemble_jacobian(prep, flat, ones, orders)[:n, :n], -r[:n])
+    lower = newton_solve(prep, orders, warm=GridState(delta=step, U=ones, converter_states=()))
+    upper = newton_solve(prep, orders)
+    nose = trace_map(prep)
+    assert np.abs(lower.U - 1.0).max() <= 1e-9
+    assert 1.021 <= upper.U.min() and upper.U.max() <= 1.023
+    assert 1.0 < nose.lambda_max
+    assert (lower.U < nose.state_at_map.U).all() and (nose.state_at_map.U < upper.U).all()
 
 
 # -------------------------------------------------------------- newton solve
