@@ -131,6 +131,7 @@ def _index(B: np.ndarray, p_n: np.ndarray, buses) -> tuple[EigenResult, float]:
 def case_gscr(case: CaseFile) -> tuple[EigenResult, float]:
     """Grid-strength index of a case: smallest eigenvalue of the extended Jacobian."""
     net = reduce_case(case)
+    # case.rating_pu of each bus's converter, the same quotients as one array division
     p_n = np.fromiter((case.converter_at(b).p_dn_mw for b in net.bus_order), float) / case.system_base_mva
     return _index(net.B, p_n, net.bus_order)
 

@@ -185,14 +185,13 @@ def validate_case(case: CaseFile) -> CaseFile:
     # 0 < x < inf is false for nan, inf and x <= 0 alike; a positive finite
     # input can still overflow in per unit (1/x, E/x, P/S), tested likewise
     inf, base = math.inf, case.system_base_mva
-    for i, br in enumerate(case.branches):
-        if not (br.from_bus in known and br.to_bus in known and br.from_bus != br.to_bus
-                and 0.0 < br.reactance_pu < inf and 1.0 / br.reactance_pu < inf):
-            _branch_fault(i, br, known)
-    for i, ln in enumerate(case.thevenin_links):
-        if not (ln.bus in known and 0.0 < ln.reactance_pu < inf and 0.0 < ln.emf_pu < inf
-                and 1.0 / ln.reactance_pu < inf and 0.0 < ln.emf_pu / ln.reactance_pu < inf):
-            _link_fault(i, ln, known)
+    for i, (fr, to, x) in enumerate(case.branches):
+        if not (fr in known and to in known and fr != to and 0.0 < x < inf and 1.0 / x < inf):
+            _branch_fault(i, case.branches[i], known)
+    for i, (at, x, emf) in enumerate(case.thevenin_links):
+        if not (at in known and 0.0 < x < inf and 0.0 < emf < inf
+                and 1.0 / x < inf and 0.0 < emf / x < inf):
+            _link_fault(i, case.thevenin_links[i], known)
 
     conv_buses = [c.bus for c in case.converters]
     if len(conv_buses) != len(set(conv_buses)):
@@ -207,12 +206,11 @@ def validate_case(case: CaseFile) -> CaseFile:
         raise CaseFormatError(f"converters: bus '{sorted(extra)[0]}' is not declared kind=converter")
     if not conv_buses:
         raise CaseFormatError("converters: at least one converter is required")
-    for c in case.converters:
-        if not (c.control == "cp-cea" and 0.0 < c.p_dn_mw < inf and 0.0 < c.p_dn_mw / base < inf
-                and 0.0 < c.u_ac_kv < inf and 0.0 < c.k_ratio < inf
-                and 0.0 < c.x_commutation_pu < inf and 0.0 <= c.r_dc_pu < inf
-                and 0.0 <= c.b_c_pu < inf and c.n_bridges >= 1 and 0.0 < c.gamma_deg < 90.0):
-            _converter_fault(c, base)
+    for i, (_, p, gamma, n, k, x_c, r_dc, b_c, u_ac, control) in enumerate(case.converters):
+        if not (control == "cp-cea" and 0.0 < p < inf and 0.0 < p / base < inf and 0.0 < u_ac < inf
+                and 0.0 < k < inf and 0.0 < x_c < inf and 0.0 <= r_dc < inf and 0.0 <= b_c < inf
+                and n >= 1 and 0.0 < gamma < 90.0):
+            _converter_fault(case.converters[i], base)
 
     # connectivity to the implicit ground: search from every bus with a link
     adjacent = {b: [] for b in ids}

@@ -92,7 +92,7 @@ def test_index_with_one_nan_entry_is_named():
           "network: bus 'b1': max |B_ij| / rating = nan / 1 overflows")
 
 
-# ------------------------------------ casefile: per-unit quotients of a record
+# ----------------------- casefile: a record's per-unit quotients and ranges
 
 def _least_with_finite_reciprocal() -> float:
     x = 1.0 / MAX
@@ -104,6 +104,16 @@ def _least_with_finite_reciprocal() -> float:
 
 
 X_EDGE = _least_with_finite_reciprocal()
+
+
+def hub_doc(branch_x=None, **converter):
+    """hub_network_doc with the second branch's reactance and the second converter's
+    fields replaced, so that the first record of each section passes its test."""
+    doc = hub_network_doc(["a"])
+    if branch_x is not None:
+        doc["branches"][1]["reactance_pu"] = branch_x
+    doc["converters"][1].update(converter)
+    return doc
 
 
 @pytest.mark.parametrize("doc, message", [
@@ -126,10 +136,26 @@ X_EDGE = _least_with_finite_reciprocal()
      "got 0.0"),
     (one_bus_doc(p_dn_mw=math.nan),
      "converter at inv1.p_dn_mw: must be a positive finite number, got nan"),
+    # the same tests on the second record of a section, named by its index
+    (hub_doc(branch_x=X_EDGE), None),
+    (hub_doc(branch_x=down(X_EDGE)),
+     "branches[1].reactance_pu: 1/reactance_pu: must be a positive finite number, got inf"),
+    (hub_doc(branch_x=math.nan), "branches[1].reactance_pu: must be a positive finite number, got nan"),
+    # gamma in (0, 90): the float below 90 and 90 itself
+    (hub_doc(gamma_deg=down(90.0)), None),
+    (hub_doc(gamma_deg=90.0), "converter at b.gamma_deg: must lie in (0, 90)"),
+    (hub_doc(gamma_deg=math.nan), "converter at b.gamma_deg: must lie in (0, 90)"),
+    # r_dc >= 0: zero and the float below it
+    (hub_doc(r_dc_pu=0.0), None),
+    (hub_doc(r_dc_pu=-5e-324), "converter at b.r_dc_pu: must be a finite number >= 0, got -5e-324"),
+    (hub_doc(r_dc_pu=math.nan), "converter at b.r_dc_pu: must be a finite number >= 0, got nan"),
 ], ids=["1/x-edge", "1/x-over", "x-nan", "E/x-edge", "E/x-over", "E-nan",
-        "P/S-edge", "P/S-under", "P-nan"])
+        "P/S-edge", "P/S-under", "P-nan",
+        "branch-1/x-edge", "branch-1/x-over", "branch-x-nan", "gamma-edge", "gamma-over", "gamma-nan",
+        "r-edge", "r-under", "r-nan"])
 def test_record_quotients_at_their_float_edges(doc, message):
     if message is None:
         case_from_dict(doc)
     else:
         named(lambda: case_from_dict(doc), message)
+

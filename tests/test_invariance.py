@@ -8,6 +8,9 @@ of twice its reactance (on a network with no branch, its first Thevenin link, a
 branch to the source, takes the last two).  gSCR and CgSCR, on the modal path and
 on the forced walk, must move by at most 1e-12 relative; BgSCR under `mean` and
 `max` is checked under the permutation on dual only, as its bisection is slow.
+
+On the homogeneous family of `conftest.homogeneous_case` the paper's decomposition
+is exact, so the index and the flow have known values for every n and topology.
 """
 
 import functools
